@@ -74,21 +74,23 @@ pub enum Command {
         /// Result format: `table`, `csv` or `json`.
         output: String,
     },
-    /// Serve a stored model over TCP (or stdin) through the
-    /// micro-batching inference server.
+    /// Serve a stored model over TCP (or stdin): the epoll front end
+    /// scores on its event-loop thread, the `threads` front end and
+    /// stdin through the micro-batcher.
     Serve {
         /// Model file.
         model: String,
         /// Engine registry name answering requests.
         engine: String,
-        /// Batch-size cap of the micro-batcher.
+        /// Most rows one engine call scores (every front end).
         max_batch: usize,
         /// Linger deadline in microseconds (how long a partial batch
-        /// waits for more rows).
+        /// waits for more rows; micro-batcher only).
         linger_us: u64,
-        /// Scoring worker threads.
+        /// Scoring worker threads (micro-batcher only).
         workers: usize,
-        /// Bounded request-queue depth (backpressure threshold).
+        /// Bounded request-queue depth (backpressure threshold;
+        /// micro-batcher only).
         queue_depth: usize,
         /// TCP listen address.
         addr: String,
@@ -98,7 +100,8 @@ pub enum Command {
         /// Connection cap of the event-loop front end (further accepts
         /// are answered `busy` and closed).
         max_conns: usize,
-        /// In-flight prediction cap of the event-loop front end.
+        /// In-flight prediction cap of the event-loop front end: rows
+        /// one loop iteration admits before it scores them.
         max_inflight: usize,
         /// Serve only the contiguous tree span `a:b` (half-open, as
         /// planned by `flint_forest::plan_spans`) — one shard of a
@@ -424,9 +427,13 @@ bandwidth-bound), deep (12 x 18).
 `flint serve` speaks one request per line (CSV feature row or
 {\"features\":[...]}; `stats` and `shutdown` commands) and answers one
 JSON object per line. The default `epoll` front end is a readiness
-event loop (one thread, thousands of idle connections, explicit `busy`
-shedding past --max-conns / --max-inflight); `--front-end threads` is
-the thread-per-connection baseline, and the one that works off Linux.
+event loop that also scores: one thread, thousands of idle
+connections, each loop iteration scoring the rows that arrived in
+chunks of at most --max-batch without waiting for more, explicit
+`busy` shedding past --max-conns / --max-inflight. `--front-end
+threads` is the thread-per-connection baseline, and the one that works
+off Linux; it and `--stdin` score through the micro-batcher, the only
+path --linger-us, --workers and --queue-depth configure.
 `--trees A:B` serves only that contiguous tree span — one shard of a
 sharded deployment.
 

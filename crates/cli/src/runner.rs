@@ -439,8 +439,8 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
             let front_end: FrontEnd = front_end
                 .parse()
                 .map_err(|e: flint_serve::ParseFrontEndError| RunError::Invalid(e.to_string()))?;
-            // One worker scores one batch at a time; parallelism comes
-            // from the pool, so each engine runs its batch inline.
+            // Whoever scores a batch (the event loop, or one batcher
+            // worker of the pool) runs it inline on its own thread.
             let opts = BatchOptions::default()
                 .block_samples(max_batch.max(1))
                 .threads(1);
@@ -458,22 +458,20 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
                 serve_lines(&batcher, std::io::stdin().lock(), &mut *out)?;
                 writeln!(out, "{}", batcher.shutdown().to_json())?;
             } else {
-                let banner = |local_addr: std::net::SocketAddr, engine_name: &str| {
-                    format!(
-                        "listening on {local_addr} (engine {engine_name}, front-end {front_end}, \
-                         max-batch {}, linger {linger_us}us, workers {}, queue {})",
-                        max_batch.max(1),
-                        workers.max(1),
-                        queue_depth.max(1)
-                    )
-                };
                 let stats = match front_end {
                     FrontEnd::Epoll => {
                         let config = EventLoopConfig::default()
                             .max_conns(max_conns)
                             .max_inflight(max_inflight);
                         let server = EpollServer::bind_with_config(&addr, engine, policy, config)?;
-                        writeln!(out, "{}", banner(server.local_addr(), server.engine_name()))?;
+                        writeln!(
+                            out,
+                            "listening on {} (engine {}, front-end {front_end}, max-batch {}, \
+                             scoring inline)",
+                            server.local_addr(),
+                            server.engine_name(),
+                            max_batch.max(1)
+                        )?;
                         // The startup line must reach pipes before the
                         // event loop starts (smoke tests wait for it).
                         out.flush()?;
@@ -481,7 +479,16 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
                     }
                     FrontEnd::Threads => {
                         let server = Server::bind(&addr, engine, policy)?;
-                        writeln!(out, "{}", banner(server.local_addr(), server.engine_name()))?;
+                        writeln!(
+                            out,
+                            "listening on {} (engine {}, front-end {front_end}, max-batch {}, \
+                             linger {linger_us}us, workers {}, queue {})",
+                            server.local_addr(),
+                            server.engine_name(),
+                            max_batch.max(1),
+                            workers.max(1),
+                            queue_depth.max(1)
+                        )?;
                         // The startup line must reach pipes before the
                         // accept loop blocks (smoke tests wait for it).
                         out.flush()?;

@@ -215,16 +215,29 @@ impl HalfFloatTree {
     /// The scalar f16 reference walk: features quantize through the
     /// identical [`Half::from_f32`] the lane slabs use, then IEEE `<=`
     /// on the widened values (NaN goes right, like every float
-    /// family).
+    /// family). Quantizes at every visited node; the oracle of
+    /// [`predict_bits`](Self::predict_bits).
     #[inline]
     pub fn predict(&self, features: &[f32]) -> u32 {
+        self.walk(|feature| Half::from_f32(features[feature]).to_bits())
+    }
+
+    /// [`predict`](Self::predict) over a row already quantized to
+    /// binary16 bits (`bits[f] == Half::from_f32(features[f]).to_bits()`).
+    #[inline]
+    pub fn predict_bits(&self, bits: &[u16]) -> u32 {
+        self.walk(|feature| bits[feature])
+    }
+
+    #[inline]
+    fn walk(&self, feature_bits: impl Fn(usize) -> u16) -> u32 {
         let mut idx = 0u16;
         loop {
             let node = &self.nodes[idx as usize];
             if node.feature == LEAF_MARKER_F16 {
                 return u32::from(node.left);
             }
-            let x = Half::from_f32(features[node.feature as usize]).to_f32();
+            let x = Half::from_bits(feature_bits(node.feature as usize)).to_f32();
             let t = Half::from_bits(node.threshold).to_f32();
             idx = if x <= t { node.left } else { node.right };
         }
@@ -292,9 +305,22 @@ impl HalfIntTree {
     /// The scalar f16 reference walk: the feature's binary16 bit
     /// pattern against the prepared key — one optional sign-bit XOR
     /// plus one signed 16-bit compare, exactly
-    /// [`PreparedThreshold::le_bits`].
+    /// [`PreparedThreshold::le_bits`]. Quantizes at every visited
+    /// node; the oracle of [`predict_bits`](Self::predict_bits).
     #[inline]
     pub fn predict(&self, features: &[f32]) -> u32 {
+        self.walk(|feature| Half::from_f32(features[feature]).to_bits())
+    }
+
+    /// [`predict`](Self::predict) over a row already quantized to
+    /// binary16 bits (`bits[f] == Half::from_f32(features[f]).to_bits()`).
+    #[inline]
+    pub fn predict_bits(&self, bits: &[u16]) -> u32 {
+        self.walk(|feature| bits[feature])
+    }
+
+    #[inline]
+    fn walk(&self, feature_bits: impl Fn(usize) -> u16) -> u32 {
         let mut idx = 0u16;
         loop {
             let node = &self.nodes[idx as usize];
@@ -302,7 +328,7 @@ impl HalfIntTree {
                 return u32::from(node.left);
             }
             let feature = (node.feature_and_flip & !FLIP_BIT_F16) as usize;
-            let bits = Half::from_f32(features[feature]).to_bits() as i16;
+            let bits = feature_bits(feature) as i16;
             let go_left = if node.feature_and_flip & FLIP_BIT_F16 != 0 {
                 node.key <= (bits ^ i16::MIN)
             } else {
@@ -397,23 +423,28 @@ impl HalfForest {
     /// [`predict`](Self::predict) — the partial a forest shard of the
     /// f16 family reports for distributed merge. Shard histograms sum
     /// to the full-forest f16 histogram because quantization is
-    /// per-tree.
+    /// per-tree. The row is quantized once, then every tree walks its
+    /// bits ([`HalfIntTree::predict_bits`]).
     ///
     /// # Panics
     ///
     /// Panics if `features.len() != n_features()`.
     pub fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
         assert_eq!(features.len(), self.n_features, "feature vector length");
+        let bits: Vec<u16> = features
+            .iter()
+            .map(|&x| Half::from_f32(x).to_bits())
+            .collect();
         let mut votes = vec![0u32; self.n_classes];
         match &self.trees {
             HalfTrees::Float(trees) => {
                 for tree in trees {
-                    votes[tree.predict(features) as usize] += 1;
+                    votes[tree.predict_bits(&bits) as usize] += 1;
                 }
             }
             HalfTrees::Int(trees) => {
                 for tree in trees {
-                    votes[tree.predict(features) as usize] += 1;
+                    votes[tree.predict_bits(&bits) as usize] += 1;
                 }
             }
         }
@@ -1516,5 +1547,129 @@ mod tests {
             "f16 drift {drift}/{} exceeds 2%",
             data.n_samples()
         );
+    }
+
+    /// Feature values that sit on the edges of binary16 quantization
+    /// for `forest`: NaN payloads of both signs (quiet and signalling),
+    /// ±inf, ±0, f32 and binary16 subnormals, the binary16 overflow
+    /// boundary, and for every split `t`: `t` and its f32 neighbours,
+    /// `t` quantized and widened back, the binary16 values one ulp to
+    /// either side, and the rounding ties between them ±1 f32 ulp.
+    fn quantization_edges(forest: &RandomForest) -> Vec<f32> {
+        let neighbours = |x: f32| {
+            [
+                x,
+                f32::from_bits(x.to_bits().wrapping_add(1)),
+                f32::from_bits(x.to_bits().wrapping_sub(1)),
+            ]
+        };
+        let mut values = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xff80_2000),
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffff_ffff),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            65_504.0,
+            65_520.0,
+            -65_520.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for x in [0.0f32, f32::from_bits(0x007f_ffff), 5.96e-8, 6.1e-5] {
+            values.extend(neighbours(x));
+            values.extend(neighbours(-x));
+        }
+        for tree in forest.trees() {
+            for node in tree.nodes() {
+                if let Node::Split { threshold, .. } = node {
+                    let h = Half::from_f32(*threshold).to_bits();
+                    values.extend(neighbours(*threshold));
+                    for bits in [h, h.wrapping_add(1), h.wrapping_sub(1)] {
+                        values.push(Half::from_bits(bits).to_f32());
+                    }
+                    for side in [h.wrapping_add(1), h.wrapping_sub(1)] {
+                        let tie =
+                            (Half::from_bits(h).to_f32() + Half::from_bits(side).to_f32()) / 2.0;
+                        values.extend(neighbours(tie));
+                    }
+                }
+            }
+        }
+        values
+    }
+
+    /// Every tree's quantize-once walk against its quantize-per-node
+    /// oracle on `row`, plus the forest histogram built from them.
+    fn assert_walks_agree(half: &HalfForest, row: &[f32]) {
+        let bits: Vec<u16> = row.iter().map(|&x| Half::from_f32(x).to_bits()).collect();
+        let (per_node, once): (Vec<u32>, Vec<u32>) = match &half.trees {
+            HalfTrees::Float(trees) => trees
+                .iter()
+                .map(|t| (t.predict(row), t.predict_bits(&bits)))
+                .unzip(),
+            HalfTrees::Int(trees) => trees
+                .iter()
+                .map(|t| (t.predict(row), t.predict_bits(&bits)))
+                .unzip(),
+        };
+        assert_eq!(per_node, once, "{:?} row {row:?}", half.compare());
+        let mut votes = vec![0u32; half.n_classes()];
+        for class in per_node {
+            votes[class as usize] += 1;
+        }
+        assert_eq!(
+            half.predict_votes(row),
+            votes,
+            "{:?} row {row:?}",
+            half.compare()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The quantize-once walk behind `predict_votes` is
+        /// bit-identical to the per-node walk on rows mixing
+        /// quantization edges with raw bit patterns, in both compare
+        /// families.
+        #[test]
+        fn quantize_once_walk_matches_the_per_node_walk(
+            seed in 0u64..12,
+            picks in proptest::collection::vec(proptest::prelude::any::<u32>(), 5),
+            raw_mask in 0u32..32,
+        ) {
+            let data = SynthSpec::new(160, 5, 3)
+                .cluster_std(1.0)
+                .negative_fraction(0.5)
+                .seed(seed)
+                .generate();
+            let forest = RandomForest::fit(&data, &ForestConfig::grid(5, 8)).expect("trainable");
+            let edges = quantization_edges(&forest);
+            let row: Vec<f32> = picks
+                .iter()
+                .enumerate()
+                .map(|(f, &p)| {
+                    if raw_mask & (1 << f) != 0 {
+                        f32::from_bits(p)
+                    } else {
+                        edges[p as usize % edges.len()]
+                    }
+                })
+                .collect();
+            for compare in [HalfCompare::Flint, HalfCompare::Float] {
+                let half = HalfForest::compile(&forest, compare).expect("compiles");
+                assert_walks_agree(&half, &row);
+                // Each edge value on its own, broadcast to every
+                // feature, so no edge depends on being drawn.
+                if seed == 0 {
+                    for &x in &edges {
+                        assert_walks_agree(&half, &[x; 5]);
+                    }
+                }
+            }
+        }
     }
 }

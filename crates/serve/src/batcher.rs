@@ -154,10 +154,9 @@ impl std::error::Error for ServeError {}
 
 /// How a scored request finds its way back to whoever asked: a oneshot
 /// callback. The blocking [`BatchHandle::predict`] wraps a channel
-/// send; the event-loop front end wraps "push onto the completion
-/// queue and wake the poller". Class and votes requests share one
-/// queue and one batch, so a shard serving `votes:` traffic batches
-/// exactly like a node serving predictions.
+/// send; [`BatchHandle::try_submit`] callers pass their own. Class and
+/// votes requests share one queue and one batch, so a shard serving
+/// `votes:` traffic batches exactly like a node serving predictions.
 enum Reply {
     /// Answer with the majority-vote class.
     Class(Box<dyn FnOnce(Prediction) + Send>),
@@ -226,9 +225,8 @@ impl BatchHandle {
     }
 
     /// Scores one feature row and blocks for its per-class vote
-    /// histogram — the blocking sibling of
-    /// [`try_submit_votes`](Self::try_submit_votes), used by the
-    /// thread-per-connection front end and the stdin loop.
+    /// histogram — the `votes:` sibling of [`predict`](Self::predict),
+    /// used by the thread-per-connection front end and the stdin loop.
     ///
     /// # Errors
     ///
@@ -251,9 +249,9 @@ impl BatchHandle {
     }
 
     /// Enqueues one feature row **without blocking**: `on_done` fires
-    /// from a scoring worker once the row's batch is scored. This is
-    /// the event-loop entry point — the loop must never sleep on a full
-    /// queue, so a full queue sheds instead of blocking.
+    /// from a scoring worker once the row's batch is scored. For
+    /// callers that must never sleep on a full queue: a full queue
+    /// sheds instead of blocking.
     ///
     /// # Errors
     ///
@@ -267,30 +265,11 @@ impl BatchHandle {
         features: &[f32],
         on_done: impl FnOnce(Prediction) + Send + 'static,
     ) -> Result<(), ServeError> {
-        self.submit(features, Reply::Class(Box::new(on_done)))
-    }
-
-    /// Enqueues one `votes:` request **without blocking**: `on_done`
-    /// fires with the row's per-class vote histogram. Same admission
-    /// semantics as [`try_submit`](Self::try_submit).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`try_submit`](Self::try_submit).
-    pub fn try_submit_votes(
-        &self,
-        features: &[f32],
-        on_done: impl FnOnce(VotesReply) + Send + 'static,
-    ) -> Result<(), ServeError> {
-        self.submit(features, Reply::Votes(Box::new(on_done)))
-    }
-
-    fn submit(&self, features: &[f32], reply: Reply) -> Result<(), ServeError> {
         self.check_arity(features)?;
         let request = Request {
             features: features.to_vec(),
             enqueued: Instant::now(),
-            reply,
+            reply: Reply::Class(Box::new(on_done)),
         };
         match self.tx.try_send(Msg::Predict(request)) {
             Ok(()) => {
@@ -329,6 +308,11 @@ impl BatchHandle {
     /// A point-in-time reading of the serving counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
+    }
+
+    /// The live counters behind [`metrics`](Self::metrics).
+    pub(crate) fn shared_metrics(&self) -> &ServeMetrics {
+        &self.metrics
     }
 }
 
@@ -512,6 +496,36 @@ fn push_row(batch: &mut Batch, request: Request) {
     batch.replies.push((request.reply, request.enqueued));
 }
 
+/// Scores the class rows of a batch, and only those, through one
+/// [`Predictor::predict_matrix`]: `rows` is row-major, `wants_votes[i]`
+/// marks row `i` as a `votes:` request, and the result holds one class
+/// per class row in row order. A batch of only `votes:` rows (a router
+/// shard's steady state) skips the matrix pass. Both the batcher's
+/// workers and the event loop's inline scorer go through here, so a
+/// mixed batch costs the same on every front end.
+pub(crate) fn score_class_rows(
+    engine: &dyn Predictor,
+    rows: &[f32],
+    wants_votes: &[bool],
+) -> Vec<u32> {
+    let n_features = engine.n_features();
+    let n_class = wants_votes.iter().filter(|&&votes| !votes).count();
+    if n_class == 0 {
+        return Vec::new();
+    }
+    let matrix = if n_class == wants_votes.len() {
+        FeatureMatrix::from_row_major(n_class, n_features, rows)
+    } else {
+        let class_rows: Vec<f32> = (0..wants_votes.len())
+            .filter(|&i| !wants_votes[i])
+            .flat_map(|i| &rows[i * n_features..(i + 1) * n_features])
+            .copied()
+            .collect();
+        FeatureMatrix::from_row_major(n_class, n_features, &class_rows)
+    };
+    engine.predict_matrix(&matrix)
+}
+
 /// One scoring worker: pulls closed batches, scores them through the
 /// shared engine under the engine's own batch options, and fans the
 /// classes back out.
@@ -529,29 +543,22 @@ fn worker_loop(engine: &dyn Predictor, batch_rx: &Mutex<Receiver<Batch>>, metric
         };
         let fill = batch.replies.len();
         let n_features = engine.n_features();
-        // Class requests score through the engine's batched path; a
-        // batch that is all `votes:` traffic (a router shard's steady
-        // state) skips the matrix pass entirely.
-        let classes = if batch
+        let wants_votes: Vec<bool> = batch
             .replies
             .iter()
-            .any(|(reply, _)| matches!(reply, Reply::Class(_)))
-        {
-            let matrix = FeatureMatrix::from_row_major(fill, n_features, &batch.rows);
-            engine.predict_matrix(&matrix)
-        } else {
-            Vec::new()
-        };
+            .map(|(reply, _)| matches!(reply, Reply::Votes(_)))
+            .collect();
+        let mut classes = score_class_rows(engine, &batch.rows, &wants_votes).into_iter();
         metrics.record_batch(fill);
         for (i, (reply, enqueued)) in batch.replies.into_iter().enumerate() {
             metrics.record_latency(enqueued.elapsed());
             // The callback decides what "answered" means: a channel
             // send for blocking callers (a dropped receiver is a caller
-            // that gave up — harmless), a completion-queue push plus
-            // poller wake for the event loop.
+            // that gave up — harmless), whatever the caller chose for
+            // `try_submit`.
             match reply {
                 Reply::Class(done) => done(Prediction {
-                    class: classes[i],
+                    class: classes.next().expect("one class per class row"),
                     batch_fill: fill,
                 }),
                 Reply::Votes(done) => done(VotesReply {

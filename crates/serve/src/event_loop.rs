@@ -1,61 +1,69 @@
 //! The readiness event-loop TCP front end: one thread, one `epoll`
-//! instance, and the sans-io [`ProtocolMachine`] — the shape that holds
-//! thousands of mostly-idle connections in one process, where the
-//! thread-per-connection [`Server`](crate::Server) would pay a stack
-//! and a scheduler entry apiece.
+//! instance, the sans-io [`ProtocolMachine`] and the engine itself —
+//! the shape that holds thousands of mostly-idle connections in one
+//! process, where the thread-per-connection [`Server`](crate::Server)
+//! would pay a stack and a scheduler entry apiece.
 //!
-//! How a request flows:
+//! The loop scores on its own thread, run to completion: each
+//! iteration (a *tick*) batches what has already arrived and never
+//! waits for more — the dataplane design of IX (Belay et al., OSDI
+//! 2014). At the fills light traffic produces (one to three rows), a
+//! row scores in a few microseconds, so a hop to a scoring thread and
+//! a linger wait would cost far more than the scoring they batch.
 //!
-//! 1. the loop's `epoll_wait` reports a connection readable; raw bytes
-//!    go through the connection's [`ProtocolMachine`], which emits one
+//! How a request flows through one tick:
+//!
+//! 1. `epoll_wait` reports connections readable; raw bytes go through
+//!    each connection's [`ProtocolMachine`], which emits one
 //!    [`WireEvent`] per complete line regardless of how the kernel
 //!    chunked them;
-//! 2. a predict request **reserves an ordered response slot** on its
-//!    connection and enters the shared [`Batcher`] through the
-//!    non-blocking [`BatchHandle::try_submit`] — the loop never sleeps
-//!    on scoring;
-//! 3. a scoring worker finishes the row's batch and runs the completion
-//!    callback: push `(token, seq, prediction)` onto the completion
-//!    queue and nudge the loop's [`Waker`];
-//! 4. the loop drains completions into their reserved slots and writes
-//!    out each connection's *ready prefix* — responses leave in request
-//!    order per connection, no matter how batches interleaved.
+//! 2. a predict or `votes:` request passes admission control,
+//!    **reserves an ordered response slot** on its connection and
+//!    joins the tick's batch; control verbs (`stats`, `health`,
+//!    `shutdown`) and bad lines answer on the spot;
+//! 3. after the readiness pass the loop scores the tick's batch in
+//!    chunks of at most `max_batch` rows — one
+//!    [`predict_matrix`](Predictor::predict_matrix) over a chunk's
+//!    class rows, one [`predict_votes`](Predictor::predict_votes) per
+//!    `votes:` row — and fills every reserved slot. A chunk whose
+//!    engine panics answers each of its rows with `error`; the loop
+//!    keeps serving;
+//! 4. the loop writes out each connection's *ready prefix* — responses
+//!    leave in request order per connection.
 //!
 //! Admission control sheds load explicitly instead of queueing it
 //! invisibly ([`EventLoopConfig`]): a full accept table turns new
-//! connections away with a `busy` line, a full global in-flight window
-//! or per-connection pending window answers `busy` without scoring, and
-//! a connection whose peer stops reading has its **read interest
-//! withdrawn** once its write buffer passes the cap — backpressure
-//! lands on the slow client alone, never on the loop.
+//! connections away with a `busy` line, a full tick or per-connection
+//! pending window answers `busy` without scoring, and a connection
+//! whose peer stops reading has its **read interest withdrawn** once
+//! its write buffer passes the cap — backpressure lands on the slow
+//! client alone, never on the loop.
 //!
 //! Everything here is safe code; the `unsafe` lives behind the vendored
 //! [`epoll`] shim's minimal API. On non-Linux targets
 //! [`EpollServer::run`] fails with `Unsupported` and callers fall back
 //! to `--front-end threads`.
 
-use crate::batcher::{BatchHandle, BatchPolicy, Batcher, ServeError};
+use crate::batcher::{score_class_rows, BatchPolicy, Prediction, ServeError};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::protocol::{
-    render_busy, render_error, render_prediction, render_votes, ProtocolMachine, Request, WireEvent,
+    render_busy, render_error, render_prediction, render_votes, ProtocolMachine, WireEvent,
 };
-use crate::server::{respond_event, Action};
-use epoll::{Events, Interest, Poller, Waker};
+use crate::server::{handle_event, Action, Handled};
+use epoll::{Events, Interest, Poller};
 use flint_exec::Predictor;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 /// Poll token of the accept listener.
 const LISTENER: u64 = 0;
-/// Poll token of the completion waker's read end.
-const WAKER: u64 = 1;
 /// First token handed to an accepted connection (monotonic, never
-/// reused, so a stale completion can never reach a newer connection).
-const FIRST_CONN: u64 = 2;
+/// reused).
+const FIRST_CONN: u64 = 1;
 
 /// Upper bound on one `epoll_wait` sleep: the loop's shutdown/overload
 /// bookkeeping runs at least this often even with no I/O.
@@ -97,8 +105,12 @@ pub struct EventLoopConfig {
     /// Most connections held open at once; further accepts are answered
     /// `busy` and closed.
     pub max_conns: usize,
-    /// Most predictions in the batcher at once across all connections
-    /// (the loop-wide concurrency window).
+    /// Most requests admitted and not yet answered across all
+    /// connections. In [`EpollServer`] these are the rows one loop
+    /// iteration has admitted and not yet scored — every iteration
+    /// scores all it admitted before it writes, so the cap bounds one
+    /// iteration's scoring work. In the fan-out router they are the
+    /// requests fanned out to the shards and not yet merged.
     pub max_inflight: usize,
     /// Most unanswered predictions per connection (a single pipelining
     /// client's window).
@@ -130,7 +142,7 @@ impl EventLoopConfig {
         self
     }
 
-    /// Sets the loop-wide in-flight prediction cap.
+    /// Sets the loop-wide in-flight request cap.
     #[must_use]
     pub fn max_inflight(mut self, n: usize) -> Self {
         self.max_inflight = n;
@@ -152,16 +164,9 @@ impl EventLoopConfig {
     }
 }
 
-/// One finished request on its way back from a scoring worker:
-/// connection token, reserved slot sequence number, and the
-/// already-rendered response line (class and votes requests render in
-/// the worker callback, so the loop fills slots without knowing which
-/// kind it was).
-type Completion = (u64, u64, String);
-
-/// The epoll-driven TCP inference server (Linux). Protocol,
-/// micro-batcher and metrics are shared with the threaded
-/// [`Server`](crate::Server); only the connection driving differs.
+/// The epoll-driven TCP inference server (Linux): one thread accepts,
+/// reads, scores and writes. Protocol and metrics are shared with the
+/// threaded [`Server`](crate::Server); the scoring path is its own.
 ///
 /// ```no_run
 /// use flint_serve::{BatchPolicy, EpollServer};
@@ -177,13 +182,14 @@ type Completion = (u64, u64, String);
 pub struct EpollServer {
     listener: TcpListener,
     local_addr: SocketAddr,
-    batcher: Batcher,
+    engine: Box<dyn Predictor>,
+    max_batch: usize,
     config: EventLoopConfig,
 }
 
 impl EpollServer {
-    /// Binds `addr` with the default [`EventLoopConfig`] and starts the
-    /// micro-batcher over `engine`.
+    /// Binds `addr` with the default [`EventLoopConfig`] to serve
+    /// `engine`.
     ///
     /// # Errors
     ///
@@ -196,7 +202,12 @@ impl EpollServer {
         Self::bind_with_config(addr, engine, policy, EventLoopConfig::default())
     }
 
-    /// Binds `addr` with explicit admission-control limits.
+    /// Binds `addr` with explicit admission-control limits. Of
+    /// `policy` only [`BatchPolicy::max_batch`] applies — the most rows
+    /// one engine call scores; the loop never lingers, queues or hands
+    /// rows to worker threads, so `linger`, `queue_depth` and `workers`
+    /// configure only the [`Batcher`](crate::Batcher) of the other
+    /// front ends.
     ///
     /// # Errors
     ///
@@ -212,7 +223,8 @@ impl EpollServer {
         Ok(Self {
             listener,
             local_addr,
-            batcher: Batcher::start(engine, policy),
+            engine,
+            max_batch: policy.max_batch.max(1),
             config,
         })
     }
@@ -224,7 +236,7 @@ impl EpollServer {
 
     /// The registry name of the engine answering requests.
     pub fn engine_name(&self) -> &'static str {
-        self.batcher.engine_name()
+        self.engine.name()
     }
 
     /// The admission-control limits in force.
@@ -232,9 +244,9 @@ impl EpollServer {
         self.config
     }
 
-    /// Runs the event loop until a client sends `shutdown`, then drains
-    /// every in-flight prediction, flushes and closes every connection,
-    /// shuts the batcher down and returns the final metrics snapshot.
+    /// Runs the event loop until a client sends `shutdown`, then
+    /// answers every admitted request, flushes and closes every
+    /// connection and returns the final metrics snapshot.
     ///
     /// # Errors
     ///
@@ -245,22 +257,19 @@ impl EpollServer {
         let EpollServer {
             listener,
             local_addr: _,
-            batcher,
+            engine,
+            max_batch,
             config: cfg,
         } = self;
         let poller = Poller::new()?;
-        let waker = Waker::new()?;
         listener.set_nonblocking(true)?;
         poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
-        poller.add(waker.read_fd(), WAKER, Interest::READ)?;
 
-        let handle = batcher.handle();
-        let metrics = batcher.metrics_shared();
-        let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
+        let metrics = ServeMetrics::default();
+        let mut tick = TickBatch::new(&*engine, max_batch);
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut events = Events::with_capacity(1024);
         let mut next_token = FIRST_CONN;
-        let mut inflight = 0usize;
         let mut stopping = false;
         let mut accepting = true;
         let mut dirty: Vec<u64> = Vec::new();
@@ -268,12 +277,9 @@ impl EpollServer {
         loop {
             poller.wait(&mut events, Some(POLL_TICK))?;
             dirty.clear();
-            // Copy the reports out so `events` is free for the next
-            // wait and the borrow checker is free for `conns`.
-            let ready: Vec<epoll::Event> = events.iter().collect();
-            for event in ready {
-                match event.token {
-                    LISTENER => accept_ready(
+            for event in events.iter() {
+                if event.token == LISTENER {
+                    accept_ready(
                         &listener,
                         &poller,
                         &mut conns,
@@ -281,41 +287,22 @@ impl EpollServer {
                         &metrics,
                         &cfg,
                         stopping,
-                    )?,
-                    WAKER => waker.drain(),
-                    token => {
-                        if let Some(conn) = conns.get_mut(&token) {
-                            if event.readable || event.closed {
-                                read_ready(
-                                    conn,
-                                    token,
-                                    &handle,
-                                    &metrics,
-                                    &completions,
-                                    &waker,
-                                    &cfg,
-                                    &mut inflight,
-                                    &mut stopping,
-                                );
-                            }
-                            dirty.push(token);
-                        }
+                    )?;
+                } else if let Some(conn) = conns.get_mut(&event.token) {
+                    if event.readable || event.closed {
+                        read_ready(conn, event.token, &mut tick, &metrics, &cfg, &mut stopping);
                     }
+                    dirty.push(event.token);
                 }
             }
 
-            // Scored predictions land in the slots they reserved. The
-            // in-flight window shrinks even when the connection is
-            // already gone — the batcher did the work either way.
-            let done: Vec<Completion> =
-                std::mem::take(&mut *completions.lock().expect("completion queue lock"));
-            for (token, seq, line) in done {
-                inflight = inflight.saturating_sub(1);
+            // Every row this tick admitted is answered before anything
+            // is written; its connection is already on the dirty list.
+            tick.score(&metrics, |token, seq, line| {
                 if let Some(conn) = conns.get_mut(&token) {
                     conn.fill_slot(seq, line);
-                    dirty.push(token);
                 }
-            }
+            });
 
             if stopping && accepting {
                 accepting = false;
@@ -339,12 +326,116 @@ impl EpollServer {
                 }
             }
 
-            if stopping && conns.is_empty() && inflight == 0 {
+            if stopping && conns.is_empty() {
                 break;
             }
         }
-        Ok(batcher.shutdown())
+        Ok(metrics.snapshot())
     }
+}
+
+/// The rows one loop iteration admitted, in admission order, each with
+/// the connection slot its answer goes to — scored together once the
+/// readiness pass is over.
+struct TickBatch<'e> {
+    engine: &'e dyn Predictor,
+    max_batch: usize,
+    /// Row-major features of every admitted row.
+    rows: Vec<f32>,
+    /// Per row: a `votes:` request rather than a predict.
+    wants_votes: Vec<bool>,
+    /// Per row: connection token and reserved slot sequence number.
+    slots: Vec<(u64, u64)>,
+    /// Per row: when its line was parsed (stats latency runs from
+    /// here to scored).
+    parsed: Vec<Instant>,
+}
+
+impl<'e> TickBatch<'e> {
+    fn new(engine: &'e dyn Predictor, max_batch: usize) -> Self {
+        Self {
+            engine,
+            max_batch,
+            rows: Vec::new(),
+            wants_votes: Vec::new(),
+            slots: Vec::new(),
+            parsed: Vec::new(),
+        }
+    }
+
+    /// Rows admitted and not yet answered.
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Adds one admitted row, answered into slot `seq` of connection
+    /// `token`.
+    fn push(&mut self, token: u64, seq: u64, row: &[f32], votes: bool, parsed: Instant) {
+        self.rows.extend_from_slice(row);
+        self.wants_votes.push(votes);
+        self.slots.push((token, seq));
+        self.parsed.push(parsed);
+    }
+
+    /// Scores every admitted row in chunks of at most `max_batch`,
+    /// hands each rendered answer to `answer(token, seq, line)`, and
+    /// empties the batch.
+    fn score(&mut self, metrics: &ServeMetrics, mut answer: impl FnMut(u64, u64, String)) {
+        let n_features = self.engine.n_features();
+        let mut start = 0;
+        while start < self.len() {
+            let end = (start + self.max_batch).min(self.len());
+            let rows = &self.rows[start * n_features..end * n_features];
+            let wants_votes = &self.wants_votes[start..end];
+            // An engine panic costs its chunk, never the loop: those
+            // rows answer `error` and their slots still fill in order.
+            let lines = catch_unwind(AssertUnwindSafe(|| {
+                render_chunk(self.engine, rows, wants_votes)
+            }))
+            .unwrap_or_else(|_| {
+                vec![render_error("engine panicked scoring this batch"); end - start]
+            });
+            metrics.record_batch(end - start);
+            let scored = Instant::now();
+            for ((&(token, seq), parsed), line) in self.slots[start..end]
+                .iter()
+                .zip(&self.parsed[start..end])
+                .zip(lines)
+            {
+                metrics.record_latency(scored.saturating_duration_since(*parsed));
+                answer(token, seq, line);
+            }
+            start = end;
+        }
+        self.rows.clear();
+        self.wants_votes.clear();
+        self.slots.clear();
+        self.parsed.clear();
+    }
+}
+
+/// Scores one chunk and renders every row's response line; the
+/// reported batch fill is the chunk's row count.
+fn render_chunk(engine: &dyn Predictor, rows: &[f32], wants_votes: &[bool]) -> Vec<String> {
+    let n_features = engine.n_features();
+    let fill = wants_votes.len();
+    let mut classes = score_class_rows(engine, rows, wants_votes).into_iter();
+    wants_votes
+        .iter()
+        .enumerate()
+        .map(|(i, &votes)| {
+            if votes {
+                let row = &rows[i * n_features..(i + 1) * n_features];
+                render_votes(&engine.predict_votes(row), engine.name(), fill)
+            } else {
+                let prediction = Prediction {
+                    class: classes.next().expect("one class per class row"),
+                    batch_fill: fill,
+                };
+                render_prediction(&prediction, engine.name())
+            }
+        })
+        .collect()
 }
 
 /// One live client connection: its nonblocking stream, framing
@@ -591,114 +682,53 @@ fn accept_ready(
     }
 }
 
-/// Reads whatever the socket has (bounded per readiness report), feeds
-/// it through the framing machine and dispatches every completed line.
-#[allow(clippy::too_many_arguments)]
+/// Reads whatever the socket has (bounded per readiness report) and
+/// handles every completed line: control verbs answer at once, scoring
+/// requests pass admission control into the tick's batch.
 fn read_ready(
     conn: &mut Conn,
     token: u64,
-    handle: &BatchHandle,
+    tick: &mut TickBatch<'_>,
     metrics: &ServeMetrics,
-    completions: &Arc<Mutex<Vec<Completion>>>,
-    waker: &Waker,
     cfg: &EventLoopConfig,
-    inflight: &mut usize,
     stopping: &mut bool,
 ) {
-    for event in conn.read_wire_events(metrics) {
-        dispatch_wire_event(
-            conn,
-            token,
-            event,
-            handle,
-            metrics,
-            completions,
-            waker,
-            cfg,
-            inflight,
-            stopping,
-        );
-    }
-}
-
-/// Turns one framing event into either an immediate response slot or an
-/// in-flight prediction with a reserved slot.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_wire_event(
-    conn: &mut Conn,
-    token: u64,
-    event: WireEvent,
-    handle: &BatchHandle,
-    metrics: &ServeMetrics,
-    completions: &Arc<Mutex<Vec<Completion>>>,
-    waker: &Waker,
-    cfg: &EventLoopConfig,
-    inflight: &mut usize,
-    stopping: &mut bool,
-) {
-    let (row, wants_votes) = match event {
-        WireEvent::Request(Request::Predict(row)) => (row, false),
-        WireEvent::Request(Request::Votes(row)) => (row, true),
-        other => {
-            // Stats, shutdown, malformed and oversized lines answer
-            // without touching the batcher — same renderings as the
-            // threaded front end, so the wire format cannot diverge.
-            let (response, action) = respond_event(other, handle);
-            conn.push_response(response);
-            if action == Action::Shutdown {
-                *stopping = true;
+    let events = conn.read_wire_events(metrics);
+    let parsed = Instant::now();
+    for event in events {
+        match handle_event(event, metrics) {
+            Handled::Answered(line, action) => {
+                conn.push_response(line);
+                if action == Action::Shutdown {
+                    *stopping = true;
+                }
             }
-            return;
+            Handled::Score { row, votes } => {
+                if conn.pending >= cfg.max_pending_per_conn {
+                    metrics.record_shed();
+                    conn.push_response(render_busy(&format!(
+                        "connection pending cap {} reached",
+                        cfg.max_pending_per_conn
+                    )));
+                } else if tick.len() >= cfg.max_inflight {
+                    metrics.record_shed();
+                    conn.push_response(render_busy(&format!(
+                        "max-inflight {} reached",
+                        cfg.max_inflight
+                    )));
+                } else if row.len() != tick.engine.n_features() {
+                    metrics.record_rejected();
+                    let e = ServeError::WrongArity {
+                        expected: tick.engine.n_features(),
+                        got: row.len(),
+                    };
+                    conn.push_response(render_error(&e.to_string()));
+                } else {
+                    metrics.record_request();
+                    tick.push(token, conn.reserve_slot(), &row, votes, parsed);
+                }
+            }
         }
-    };
-    if conn.pending >= cfg.max_pending_per_conn {
-        metrics.record_shed();
-        conn.push_response(render_busy(&format!(
-            "connection pending cap {} reached",
-            cfg.max_pending_per_conn
-        )));
-        return;
-    }
-    if *inflight >= cfg.max_inflight {
-        metrics.record_shed();
-        conn.push_response(render_busy(&format!(
-            "max-inflight {} reached",
-            cfg.max_inflight
-        )));
-        return;
-    }
-    let seq = conn.reserve_slot();
-    let queue = Arc::clone(completions);
-    let wake = waker.clone();
-    let engine = handle.engine_name();
-    // The worker callback renders the response line itself: class and
-    // votes requests then share one completion queue and the loop
-    // fills slots without caring which kind produced the line.
-    let submitted = if wants_votes {
-        handle.try_submit_votes(&row, move |reply| {
-            let line = render_votes(&reply.votes, engine, reply.batch_fill);
-            queue
-                .lock()
-                .expect("completion queue lock")
-                .push((token, seq, line));
-            wake.wake();
-        })
-    } else {
-        handle.try_submit(&row, move |prediction| {
-            let line = render_prediction(&prediction, engine);
-            queue
-                .lock()
-                .expect("completion queue lock")
-                .push((token, seq, line));
-            wake.wake();
-        })
-    };
-    match submitted {
-        Ok(()) => *inflight += 1,
-        // `try_submit` already counted the shed / rejection; the
-        // reserved slot is answered inline so ordering holds.
-        Err(ServeError::Busy) => conn.fill_slot(seq, render_busy("request queue full")),
-        Err(e) => conn.fill_slot(seq, render_error(&e.to_string())),
     }
 }
 
@@ -959,6 +989,84 @@ mod tests {
         assert!(line.starts_with("{\"votes\":"), "{line}");
         writeln!(writer, "shutdown").expect("writes");
         runner.join().expect("server thread");
+    }
+
+    /// One feature, one class; panics on a NaN feature.
+    #[derive(Debug)]
+    struct PanicsOnNan;
+
+    impl Predictor for PanicsOnNan {
+        fn kind(&self) -> EngineKind {
+            EngineKind::parse("flint").expect("registered")
+        }
+        fn n_features(&self) -> usize {
+            1
+        }
+        fn n_classes(&self) -> usize {
+            1
+        }
+        fn options(&self) -> flint_exec::BatchOptions {
+            flint_exec::BatchOptions::default()
+        }
+        fn predict_one(&self, features: &[f32]) -> u32 {
+            assert!(!features[0].is_nan(), "marked row");
+            0
+        }
+        fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
+            vec![self.predict_one(features)]
+        }
+        fn predict_batch(
+            &self,
+            matrix: &flint_data::FeatureMatrix,
+            _opts: &flint_exec::BatchOptions,
+        ) -> Vec<u32> {
+            (0..matrix.n_samples())
+                .map(|i| self.predict_one(&[matrix.get(i, 0)]))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_panicking_chunk_answers_error_for_exactly_its_rows() {
+        // Three rows of one tick, row 1 marked, row 2 a `votes:`
+        // request: whichever chunk holds row 1 fails whole, every other
+        // chunk scores, and every row is answered once, in order.
+        for (max_batch, failed) in [
+            (64, [true, true, true]),
+            (2, [true, true, false]),
+            (1, [false, true, false]),
+        ] {
+            let mut tick = TickBatch::new(&PanicsOnNan, max_batch);
+            for (seq, x) in [1.0, f32::NAN, 2.0].into_iter().enumerate() {
+                tick.push(FIRST_CONN, seq as u64, &[x], seq == 2, Instant::now());
+            }
+            let metrics = ServeMetrics::default();
+            let mut answers = Vec::new();
+            tick.score(&metrics, |token, seq, line| {
+                answers.push((token, seq, line))
+            });
+            assert_eq!(tick.len(), 0, "max_batch {max_batch}: tick emptied");
+            for (i, (token, seq, line)) in answers.iter().enumerate() {
+                assert_eq!(
+                    (*token, *seq),
+                    (FIRST_CONN, i as u64),
+                    "max_batch {max_batch}"
+                );
+                if failed[i] {
+                    assert!(
+                        line.contains("engine panicked"),
+                        "max_batch {max_batch}: {line}"
+                    );
+                } else {
+                    assert!(!line.contains("error"), "max_batch {max_batch}: {line}");
+                }
+            }
+            assert_eq!(answers.len(), 3, "max_batch {max_batch}");
+            assert_eq!(
+                metrics.snapshot().batches,
+                3usize.div_ceil(max_batch) as u64
+            );
+        }
     }
 
     #[test]

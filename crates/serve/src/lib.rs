@@ -1,4 +1,4 @@
-//! # flint-serve — the micro-batching inference server
+//! # flint-serve — the inference server
 //!
 //! The paper's integer-arithmetic forests exist to make inference cheap
 //! at the edge and at scale; this crate is the serving layer that turns
@@ -13,11 +13,6 @@
 //!
 //! Layers, bottom up:
 //!
-//! * [`batcher`] — [`Batcher`]: a collector thread coalesces queued
-//!   rows under a max-batch / max-linger policy (bounded queue,
-//!   backpressure, graceful shutdown-with-drain), a worker pool scores
-//!   closed batches through the shared engine, and per-sample results
-//!   fan back to their callers over oneshot channels;
 //! * [`metrics`] — [`ServeMetrics`]: request/batch counters, mean
 //!   batch fill and a p50/p99 latency reservoir, snapshotted by the
 //!   `stats` command;
@@ -26,15 +21,25 @@
 //!   per line out), including [`ProtocolMachine`], the sans-io framing
 //!   state machine every front end drives — chunk boundaries can never
 //!   change the response stream;
-//! * [`server`] — [`Server`], the thread-per-connection TCP front end
-//!   (`--front-end threads`), [`serve_lines`] for stdin/stdout serving,
-//!   and the [`FrontEnd`] selector;
 //! * [`event_loop`] — [`EpollServer`], the readiness event-loop front
-//!   end (`--front-end epoll`, the default on Linux): one thread, an
-//!   epoll poller from the vendored [`epoll`] shim, non-blocking
-//!   batcher submission with ordered per-connection response slots,
-//!   and explicit admission control ([`EventLoopConfig`]) that sheds
-//!   overload with `busy` responses instead of queueing it invisibly.
+//!   end (`--front-end epoll`, the default on Linux): one thread that
+//!   accepts, reads, scores and writes. Each loop iteration batches
+//!   the rows that have already arrived — never waiting for more —
+//!   scores them in chunks of at most `max_batch`, and answers through
+//!   ordered per-connection response slots, under explicit admission
+//!   control ([`EventLoopConfig`]) that sheds overload with `busy`
+//!   responses instead of queueing it invisibly;
+//! * [`batcher`] — [`Batcher`], for front ends that block per request:
+//!   a collector thread coalesces queued rows under a max-batch /
+//!   max-linger policy (bounded queue, backpressure, graceful
+//!   shutdown-with-drain), a worker pool scores closed batches through
+//!   the shared engine, and per-sample results fan back to their
+//!   callers over oneshot channels;
+//! * [`server`] — [`Server`], the thread-per-connection TCP front end
+//!   over the batcher (`--front-end threads`), [`serve_lines`] for
+//!   stdin/stdout serving, the [`FrontEnd`] selector, and the control
+//!   verbs (`stats`, `health`, `shutdown`, error lines) every front end
+//!   answers through.
 //!
 //! Everything is plain `std`: no async runtime, no serde — the crate
 //! works in the vendored-offline workspace and anywhere the rest of

@@ -12,9 +12,10 @@ use std::time::Duration;
 /// describe recent traffic rather than the whole process lifetime.
 const LATENCY_WINDOW: usize = 1 << 16;
 
-/// Shared serving counters. One instance lives behind an `Arc`, updated
-/// by the request handles, the batch collector, the scoring workers and
-/// the front end driving the connections.
+/// Serving counters, one instance per server: owned by the event loop
+/// in the epoll front end, behind an `Arc` wherever several threads
+/// update it (the batcher's handles and workers, the thread-per-
+/// connection front end).
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     requests: AtomicU64,
@@ -85,7 +86,7 @@ impl ServeMetrics {
             .fetch_add(fill as u64, Ordering::Relaxed);
     }
 
-    /// Records one request's enqueue-to-response latency.
+    /// Records one request's latency from admission to scored.
     pub fn record_latency(&self, latency: Duration) {
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
         let mut ring = self.latencies.lock().expect("latency ring lock");
@@ -145,9 +146,9 @@ pub fn percentile(sorted_us: &[u64], p: f64) -> u64 {
 /// the `stats` protocol command.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Requests accepted into the queue.
+    /// Requests admitted for scoring.
     pub requests: u64,
-    /// Requests rejected before queueing.
+    /// Requests rejected before scoring.
     pub rejected: u64,
     /// Requests or connections shed by admission control (`busy`).
     pub shed: u64,
@@ -163,8 +164,9 @@ pub struct MetricsSnapshot {
     pub read_hwm: u64,
     /// Largest per-connection write buffer observed, bytes.
     pub write_hwm: u64,
-    /// Median request latency (enqueue to response) in microseconds,
-    /// over the recent-latency window.
+    /// Median request latency in microseconds, over the recent-latency
+    /// window: from parse to scored in the epoll front end, from
+    /// enqueue to scored behind the batcher.
     pub p50_us: u64,
     /// 99th-percentile request latency in microseconds.
     pub p99_us: u64,

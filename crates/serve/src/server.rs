@@ -7,11 +7,12 @@
 //! micro-batcher coalesces rows from every live connection into shared
 //! blocks. A `shutdown` request from any connection stops the accept
 //! loop, drains the batcher and joins every thread. Line framing is
-//! the same sans-io [`ProtocolMachine`] the epoll front end drives, so
-//! the two front ends cannot diverge at the protocol layer — this one
-//! stays available behind `--front-end threads` as the A/B baseline
-//! for the [`event_loop`](crate::event_loop) front end, which is the
-//! right shape for large fleets of mostly-idle connections.
+//! the same sans-io [`ProtocolMachine`] the epoll front end drives, and
+//! control verbs answer through the same `handle_event`, so the two
+//! front ends cannot diverge at the protocol layer — this one stays
+//! available behind `--front-end threads` as the A/B baseline for the
+//! [`event_loop`](crate::event_loop) front end, which is the right
+//! shape for large fleets of mostly-idle connections.
 
 use crate::batcher::{BatchHandle, BatchPolicy, Batcher};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
@@ -101,47 +102,68 @@ pub(crate) enum Action {
     Shutdown,
 }
 
-/// Answers one framing event **with blocking scoring**: the response
-/// line to write back, plus whether the server should keep running.
-/// Shared by the thread-per-connection TCP front end and the stdin
-/// loop; the event loop answers the same events asynchronously but
-/// renders through the same protocol functions.
-pub(crate) fn respond_event(event: WireEvent, handle: &BatchHandle) -> (String, Action) {
+/// One framing event as a front end must treat it.
+#[derive(Debug)]
+pub(crate) enum Handled {
+    /// A predict request (`votes` false) or a `votes:` request: the
+    /// front end scores `row` its own way.
+    Score {
+        /// The parsed feature row, arity not yet checked.
+        row: Vec<f32>,
+        /// Answer with the vote histogram instead of the class.
+        votes: bool,
+    },
+    /// Answered without scoring: the response line, and what the
+    /// server does next.
+    Answered(String, Action),
+}
+
+/// Answers every framing event that needs no scoring — `stats`,
+/// `health`, `shutdown`, the router-only verbs, malformed and
+/// oversized lines — and hands scoring requests back. Every front end
+/// renders control responses here, so their wire format cannot
+/// diverge.
+pub(crate) fn handle_event(event: WireEvent, metrics: &ServeMetrics) -> Handled {
+    let answer = |line: String| Handled::Answered(line, Action::Continue);
     match event {
-        WireEvent::Request(Request::Predict(row)) => match handle.predict(&row) {
-            Ok(prediction) => (
-                render_prediction(&prediction, handle.engine_name()),
-                Action::Continue,
-            ),
-            Err(e) => (render_error(&e.to_string()), Action::Continue),
-        },
-        WireEvent::Request(Request::Votes(row)) => match handle.predict_votes(&row) {
-            Ok(reply) => (
-                render_votes(&reply.votes, handle.engine_name(), reply.batch_fill),
-                Action::Continue,
-            ),
-            Err(e) => (render_error(&e.to_string()), Action::Continue),
-        },
-        WireEvent::Request(Request::Stats) => (handle.metrics().to_json(), Action::Continue),
-        WireEvent::Request(Request::Health) => (
-            "{\"ok\":true,\"role\":\"server\"}".to_owned(),
-            Action::Continue,
-        ),
+        WireEvent::Request(Request::Predict(row)) => Handled::Score { row, votes: false },
+        WireEvent::Request(Request::Votes(row)) => Handled::Score { row, votes: true },
+        WireEvent::Request(Request::Stats) => answer(metrics.snapshot().to_json()),
+        WireEvent::Request(Request::Health) => {
+            answer("{\"ok\":true,\"role\":\"server\"}".to_owned())
+        }
         WireEvent::Request(
             Request::ShardMap | Request::ShardMapSet(_) | Request::Drain | Request::Undrain,
-        ) => (
-            render_error("router control verb; this is a single-node server"),
-            Action::Continue,
-        ),
+        ) => answer(render_error(
+            "router control verb; this is a single-node server",
+        )),
         WireEvent::Request(Request::Shutdown) => {
-            ("{\"ok\":\"shutting down\"}".to_owned(), Action::Shutdown)
+            Handled::Answered("{\"ok\":\"shutting down\"}".to_owned(), Action::Shutdown)
         }
-        WireEvent::Invalid(e) => (render_error(&e.to_string()), Action::Continue),
-        WireEvent::Oversized { limit } => (
-            render_error(&format!("request line exceeds {limit} bytes")),
-            Action::Continue,
-        ),
+        WireEvent::Invalid(e) => answer(render_error(&e.to_string())),
+        WireEvent::Oversized { limit } => {
+            answer(render_error(&format!("request line exceeds {limit} bytes")))
+        }
     }
+}
+
+/// Answers one framing event **with blocking scoring** through the
+/// batcher: the response line to write back, plus whether the server
+/// should keep running. The thread-per-connection TCP front end and
+/// the stdin loop share it.
+fn respond_event(event: WireEvent, handle: &BatchHandle) -> (String, Action) {
+    let line = match handle_event(event, handle.shared_metrics()) {
+        Handled::Answered(line, action) => return (line, action),
+        Handled::Score { row, votes: false } => match handle.predict(&row) {
+            Ok(prediction) => render_prediction(&prediction, handle.engine_name()),
+            Err(e) => render_error(&e.to_string()),
+        },
+        Handled::Score { row, votes: true } => match handle.predict_votes(&row) {
+            Ok(reply) => render_votes(&reply.votes, handle.engine_name(), reply.batch_fill),
+            Err(e) => render_error(&e.to_string()),
+        },
+    };
+    (line, Action::Continue)
 }
 
 /// A running TCP inference server bound to a local address.

@@ -14,8 +14,10 @@
 //!   prediction path plugs into,
 //! * [`codegen`] — C/ASM/Rust emitters and the integer-only tree VM,
 //! * [`sim`] — machine cost models and cycle accounting,
-//! * [`serve`] — the micro-batching inference server (request
-//!   queueing over any registered engine, TCP/stdin front ends).
+//! * [`serve`] — the inference server over any registered engine: an
+//!   epoll front end that batches and scores on its event-loop thread,
+//!   and a micro-batcher behind the thread-per-connection and stdin
+//!   front ends.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every table and figure.
