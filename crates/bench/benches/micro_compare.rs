@@ -1,8 +1,7 @@
-//! Micro-benchmark of the comparison operators themselves (ablation A2
-//! in DESIGN.md): hardware float `<=`, FLInt Theorem 1 (XOR form),
-//! FLInt Theorem 2 (offline-prepared threshold), and the software float
-//! comparison — the per-node costs whose differences drive every other
-//! result.
+//! Micro-benchmark of the comparison operators themselves: hardware
+//! float `<=`, FLInt Theorem 1 (XOR form), FLInt Theorem 2
+//! (offline-prepared threshold), and the software float comparison —
+//! the per-node costs whose differences drive every other result.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flint_core::compare::{ge_bits, ge_bits_sign_flip};

@@ -1,15 +1,11 @@
-//! Serving latency two ways — the data behind the "Serving latency"
-//! and "Open-loop serving" sections of EXPERIMENTS.md.
-//!
-//! 1. **Closed loop** against the bare micro-batcher: batch-size cap vs
-//!    p50/p99/p999 and throughput, with a coordinated-omission caution
-//!    when latency stalls distorted the send schedule.
-//! 2. **Open loop** over real TCP against *both* serving front ends
-//!    (`epoll` event loop and `threads` baseline) at the same fixed
-//!    offered rate: requests depart on a virtual-time schedule and
-//!    every latency is charged from its **intended** send time, so a
-//!    backed-up server shows up in the tail instead of hiding in a
-//!    stretched schedule.
+//! Open-loop serving latency over real TCP — the data behind the
+//! "Open-loop serving" section of EXPERIMENTS.md and the committed
+//! `BENCH_serve.json`. The same fixed offered rate drives the `epoll`
+//! front end directly and the fan-out router over two tree-span epoll
+//! shards: requests depart on a virtual-time schedule and every latency
+//! is charged from its **intended** send time, so a backed-up server
+//! shows up in the tail instead of hiding in a stretched schedule.
+//! Linux only, like the epoll front end.
 //!
 //! Plain `main` (no criterion): the quantity of interest is the latency
 //! *distribution* of concurrent requests, not the mean runtime of a hot
@@ -21,15 +17,14 @@
 //!     --rate 2000 --requests 8000 --conns 8 --json BENCH_serve.json
 //! ```
 
-use flint_bench::loadgen::{closed_loop, open_loop, OpenLoopReport, OpenLoopSpec};
+use flint_bench::loadgen::{open_loop, OpenLoopReport, OpenLoopSpec};
 use flint_data::train_test_split;
 use flint_data::uci::{Scale, UciDataset};
 use flint_exec::{BatchOptions, EngineBuilder, EngineKind, KernelCaps};
 use flint_forest::{ForestConfig, RandomForest};
-use flint_serve::{BatchPolicy, Batcher, EpollServer, FrontEnd, Server};
+use flint_serve::{BatchPolicy, EpollServer};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
 
 struct Args {
     rate_rps: f64,
@@ -74,58 +69,48 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-/// Serves one open-loop run over TCP on the chosen front end, then
-/// shuts the server down.
-fn open_loop_against(
-    front_end: FrontEnd,
+/// Binds an epoll server for `forest` on a loopback port and runs it
+/// on its own thread until a client sends `shutdown`.
+fn spawn_epoll(
+    forest: &RandomForest,
+    kind: EngineKind,
+    max_batch: usize,
+) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let engine = EngineBuilder::new(forest)
+        .options(BatchOptions::default().block_samples(max_batch))
+        .build(kind)
+        .expect("builds");
+    let policy = BatchPolicy::default().max_batch(max_batch);
+    let server = EpollServer::bind("127.0.0.1:0", engine, policy).expect("binds loopback");
+    let addr = server.local_addr();
+    let runner = std::thread::spawn(move || {
+        server.run().expect("serves");
+    });
+    (addr, runner)
+}
+
+fn shutdown(addr: SocketAddr, runner: std::thread::JoinHandle<()>) {
+    let mut admin = TcpStream::connect(addr).expect("connects for shutdown");
+    admin.write_all(b"shutdown\n").expect("requests shutdown");
+    runner.join().expect("server thread");
+}
+
+/// One open-loop run against a single epoll server.
+fn open_loop_against_epoll(
     forest: &RandomForest,
     kind: EngineKind,
     max_batch: usize,
     rows: &[Vec<f32>],
     spec: OpenLoopSpec,
 ) -> OpenLoopReport {
-    let engine = EngineBuilder::new(forest)
-        .options(BatchOptions::default().block_samples(max_batch))
-        .build(kind)
-        .expect("builds");
-    let policy = BatchPolicy::default()
-        .max_batch(max_batch)
-        .linger(Duration::from_micros(200))
-        .workers(2);
-    let (addr, runner): (SocketAddr, std::thread::JoinHandle<()>) = match front_end {
-        FrontEnd::Epoll => {
-            let server = EpollServer::bind("127.0.0.1:0", engine, policy).expect("binds loopback");
-            let addr = server.local_addr();
-            (
-                addr,
-                std::thread::spawn(move || {
-                    server.run().expect("serves");
-                }),
-            )
-        }
-        FrontEnd::Threads => {
-            let server = Server::bind("127.0.0.1:0", engine, policy).expect("binds loopback");
-            let addr = server.local_addr();
-            (
-                addr,
-                std::thread::spawn(move || {
-                    server.run().expect("serves");
-                }),
-            )
-        }
-    };
+    let (addr, runner) = spawn_epoll(forest, kind, max_batch);
     let report = open_loop(addr, rows, spec).expect("open loop runs");
-    let mut admin = TcpStream::connect(addr).expect("connects for shutdown");
-    admin.write_all(b"shutdown\n").expect("requests shutdown");
-    runner.join().expect("server thread");
+    shutdown(addr, runner);
     report
 }
 
-/// Serves one open-loop run through the fan-out/merge router over two
-/// in-process epoll shards (the forest split into contiguous tree
-/// spans), then shuts the tier down. Linux only (the shards are epoll
-/// servers).
-#[cfg(target_os = "linux")]
+/// One open-loop run through the fan-out/merge router over two epoll
+/// shards (the forest split into contiguous tree spans).
 fn open_loop_against_router(
     forest: &RandomForest,
     kind: EngineKind,
@@ -133,24 +118,11 @@ fn open_loop_against_router(
     rows: &[Vec<f32>],
     spec: OpenLoopSpec,
 ) -> OpenLoopReport {
-    let mut shards = Vec::new();
-    for (start, end) in forest.plan_spans(2) {
-        let part = forest.tree_span(start, end);
-        let engine = EngineBuilder::new(&part)
-            .options(BatchOptions::default().block_samples(max_batch))
-            .build(kind)
-            .expect("builds");
-        let policy = BatchPolicy::default()
-            .max_batch(max_batch)
-            .linger(Duration::from_micros(200))
-            .workers(2);
-        let server = EpollServer::bind("127.0.0.1:0", engine, policy).expect("binds loopback");
-        let addr = server.local_addr();
-        let runner = std::thread::spawn(move || {
-            server.run().expect("shard serves");
-        });
-        shards.push((addr, runner));
-    }
+    let shards: Vec<_> = forest
+        .plan_spans(2)
+        .into_iter()
+        .map(|(start, end)| spawn_epoll(&forest.tree_span(start, end), kind, max_batch))
+        .collect();
     let shard_addrs: Vec<SocketAddr> = shards.iter().map(|(a, _)| *a).collect();
     let router =
         flint_router::RouterServer::bind("127.0.0.1:0", shard_addrs).expect("router binds");
@@ -159,21 +131,19 @@ fn open_loop_against_router(
         router.run().expect("routes");
     });
     let report = open_loop(addr, rows, spec).expect("open loop runs");
-    let mut admin = TcpStream::connect(addr).expect("connects for shutdown");
-    admin.write_all(b"shutdown\n").expect("requests shutdown");
-    runner.join().expect("router thread");
+    shutdown(addr, runner);
     for (addr, runner) in shards {
-        let mut admin = TcpStream::connect(addr).expect("connects for shutdown");
-        admin.write_all(b"shutdown\n").expect("requests shutdown");
-        runner.join().expect("shard thread");
+        shutdown(addr, runner);
     }
     report
 }
 
 fn main() {
     let args = parse_args();
-    let clients = 8;
-    let per_client = 250;
+    if !cfg!(target_os = "linux") {
+        println!("serve_latency: skipped, the epoll front end needs Linux");
+        return;
+    }
     let max_batch_serving = 64;
     let data = UciDataset::Magic.generate(Scale::Small);
     let split = train_test_split(&data, 0.25, 42);
@@ -183,54 +153,12 @@ fn main() {
         .collect();
     let kind = EngineKind::parse("flint-blocked").expect("registered");
 
-    println!(
-        "serve_latency: {} closed-loop clients x {per_client} requests, {} trees, \
-         engine {kind}, 2 workers, linger 200us",
-        clients,
-        forest.n_trees()
-    );
-    println!(
-        "{:>9} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9}",
-        "max_batch", "req/s", "mean fill", "p50 us", "p99 us", "p999 us", "max us"
-    );
-    for max_batch in [1usize, 8, 64] {
-        let engine = EngineBuilder::new(&forest)
-            .options(BatchOptions::default().block_samples(max_batch))
-            .build(kind)
-            .expect("builds");
-        let policy = BatchPolicy::default()
-            .max_batch(max_batch)
-            .linger(Duration::from_micros(200))
-            .workers(2);
-        let batcher = Batcher::start(engine, policy);
-        let report = closed_loop(&batcher, &rows, clients, per_client);
-        batcher.shutdown();
-        println!(
-            "{:>9} {:>10.0} {:>10.2} {:>9} {:>9} {:>9} {:>9}",
-            max_batch,
-            report.requests_per_sec,
-            report.mean_fill,
-            report.latency.p50_us,
-            report.latency.p99_us,
-            report.latency.p999_us,
-            report.latency.max_us
-        );
-        if let Some(warning) = report.coordinated_omission_warning() {
-            println!("          ({warning})");
-        }
-    }
-    println!(
-        "(closed loop: one request in flight per client, so offered concurrency = {clients};\n\
-         max_batch 1 shows per-request dispatch overhead, larger caps amortize it)"
-    );
-
     let spec = OpenLoopSpec {
         rate_rps: args.rate_rps,
         total_requests: args.requests,
         connections: args.conns,
         catch_up_factor: 2.0,
     };
-    println!();
     println!(
         "open loop over TCP: {} requests offered at {:.0} req/s across {} connections, \
          max_batch {max_batch_serving} (latency from intended send time — \
@@ -241,35 +169,23 @@ fn main() {
         "{:>9} {:>11} {:>11} {:>9} {:>9} {:>9} {:>9} {:>7}",
         "front_end", "offered r/s", "achieved", "p50 us", "p99 us", "p999 us", "max us", "errors"
     );
-    let mut measured: Vec<(&str, OpenLoopReport)> = Vec::new();
-    for front_end in FrontEnd::ALL {
-        if front_end == FrontEnd::Epoll && !cfg!(target_os = "linux") {
-            println!("{:>9} (skipped: epoll needs Linux)", front_end.name());
-            continue;
-        }
-        let report = open_loop_against(front_end, &forest, kind, max_batch_serving, &rows, spec);
-        println!(
-            "{:>9} {:>11.0} {:>11.0} {:>9} {:>9} {:>9} {:>9} {:>7}",
-            front_end.name(),
-            report.offered_rps,
-            report.achieved_rps,
-            report.latency.p50_us,
-            report.latency.p99_us,
-            report.latency.p999_us,
-            report.latency.max_us,
-            report.errors
-        );
-        measured.push((front_end.name(), report));
-    }
-    // The sharded tier: the same offered load through the fan-out
+    // The sharded tier takes the same offered load through the fan-out
     // router over two tree-span shards — the p50/p99 delta vs `epoll`
     // is the price of one extra hop plus the histogram merge.
-    #[cfg(target_os = "linux")]
-    {
-        let report = open_loop_against_router(&forest, kind, max_batch_serving, &rows, spec);
+    let measured = [
+        (
+            "epoll",
+            open_loop_against_epoll(&forest, kind, max_batch_serving, &rows, spec),
+        ),
+        (
+            "router",
+            open_loop_against_router(&forest, kind, max_batch_serving, &rows, spec),
+        ),
+    ];
+    for (front_end, report) in &measured {
         println!(
             "{:>9} {:>11.0} {:>11.0} {:>9} {:>9} {:>9} {:>9} {:>7}",
-            "router",
+            front_end,
             report.offered_rps,
             report.achieved_rps,
             report.latency.p50_us,
@@ -278,10 +194,7 @@ fn main() {
             report.latency.max_us,
             report.errors
         );
-        measured.push(("router", report));
     }
-    #[cfg(not(target_os = "linux"))]
-    println!("{:>9} (skipped: router shards need epoll/Linux)", "router");
     println!("(achieved < offered means the server could not absorb the schedule)");
 
     if let Some(path) = args.json_path {
@@ -308,7 +221,7 @@ fn main() {
             "{{\"schema\":\"flint-bench/2\",\"kernel_caps\":\"{}\",\"git_rev\":\"{}\",\
              \"shape\":\"serve-open-loop\",\
              \"workload\":{{\"requests\":{},\"rate_rps\":{:.0},\"connections\":{},\
-             \"features\":{},\"trees\":{},\"max_batch\":{},\"workers\":2}},\
+             \"features\":{},\"trees\":{},\"max_batch\":{}}},\
              \"front_ends\":[{}]}}\n",
             KernelCaps::get().summary(),
             git_rev(),

@@ -12,7 +12,7 @@
 //! | Table III (ASM aggregates) | [`report::table3`] |
 //! | No-FPU ablation (ours) | [`report::ablation_nofpu`] |
 //! | Batch throughput (ours) | [`experiments::batch_throughput_table`], `flint bench`, `cargo bench --bench batch_throughput` |
-//! | Serving latency (ours) | [`loadgen::closed_loop`], `cargo bench --bench serve_latency` |
+//! | Serving latency (ours) | [`loadgen::open_loop`], `cargo bench --bench serve_latency` |
 //!
 //! The `figures` binary prints any of them:
 //! `cargo run -p flint-bench --bin figures -- table2`.
@@ -39,9 +39,7 @@ pub mod loadgen;
 pub mod report;
 pub mod shapes;
 
-pub use loadgen::{
-    closed_loop, open_loop, LatencySummary, LoadReport, OpenLoopReport, OpenLoopSpec,
-};
+pub use loadgen::{open_loop, LatencySummary, OpenLoopReport, OpenLoopSpec};
 pub use shapes::ForestShape;
 
 pub use experiments::{

@@ -1,32 +1,20 @@
-//! Load generation against the `flint-serve` stack, closed-loop and
-//! open-loop — the experiments behind the "Serving latency" and
-//! "Open-loop serving" sections of EXPERIMENTS.md and
-//! `cargo bench --bench serve_latency`.
+//! Open-loop load generation against the `flint-serve` stack — the
+//! experiment behind the "Open-loop serving" section of EXPERIMENTS.md
+//! and `cargo bench --bench serve_latency`.
 //!
-//! **Closed loop** ([`closed_loop`]) means each simulated client keeps
-//! exactly one request in flight: it sends a row, blocks until the
-//! response arrives, then sends the next. Offered concurrency equals
-//! the client count, which makes batch-fill measurements interpretable
-//! — but the offered *rate* sags whenever the server stalls, because a
-//! blocked client stops sending. That feedback is **coordinated
-//! omission**: the slow moments are exactly the ones sampled least, so
-//! closed-loop tail percentiles flatter the server.
-//! [`LoadReport::coordinated_omission_warning`] estimates how many
-//! would-have-been requests the stalls hid and says so when the count
-//! is material.
-//!
-//! **Open loop** ([`open_loop`]) removes the feedback: requests depart
-//! on a fixed virtual-time schedule (request *k* is *due* at
-//! `start + k/rate` regardless of how the server is doing), writers
-//! never wait for responses, and every latency is measured from the
-//! request's **intended** departure time — so when the server falls
-//! behind, the queueing delay lands in the recorded tail instead of
-//! silently stretching the send schedule. This is the
-//! coordinated-omission-safe way to ask "what latency does a client see
-//! at N requests/second?", and it runs over real TCP against either
-//! serving front end.
+//! **Open loop** ([`open_loop`]) means requests depart on a fixed
+//! virtual-time schedule (request *k* is *due* at `start + k/rate`
+//! regardless of how the server is doing), writers never wait for
+//! responses, and every latency is measured from the request's
+//! **intended** departure time — so when the server falls behind, the
+//! queueing delay lands in the recorded tail instead of silently
+//! stretching the send schedule. A closed loop (each client waiting for
+//! its answer before sending again) would hide exactly those stalls:
+//! the slow moments are the ones it samples least (coordinated
+//! omission). This is the coordinated-omission-safe way to ask "what
+//! latency does a client see at N requests/second?", and it runs over
+//! real TCP against any endpoint that speaks the line protocol.
 
-use flint_serve::Batcher;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -66,127 +54,6 @@ impl LatencySummary {
             p999_us: flint_serve::metrics::percentile(&samples_us, 99.9),
             max_us: samples_us.last().copied().unwrap_or(0),
         }
-    }
-}
-
-/// One closed-loop run: end-to-end latency distribution, throughput and
-/// the batcher's own fill statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadReport {
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Total requests completed.
-    pub requests: usize,
-    /// Wall-clock seconds for the whole run.
-    pub wall_secs: f64,
-    /// Completed requests per second.
-    pub requests_per_sec: f64,
-    /// Mean samples per scored batch (from the batcher's metrics).
-    pub mean_fill: f64,
-    /// Estimated requests the closed loop *failed to send* because a
-    /// client was blocked on a slow response: for each request,
-    /// `max(0, latency/mean - 1)` more would have departed on a steady
-    /// schedule. Large values mean the tail percentiles are optimistic
-    /// (coordinated omission).
-    pub omitted_estimate: f64,
-    /// Per-request latency distribution, measured at the callers.
-    pub latency: LatencySummary,
-}
-
-impl LoadReport {
-    /// A human-readable coordinated-omission caution, when the omission
-    /// estimate exceeds 5% of the measured requests — the threshold at
-    /// which closed-loop percentiles start to meaningfully flatter the
-    /// server. `None` means the run's latencies were steady enough that
-    /// the closed loop barely distorted the schedule.
-    pub fn coordinated_omission_warning(&self) -> Option<String> {
-        if self.requests == 0 {
-            return None;
-        }
-        let pct = 100.0 * self.omitted_estimate / self.requests as f64;
-        if pct <= 5.0 {
-            return None;
-        }
-        Some(format!(
-            "coordinated omission: latency stalls hid an estimated {:.0} would-be requests \
-             ({pct:.1}% of the {} measured); closed-loop tail percentiles are optimistic — \
-             prefer the open-loop generator at a fixed offered rate",
-            self.omitted_estimate, self.requests
-        ))
-    }
-}
-
-/// Drives `batcher` with `clients` concurrent closed-loop clients, each
-/// issuing `requests_per_client` rows drawn round-robin (strided by
-/// client) from `rows`.
-///
-/// # Panics
-///
-/// Panics if `rows` is empty, a row has the wrong arity, or the batcher
-/// shuts down mid-run.
-pub fn closed_loop(
-    batcher: &Batcher,
-    rows: &[Vec<f32>],
-    clients: usize,
-    requests_per_client: usize,
-) -> LoadReport {
-    assert!(!rows.is_empty(), "need at least one request row");
-    let clients = clients.max(1);
-    let fill_before = batcher.metrics();
-    let start = Instant::now();
-    let mut samples_us: Vec<u64> = Vec::with_capacity(clients * requests_per_client);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..clients)
-            .map(|c| {
-                let handle = batcher.handle();
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(requests_per_client);
-                    for k in 0..requests_per_client {
-                        let row = &rows[(c + k * clients) % rows.len()];
-                        let sent = Instant::now();
-                        handle.predict(row).expect("request served");
-                        lat.push(u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX));
-                    }
-                    lat
-                })
-            })
-            .collect();
-        for worker in workers {
-            samples_us.extend(worker.join().expect("client thread"));
-        }
-    });
-    let wall_secs = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-    let fill_after = batcher.metrics();
-    let batches = fill_after.batches.saturating_sub(fill_before.batches);
-    let requests = samples_us.len();
-    let mean_us = if requests == 0 {
-        0.0
-    } else {
-        samples_us.iter().sum::<u64>() as f64 / requests as f64
-    };
-    // Each request slower than the mean kept its client silent for the
-    // excess time; at the client's own average pace that silence is
-    // worth `latency/mean - 1` unsent requests.
-    let omitted_estimate = if mean_us > 0.0 {
-        samples_us
-            .iter()
-            .map(|&us| (us as f64 / mean_us - 1.0).max(0.0))
-            .sum()
-    } else {
-        0.0
-    };
-    LoadReport {
-        clients,
-        requests,
-        wall_secs,
-        requests_per_sec: requests as f64 / wall_secs,
-        mean_fill: if batches == 0 {
-            0.0
-        } else {
-            (fill_after.requests.saturating_sub(fill_before.requests)) as f64 / batches as f64
-        },
-        omitted_estimate,
-        latency: LatencySummary::from_micros(samples_us),
     }
 }
 
@@ -468,8 +335,7 @@ mod tests {
     use flint_data::synth::SynthSpec;
     use flint_exec::{EngineBuilder, EngineKind, Predictor};
     use flint_forest::{ForestConfig, RandomForest};
-    use flint_serve::BatchPolicy;
-    use std::time::Duration;
+    use flint_serve::{BatchPolicy, EpollServer};
 
     #[test]
     fn summary_percentiles_are_exact_on_known_samples() {
@@ -485,60 +351,6 @@ mod tests {
         assert_eq!(empty.mean_us, 0.0);
     }
 
-    #[test]
-    fn closed_loop_serves_every_request() {
-        let data = SynthSpec::new(80, 4, 2).seed(7).generate();
-        let forest = RandomForest::fit(&data, &ForestConfig::grid(4, 6)).expect("trainable");
-        let engine = EngineBuilder::new(&forest)
-            .build(EngineKind::parse("flint-blocked").expect("registered"))
-            .expect("builds");
-        let policy = BatchPolicy::default()
-            .max_batch(8)
-            .linger(Duration::from_micros(200))
-            .workers(2);
-        let batcher = flint_serve::Batcher::start(engine, policy);
-        let rows: Vec<Vec<f32>> = (0..data.n_samples())
-            .map(|i| data.sample(i).to_vec())
-            .collect();
-        let report = closed_loop(&batcher, &rows, 4, 25);
-        assert_eq!(report.requests, 100);
-        assert_eq!(report.latency.count, 100);
-        assert!(report.requests_per_sec > 0.0);
-        assert!(
-            report.mean_fill >= 1.0 && report.mean_fill <= 8.0,
-            "{report:?}"
-        );
-        assert!(report.latency.p99_us >= report.latency.p50_us);
-        assert!(report.omitted_estimate >= 0.0);
-        let stats = batcher.shutdown();
-        assert_eq!(stats.requests, 100);
-    }
-
-    #[test]
-    fn omission_warning_fires_on_stalls_not_on_steady_latency() {
-        // Perfectly steady latencies: nothing was omitted.
-        let steady = LoadReport {
-            clients: 1,
-            requests: 100,
-            wall_secs: 1.0,
-            requests_per_sec: 100.0,
-            mean_fill: 1.0,
-            omitted_estimate: 0.0,
-            latency: LatencySummary::from_micros(vec![100; 100]),
-        };
-        assert_eq!(steady.coordinated_omission_warning(), None);
-        // A big stall estimate trips the caution.
-        let stalled = LoadReport {
-            omitted_estimate: 40.0,
-            ..steady
-        };
-        let warning = stalled
-            .coordinated_omission_warning()
-            .expect("40% omission warns");
-        assert!(warning.contains("coordinated omission"), "{warning}");
-        assert!(warning.contains("open-loop"), "{warning}");
-    }
-
     fn serving_engine() -> (Box<dyn Predictor>, Vec<Vec<f32>>) {
         let data = SynthSpec::new(80, 4, 2).seed(7).generate();
         let forest = RandomForest::fit(&data, &ForestConfig::grid(4, 6)).expect("trainable");
@@ -551,10 +363,11 @@ mod tests {
         (engine, rows)
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn open_loop_measures_from_the_intended_schedule() {
         let (engine, rows) = serving_engine();
-        let server = flint_serve::Server::bind("127.0.0.1:0", engine, BatchPolicy::default())
+        let server = EpollServer::bind("127.0.0.1:0", engine, BatchPolicy::default())
             .expect("binds loopback");
         let addr = server.local_addr();
         let runner = std::thread::spawn(move || server.run().expect("serves"));

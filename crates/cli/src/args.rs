@@ -74,34 +74,22 @@ pub enum Command {
         /// Result format: `table`, `csv` or `json`.
         output: String,
     },
-    /// Serve a stored model over TCP (or stdin): the epoll front end
-    /// scores on its event-loop thread, the `threads` front end and
-    /// stdin through the micro-batcher.
+    /// Serve a stored model over TCP (Linux) or stdin: either way one
+    /// thread reads, scores and answers.
     Serve {
         /// Model file.
         model: String,
         /// Engine registry name answering requests.
         engine: String,
-        /// Most rows one engine call scores (every front end).
+        /// Most rows one engine call scores.
         max_batch: usize,
-        /// Linger deadline in microseconds (how long a partial batch
-        /// waits for more rows; micro-batcher only).
-        linger_us: u64,
-        /// Scoring worker threads (micro-batcher only).
-        workers: usize,
-        /// Bounded request-queue depth (backpressure threshold;
-        /// micro-batcher only).
-        queue_depth: usize,
         /// TCP listen address.
         addr: String,
-        /// TCP front end (`epoll` event loop or `threads`
-        /// thread-per-connection); parsed by [`flint_serve::FrontEnd`].
-        front_end: String,
-        /// Connection cap of the event-loop front end (further accepts
-        /// are answered `busy` and closed).
+        /// Connection cap of the TCP front end (further accepts are
+        /// answered `busy` and closed).
         max_conns: usize,
-        /// In-flight prediction cap of the event-loop front end: rows
-        /// one loop iteration admits before it scores them.
+        /// In-flight prediction cap of the TCP front end: rows one
+        /// loop iteration admits before it scores them.
         max_inflight: usize,
         /// Serve only the contiguous tree span `a:b` (half-open, as
         /// planned by `flint_forest::plan_spans`) — one shard of a
@@ -167,36 +155,112 @@ impl core::fmt::Display for ParseArgsError {
 
 impl std::error::Error for ParseArgsError {}
 
-fn flags(args: &[String]) -> Result<BTreeMap<String, String>, ParseArgsError> {
-    let mut map = BTreeMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| ParseArgsError(format!("expected --flag, got {:?}", args[i])))?;
-        if key == "accuracy" || key == "list" || key == "stdin" {
-            map.insert(key.to_owned(), "true".to_owned());
-            i += 1;
-            continue;
+/// The `--key value` pairs (and valueless switches) after a
+/// subcommand. Every read marks its key as one the subcommand takes;
+/// [`finish`](Self::finish) then rejects any flag no read asked for,
+/// so a typo or a flag of another subcommand fails instead of being
+/// silently ignored.
+struct Flags {
+    map: BTreeMap<String, String>,
+    known: Vec<&'static str>,
+}
+
+impl Flags {
+    fn parse(args: &[String]) -> Result<Self, ParseArgsError> {
+        let mut map = BTreeMap::new();
+        let mut i = 0;
+        while i < args.len() {
+            let key = args[i]
+                .strip_prefix("--")
+                .ok_or_else(|| ParseArgsError(format!("expected --flag, got {:?}", args[i])))?;
+            if key == "accuracy" || key == "list" || key == "stdin" {
+                map.insert(key.to_owned(), "true".to_owned());
+                i += 1;
+                continue;
+            }
+            let value = args
+                .get(i + 1)
+                .ok_or_else(|| ParseArgsError(format!("--{key} needs a value")))?;
+            map.insert(key.to_owned(), value.clone());
+            i += 2;
         }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| ParseArgsError(format!("--{key} needs a value")))?;
-        map.insert(key.to_owned(), value.clone());
-        i += 2;
+        Ok(Self {
+            map,
+            known: Vec::new(),
+        })
     }
-    Ok(map)
-}
 
-fn required(map: &BTreeMap<String, String>, key: &str) -> Result<String, ParseArgsError> {
-    map.get(key)
-        .cloned()
-        .ok_or_else(|| ParseArgsError(format!("missing required --{key}")))
-}
+    fn text(&mut self, key: &'static str) -> Option<String> {
+        self.known.push(key);
+        self.map.get(key).cloned()
+    }
 
-fn parse_number<T: std::str::FromStr>(text: &str, key: &str) -> Result<T, ParseArgsError> {
-    text.parse()
-        .map_err(|_| ParseArgsError(format!("--{key}: cannot parse {text:?}")))
+    fn text_or(&mut self, key: &'static str, default: &str) -> String {
+        self.text(key).unwrap_or_else(|| default.to_owned())
+    }
+
+    fn required(&mut self, key: &'static str) -> Result<String, ParseArgsError> {
+        self.text(key)
+            .ok_or_else(|| ParseArgsError(format!("missing required --{key}")))
+    }
+
+    fn switch(&mut self, key: &'static str) -> bool {
+        self.text(key).is_some()
+    }
+
+    fn number<T: std::str::FromStr>(
+        &mut self,
+        key: &'static str,
+    ) -> Result<Option<T>, ParseArgsError> {
+        self.text(key)
+            .map(|text| {
+                text.parse()
+                    .map_err(|_| ParseArgsError(format!("--{key}: cannot parse {text:?}")))
+            })
+            .transpose()
+    }
+
+    fn number_or<T: std::str::FromStr>(
+        &mut self,
+        key: &'static str,
+        default: T,
+    ) -> Result<T, ParseArgsError> {
+        Ok(self.number(key)?.unwrap_or(default))
+    }
+
+    fn required_number<T: std::str::FromStr>(
+        &mut self,
+        key: &'static str,
+    ) -> Result<T, ParseArgsError> {
+        self.number(key)?
+            .ok_or_else(|| ParseArgsError(format!("missing required --{key}")))
+    }
+
+    /// Errors on every flag `sub` never read, listing the ones it takes.
+    fn finish(self, sub: &str) -> Result<(), ParseArgsError> {
+        let dashed = |keys: Vec<&str>| -> String {
+            let flags: Vec<String> = keys.iter().map(|k| format!("--{k}")).collect();
+            if flags.is_empty() {
+                "none".to_owned()
+            } else {
+                flags.join(" ")
+            }
+        };
+        let unknown: Vec<&str> = self
+            .map
+            .keys()
+            .map(String::as_str)
+            .filter(|key| !self.known.contains(key))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        Err(ParseArgsError(format!(
+            "flint {sub} does not take {} (valid: {})",
+            dashed(unknown),
+            dashed(self.known)
+        )))
+    }
 }
 
 /// Parses `args` (without the program name) into a [`Command`].
@@ -204,188 +268,85 @@ fn parse_number<T: std::str::FromStr>(text: &str, key: &str) -> Result<T, ParseA
 /// # Errors
 ///
 /// [`ParseArgsError`] with a human-readable message on any malformed
-/// input.
+/// input, including a flag the subcommand does not take.
 pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
     let Some((sub, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    let map = flags(rest)?;
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "train" => Ok(Command::Train {
-            data: required(&map, "data")?,
-            classes: parse_number(&required(&map, "classes")?, "classes")?,
-            trees: map
-                .get("trees")
-                .map(|v| parse_number(v, "trees"))
-                .transpose()?
-                .unwrap_or(10),
-            depth: map
-                .get("depth")
-                .map(|v| parse_number(v, "depth"))
-                .transpose()?,
-            seed: map
-                .get("seed")
-                .map(|v| parse_number(v, "seed"))
-                .transpose()?
-                .unwrap_or(0),
-            out: map.get("out").cloned(),
-        }),
-        "predict" => Ok(Command::Predict {
-            model: required(&map, "model")?,
-            data: required(&map, "data")?,
-            classes: parse_number(&required(&map, "classes")?, "classes")?,
-            backend: map
-                .get("backend")
-                .cloned()
-                .unwrap_or_else(|| "flint".to_owned()),
-            accuracy: map.contains_key("accuracy"),
-            batch_size: map
-                .get("batch-size")
-                .map(|v| parse_number(v, "batch-size"))
-                .transpose()?,
-            threads: map
-                .get("threads")
-                .map(|v| parse_number(v, "threads"))
-                .transpose()?
-                .unwrap_or(1),
-        }),
-        "bench" => Ok(Command::Bench {
-            data: map.get("data").cloned(),
-            shape: map.get("shape").cloned(),
-            classes: map
-                .get("classes")
-                .map(|v| parse_number(v, "classes"))
-                .transpose()?,
-            model: map.get("model").cloned(),
-            trees: map
-                .get("trees")
-                .map(|v| parse_number(v, "trees"))
-                .transpose()?
-                .unwrap_or(24),
-            depth: map
-                .get("depth")
-                .map(|v| parse_number(v, "depth"))
-                .transpose()?
-                .or(Some(16)),
-            seed: map
-                .get("seed")
-                .map(|v| parse_number(v, "seed"))
-                .transpose()?
-                .unwrap_or(0),
-            batch_size: map
-                .get("batch-size")
-                .map(|v| parse_number(v, "batch-size"))
-                .transpose()?,
-            threads: map
-                .get("threads")
-                .map(|v| parse_number(v, "threads"))
-                .transpose()?
-                .unwrap_or(1),
-            runs: map
-                .get("runs")
-                .map(|v| parse_number(v, "runs"))
-                .transpose()?
-                .unwrap_or(5),
-            engines: map.get("engines").cloned(),
-            list: map.contains_key("list"),
-            output: map
-                .get("output")
-                .cloned()
-                .unwrap_or_else(|| "table".to_owned()),
-        }),
-        "serve" => Ok(Command::Serve {
-            model: required(&map, "model")?,
-            engine: map
-                .get("engine")
-                .cloned()
-                .unwrap_or_else(|| "flint-blocked".to_owned()),
-            max_batch: map
-                .get("max-batch")
-                .map(|v| parse_number(v, "max-batch"))
-                .transpose()?
-                .unwrap_or(64),
-            linger_us: map
-                .get("linger-us")
-                .map(|v| parse_number(v, "linger-us"))
-                .transpose()?
-                .unwrap_or(200),
-            workers: map
-                .get("workers")
-                .map(|v| parse_number(v, "workers"))
-                .transpose()?
-                .unwrap_or(2),
-            queue_depth: map
-                .get("queue-depth")
-                .map(|v| parse_number(v, "queue-depth"))
-                .transpose()?
-                .unwrap_or(1024),
-            addr: map
-                .get("addr")
-                .cloned()
-                .unwrap_or_else(|| "127.0.0.1:7878".to_owned()),
-            front_end: map
-                .get("front-end")
-                .cloned()
-                .unwrap_or_else(|| "epoll".to_owned()),
-            max_conns: map
-                .get("max-conns")
-                .map(|v| parse_number(v, "max-conns"))
-                .transpose()?
-                .unwrap_or(16384),
-            max_inflight: map
-                .get("max-inflight")
-                .map(|v| parse_number(v, "max-inflight"))
-                .transpose()?
-                .unwrap_or(1024),
-            trees: map.get("trees").cloned(),
-            stdin: map.contains_key("stdin"),
-        }),
-        "route" => Ok(Command::Route {
-            shards: required(&map, "shards")?,
-            addr: map
-                .get("addr")
-                .cloned()
-                .unwrap_or_else(|| flint_router::DEFAULT_ROUTER_ADDR.to_owned()),
-            max_conns: map
-                .get("max-conns")
-                .map(|v| parse_number(v, "max-conns"))
-                .transpose()?
-                .unwrap_or(16384),
-            max_inflight: map
-                .get("max-inflight")
-                .map(|v| parse_number(v, "max-inflight"))
-                .transpose()?
-                .unwrap_or(1024),
-        }),
-        "emit" => Ok(Command::Emit {
-            model: required(&map, "model")?,
-            lang: map.get("lang").cloned().unwrap_or_else(|| "c".to_owned()),
-            variant: map
-                .get("variant")
-                .cloned()
-                .unwrap_or_else(|| "flint".to_owned()),
-        }),
-        "importance" => Ok(Command::Importance {
-            model: required(&map, "model")?,
-        }),
-        "simulate" => Ok(Command::Simulate {
-            model: required(&map, "model")?,
-            data: required(&map, "data")?,
-            classes: parse_number(&required(&map, "classes")?, "classes")?,
-            machine: map
-                .get("machine")
-                .cloned()
-                .unwrap_or_else(|| "x86s".to_owned()),
-            config: map
-                .get("config")
-                .cloned()
-                .unwrap_or_else(|| "flint".to_owned()),
-        }),
-        other => Err(ParseArgsError(format!(
-            "unknown subcommand {other:?}; try `flint help`"
-        ))),
-    }
+    let mut flags = Flags::parse(rest)?;
+    let command = match sub.as_str() {
+        "help" | "--help" | "-h" => Command::Help,
+        "train" => Command::Train {
+            data: flags.required("data")?,
+            classes: flags.required_number("classes")?,
+            trees: flags.number_or("trees", 10)?,
+            depth: flags.number("depth")?,
+            seed: flags.number_or("seed", 0)?,
+            out: flags.text("out"),
+        },
+        "predict" => Command::Predict {
+            model: flags.required("model")?,
+            data: flags.required("data")?,
+            classes: flags.required_number("classes")?,
+            backend: flags.text_or("backend", "flint"),
+            accuracy: flags.switch("accuracy"),
+            batch_size: flags.number("batch-size")?,
+            threads: flags.number_or("threads", 1)?,
+        },
+        "bench" => Command::Bench {
+            data: flags.text("data"),
+            shape: flags.text("shape"),
+            classes: flags.number("classes")?,
+            model: flags.text("model"),
+            trees: flags.number_or("trees", 24)?,
+            depth: flags.number("depth")?.or(Some(16)),
+            seed: flags.number_or("seed", 0)?,
+            batch_size: flags.number("batch-size")?,
+            threads: flags.number_or("threads", 1)?,
+            runs: flags.number_or("runs", 5)?,
+            engines: flags.text("engines"),
+            list: flags.switch("list"),
+            output: flags.text_or("output", "table"),
+        },
+        "serve" => Command::Serve {
+            model: flags.required("model")?,
+            engine: flags.text_or("engine", "flint-blocked"),
+            max_batch: flags.number_or("max-batch", 64)?,
+            addr: flags.text_or("addr", "127.0.0.1:7878"),
+            max_conns: flags.number_or("max-conns", 16384)?,
+            max_inflight: flags.number_or("max-inflight", 1024)?,
+            trees: flags.text("trees"),
+            stdin: flags.switch("stdin"),
+        },
+        "route" => Command::Route {
+            shards: flags.required("shards")?,
+            addr: flags.text_or("addr", flint_router::DEFAULT_ROUTER_ADDR),
+            max_conns: flags.number_or("max-conns", 16384)?,
+            max_inflight: flags.number_or("max-inflight", 1024)?,
+        },
+        "emit" => Command::Emit {
+            model: flags.required("model")?,
+            lang: flags.text_or("lang", "c"),
+            variant: flags.text_or("variant", "flint"),
+        },
+        "importance" => Command::Importance {
+            model: flags.required("model")?,
+        },
+        "simulate" => Command::Simulate {
+            model: flags.required("model")?,
+            data: flags.required("data")?,
+            classes: flags.required_number("classes")?,
+            machine: flags.text_or("machine", "x86s"),
+            config: flags.text_or("config", "flint"),
+        },
+        other => {
+            return Err(ParseArgsError(format!(
+                "unknown subcommand {other:?}; try `flint help`"
+            )))
+        }
+    };
+    flags.finish(sub)?;
+    Ok(command)
 }
 
 /// The usage text printed by `flint help`.
@@ -400,10 +361,8 @@ USAGE:
   flint bench      --shape magic|ranking|deep [--seed S] [--batch-size B] [--threads T]
                    [--runs R] [--engines a,b,c] [--output table|csv|json]
   flint bench      --list
-  flint serve      --model model.txt [--engine ENGINE] [--max-batch B] [--linger-us U]
-                   [--workers W] [--queue-depth Q] [--addr HOST:PORT]
-                   [--front-end epoll|threads] [--max-conns C] [--max-inflight I]
-                   [--trees A:B] [--stdin]
+  flint serve      --model model.txt [--engine ENGINE] [--max-batch B] [--addr HOST:PORT]
+                   [--max-conns C] [--max-inflight I] [--trees A:B] [--stdin]
   flint route      --shards HOST:PORT,HOST:PORT [--addr HOST:PORT] [--max-conns C] [--max-inflight I]
   flint emit       --model model.txt [--lang c|c64|rust|asm-arm|asm-x86] [--variant std|flint]
   flint importance --model model.txt
@@ -426,16 +385,14 @@ bandwidth-bound), deep (12 x 18).
 
 `flint serve` speaks one request per line (CSV feature row or
 {\"features\":[...]}; `stats` and `shutdown` commands) and answers one
-JSON object per line. The default `epoll` front end is a readiness
-event loop that also scores: one thread, thousands of idle
-connections, each loop iteration scoring the rows that arrived in
-chunks of at most --max-batch without waiting for more, explicit
-`busy` shedding past --max-conns / --max-inflight. `--front-end
-threads` is the thread-per-connection baseline, and the one that works
-off Linux; it and `--stdin` score through the micro-batcher, the only
-path --linger-us, --workers and --queue-depth configure.
-`--trees A:B` serves only that contiguous tree span — one shard of a
-sharded deployment.
+JSON object per line. Over TCP (Linux) it is a readiness event loop
+that also scores: one thread, thousands of idle connections, each
+loop iteration scoring the rows that arrived in chunks of at most
+--max-batch without waiting for more, explicit `busy` shedding past
+--max-conns / --max-inflight. `--stdin` serves stdin/stdout on every
+platform through the same scorer: the rows of each read score
+together in chunks of at most --max-batch. `--trees A:B` serves only
+that contiguous tree span — one shard of a sharded deployment.
 
 `flint route` fronts N shards started with `flint serve --trees`: it
 speaks the same protocol, fans each request to every shard as a
@@ -596,11 +553,7 @@ mod tests {
                 model: "m.txt".into(),
                 engine: "flint-blocked".into(),
                 max_batch: 64,
-                linger_us: 200,
-                workers: 2,
-                queue_depth: 1024,
                 addr: "127.0.0.1:7878".into(),
-                front_end: "epoll".into(),
                 max_conns: 16384,
                 max_inflight: 1024,
                 trees: None,
@@ -608,8 +561,7 @@ mod tests {
             }
         );
         let cmd = parse(&argv(
-            "serve --model m.txt --engine quickscorer --max-batch 16 --linger-us 500 \
-             --workers 4 --queue-depth 64 --addr 0.0.0.0:9000 --front-end threads \
+            "serve --model m.txt --engine quickscorer --max-batch 16 --addr 0.0.0.0:9000 \
              --max-conns 100 --max-inflight 32 --trees 0:12 --stdin",
         ))
         .expect("parses");
@@ -619,11 +571,7 @@ mod tests {
                 model: "m.txt".into(),
                 engine: "quickscorer".into(),
                 max_batch: 16,
-                linger_us: 500,
-                workers: 4,
-                queue_depth: 64,
                 addr: "0.0.0.0:9000".into(),
-                front_end: "threads".into(),
                 max_conns: 100,
                 max_inflight: 32,
                 trees: Some("0:12".into()),
@@ -636,6 +584,42 @@ mod tests {
         assert!(err.0.contains("max-batch"), "{err}");
         let err = parse(&argv("serve --model m.txt --max-conns lots")).unwrap_err();
         assert!(err.0.contains("max-conns"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_flags_the_subcommand_does_not_take() {
+        let serve_flags =
+            "(valid: --model --engine --max-batch --addr --max-conns --max-inflight --trees --stdin)";
+        // The four flags `flint serve` used to take, and a typo.
+        for key in [
+            "front-end",
+            "linger-us",
+            "workers",
+            "queue-depth",
+            "max-inflght",
+        ] {
+            let err = parse(&argv(&format!("serve --model m.txt --stdin --{key} 3"))).unwrap_err();
+            assert!(
+                err.0
+                    .contains(&format!("flint serve does not take --{key} {serve_flags}")),
+                "{err}"
+            );
+        }
+        let err = parse(&argv(
+            "serve --model m.txt --stdin --max-inflght 3 --lingr-us 9",
+        ))
+        .unwrap_err();
+        assert!(
+            err.0
+                .contains("does not take --lingr-us --max-inflght (valid:"),
+            "{err}"
+        );
+        // A flag of another subcommand is just as unknown.
+        let err = parse(&argv("train --data d.csv --classes 2 --backend flint")).unwrap_err();
+        assert!(err.0.contains("does not take --backend"), "{err}");
+        assert!(err.0.contains("--out"), "{err}");
+        let err = parse(&argv("help --topic serve")).unwrap_err();
+        assert!(err.0.contains("(valid: none)"), "{err}");
     }
 
     #[test]

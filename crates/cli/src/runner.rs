@@ -12,14 +12,11 @@ use flint_exec::{BatchOptions, EngineBuilder, EngineKind, KernelCaps};
 use flint_forest::metrics::accuracy;
 use flint_forest::{io as model_io, ForestConfig, RandomForest};
 use flint_router::RouterServer;
-use flint_serve::{
-    serve_lines, BatchPolicy, Batcher, EpollServer, EventLoopConfig, FrontEnd, Server,
-};
+use flint_serve::{serve_lines, BatchPolicy, EpollServer, EventLoopConfig};
 use flint_sim::{simulate_forest, Machine, SimConfig};
 use std::fmt::Write as FmtWrite;
 use std::fs::File;
 use std::io::{BufReader, Write};
-use std::time::Duration;
 
 /// Error executing a command.
 #[derive(Debug)]
@@ -420,27 +417,24 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
             model,
             engine,
             max_batch,
-            linger_us,
-            workers,
-            queue_depth,
             addr,
-            front_end,
             max_conns,
             max_inflight,
             trees,
             stdin,
         } => {
+            let kind = engine_kind(&engine)?;
+            if !stdin && !cfg!(target_os = "linux") {
+                return Err(RunError::Invalid(
+                    "TCP serving needs Linux (epoll); use --stdin on this platform".to_owned(),
+                ));
+            }
             let mut forest = load_model(&model)?;
             if let Some(span) = &trees {
                 let (start, end) = parse_tree_span(span, forest.n_trees())?;
                 forest = forest.tree_span(start, end);
             }
-            let kind = engine_kind(&engine)?;
-            let front_end: FrontEnd = front_end
-                .parse()
-                .map_err(|e: flint_serve::ParseFrontEndError| RunError::Invalid(e.to_string()))?;
-            // Whoever scores a batch (the event loop, or one batcher
-            // worker of the pool) runs it inline on its own thread.
+            // The serving thread scores each chunk inline on itself.
             let opts = BatchOptions::default()
                 .block_samples(max_batch.max(1))
                 .threads(1);
@@ -448,55 +442,27 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
                 .options(opts)
                 .build(kind)
                 .map_err(|e| RunError::Invalid(e.to_string()))?;
-            let policy = BatchPolicy::default()
-                .max_batch(max_batch)
-                .linger(Duration::from_micros(linger_us))
-                .queue_depth(queue_depth)
-                .workers(workers);
-            if stdin {
-                let batcher = Batcher::start(engine, policy);
-                serve_lines(&batcher, std::io::stdin().lock(), &mut *out)?;
-                writeln!(out, "{}", batcher.shutdown().to_json())?;
+            let stats = if stdin {
+                serve_lines(&*engine, max_batch, std::io::stdin().lock(), &mut *out)?
             } else {
-                let stats = match front_end {
-                    FrontEnd::Epoll => {
-                        let config = EventLoopConfig::default()
-                            .max_conns(max_conns)
-                            .max_inflight(max_inflight);
-                        let server = EpollServer::bind_with_config(&addr, engine, policy, config)?;
-                        writeln!(
-                            out,
-                            "listening on {} (engine {}, front-end {front_end}, max-batch {}, \
-                             scoring inline)",
-                            server.local_addr(),
-                            server.engine_name(),
-                            max_batch.max(1)
-                        )?;
-                        // The startup line must reach pipes before the
-                        // event loop starts (smoke tests wait for it).
-                        out.flush()?;
-                        server.run()?
-                    }
-                    FrontEnd::Threads => {
-                        let server = Server::bind(&addr, engine, policy)?;
-                        writeln!(
-                            out,
-                            "listening on {} (engine {}, front-end {front_end}, max-batch {}, \
-                             linger {linger_us}us, workers {}, queue {})",
-                            server.local_addr(),
-                            server.engine_name(),
-                            max_batch.max(1),
-                            workers.max(1),
-                            queue_depth.max(1)
-                        )?;
-                        // The startup line must reach pipes before the
-                        // accept loop blocks (smoke tests wait for it).
-                        out.flush()?;
-                        server.run()?
-                    }
-                };
-                writeln!(out, "{}", stats.to_json())?;
-            }
+                let config = EventLoopConfig::default()
+                    .max_conns(max_conns)
+                    .max_inflight(max_inflight);
+                let policy = BatchPolicy::default().max_batch(max_batch);
+                let server = EpollServer::bind_with_config(&addr, engine, policy, config)?;
+                writeln!(
+                    out,
+                    "listening on {} (engine {}, max-batch {}, scoring inline)",
+                    server.local_addr(),
+                    server.engine_name(),
+                    max_batch.max(1)
+                )?;
+                // The startup line must reach pipes before the event
+                // loop starts (smoke tests wait for it).
+                out.flush()?;
+                server.run()?
+            };
+            writeln!(out, "{}", stats.to_json())?;
         }
         Command::Route {
             shards,
@@ -882,6 +848,7 @@ mod tests {
         let _ = std::fs::remove_file(model_path);
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn serve_answers_over_tcp_until_shutdown() {
         use std::io::{BufRead, BufReader as IoBufReader, Write as IoWrite};
@@ -920,8 +887,7 @@ mod tests {
         let server = {
             let mut out = buf.clone();
             let argv: Vec<String> = format!(
-                "serve --model {} --addr 127.0.0.1:0 --engine flint-blocked \
-                 --max-batch 8 --linger-us 100 --workers 2",
+                "serve --model {} --addr 127.0.0.1:0 --engine flint-blocked --max-batch 8",
                 model_path.display()
             )
             .split_whitespace()
@@ -1070,7 +1036,7 @@ mod tests {
             let buf = SharedBuf::default();
             handles.push(spawn(
                 format!(
-                    "serve --model {} --addr 127.0.0.1:0 --trees {span} --max-batch 1 --workers 1",
+                    "serve --model {} --addr 127.0.0.1:0 --trees {span} --max-batch 1",
                     model_path.display()
                 ),
                 buf.clone(),

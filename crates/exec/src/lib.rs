@@ -94,7 +94,6 @@
 pub mod backend;
 pub mod batch;
 pub mod compile;
-pub mod compile64;
 pub mod dispatch;
 pub mod engine;
 pub mod f16;
@@ -104,7 +103,6 @@ pub mod simd;
 pub use backend::{BackendKind, CompareMode, CompiledForest};
 pub use batch::{BatchEngine, BatchOptions};
 pub use compile::{CompileTreeError, FloatNode, FloatTree, IntNode, IntTree};
-pub use compile64::{FloatNode64, FloatTree64, IntNode64, IntTree64};
 pub use dispatch::{KernelCaps, KernelPath, KernelPolicy, KERNEL_ENV};
 pub use engine::{BuildEngineError, EngineBuilder, EngineKind, ParseEngineKindError, Predictor};
 pub use f16::{f16_policy, HalfCompare, HalfForest, SimdF16Engine};

@@ -85,32 +85,6 @@ proptest! {
         prop_assert_eq!(cags_flint.predict(&features), want);
     }
 
-    /// The double-precision pair must agree with each other on
-    /// arbitrary f64 bit patterns — the FLInt 64-bit instance against
-    /// the native f64 comparison, same thresholds.
-    #[test]
-    fn f64_float_and_int_trees_agree(
-        seed in 0u64..16,
-        raw in proptest::collection::vec(any::<u64>(), 3),
-    ) {
-        use flint_exec::{FloatTree64, IntTree64};
-        use flint_layout::{LayoutStrategy, TreeLayout, TreeProfile};
-        let features: Vec<f64> = raw
-            .iter()
-            .map(|&b| {
-                let v = f64::from_bits(b);
-                if v.is_nan() { 0.0 } else { v }
-            })
-            .collect();
-        let data = SynthSpec::new(90, 3, 2).negative_fraction(0.5).seed(seed).generate();
-        let forest = RandomForest::fit(&data, &ForestConfig::grid(1, 8)).expect("trainable");
-        let tree = &forest.trees()[0];
-        let layout = TreeLayout::compute(tree, &TreeProfile::uniform(tree), LayoutStrategy::ArenaOrder);
-        let ft = FloatTree64::compile(tree, &layout);
-        let it = IntTree64::compile(tree, &layout).expect("compilable");
-        prop_assert_eq!(ft.predict(&features), it.predict(&features));
-    }
-
     #[test]
     fn per_tree_decisions_agree_with_arena_reference(
         seed in 0u64..16,

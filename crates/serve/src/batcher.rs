@@ -2,6 +2,10 @@
 //! column-major [`FeatureMatrix`] blocks where the blocked /
 //! QuickScorer / VM engines earn their throughput.
 //!
+//! No `flint` command runs it: `flint serve` scores on its one serving
+//! thread, over TCP and over stdin alike. It stays for the benchmark's
+//! layer probes, which drive it in process.
+//!
 //! Shape of the machinery (all `std`, no runtime dependency):
 //!
 //! * callers hold a cloneable [`BatchHandle`] whose blocking
@@ -36,17 +40,23 @@ use std::time::{Duration, Instant};
 
 /// Micro-batching policy knobs. All counts are clamped to at least 1
 /// when used.
+///
+/// [`EpollServer`](crate::EpollServer) reads only `max_batch`; the
+/// other three fields configure the [`Batcher`] alone, which no `flint`
+/// command runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Most samples per batch; a batch is dispatched as soon as it is
-    /// full.
+    /// Most samples per batch (per engine call); a batch is dispatched
+    /// as soon as it is full.
     pub max_batch: usize,
     /// Longest a partial batch waits for more rows before being
-    /// dispatched anyway (the latency bound of the policy).
+    /// dispatched anyway (the latency bound of the policy). Batcher
+    /// only.
     pub linger: Duration,
     /// Bounded request-queue depth; callers block once it is full.
+    /// Batcher only.
     pub queue_depth: usize,
-    /// Scoring worker threads.
+    /// Scoring worker threads. Batcher only.
     pub workers: usize,
 }
 
@@ -98,22 +108,8 @@ pub struct Prediction {
     /// The majority-vote class, bit-identical to
     /// `RandomForest::predict_majority` on the same row.
     pub class: u32,
-    /// How many samples shared the batch this row was scored in
-    /// (observability: 1 = the linger deadline fired alone,
-    /// `max_batch` = a full batch).
-    pub batch_fill: usize,
-}
-
-/// One answered `votes:` request: the per-class vote histogram a
-/// forest shard reports upward for distributed merge, plus the same
-/// batch-fill observability as [`Prediction`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VotesReply {
-    /// Per-class vote counts, summing to the engine's tree count.
-    /// `majority_vote(&votes)` equals the [`Prediction::class`] the
-    /// same row would have received.
-    pub votes: Vec<u32>,
-    /// How many samples shared the batch this row was scored in.
+    /// How many samples shared the engine call this row was scored in
+    /// (observability: 1 = scored alone, `max_batch` = a full batch).
     pub batch_fill: usize,
 }
 
@@ -154,15 +150,8 @@ impl std::error::Error for ServeError {}
 
 /// How a scored request finds its way back to whoever asked: a oneshot
 /// callback. The blocking [`BatchHandle::predict`] wraps a channel
-/// send; [`BatchHandle::try_submit`] callers pass their own. Class and
-/// votes requests share one queue and one batch, so a shard serving
-/// `votes:` traffic batches exactly like a node serving predictions.
-enum Reply {
-    /// Answer with the majority-vote class.
-    Class(Box<dyn FnOnce(Prediction) + Send>),
-    /// Answer with the per-class vote histogram.
-    Votes(Box<dyn FnOnce(VotesReply) + Send>),
-}
+/// send; [`BatchHandle::try_submit`] callers pass their own.
+type Reply = Box<dyn FnOnce(Prediction) + Send>;
 
 /// One queued request: the gathered row, its enqueue time (for the
 /// latency metrics) and the caller's oneshot reply callback.
@@ -211,9 +200,9 @@ impl BatchHandle {
         let request = Request {
             features: features.to_vec(),
             enqueued: Instant::now(),
-            reply: Reply::Class(Box::new(move |prediction| {
+            reply: Box::new(move |prediction| {
                 let _ = reply_tx.send(prediction);
-            })),
+            }),
         };
         self.tx
             .send(Msg::Predict(request))
@@ -221,30 +210,6 @@ impl BatchHandle {
         self.metrics.record_request();
         // The reply channel is dropped unanswered only when the batcher
         // tears down before this batch is scored.
-        reply_rx.recv().map_err(|_| ServeError::ShuttingDown)
-    }
-
-    /// Scores one feature row and blocks for its per-class vote
-    /// histogram — the `votes:` sibling of [`predict`](Self::predict),
-    /// used by the thread-per-connection front end and the stdin loop.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`predict`](Self::predict).
-    pub fn predict_votes(&self, features: &[f32]) -> Result<VotesReply, ServeError> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        self.check_arity(features)?;
-        let request = Request {
-            features: features.to_vec(),
-            enqueued: Instant::now(),
-            reply: Reply::Votes(Box::new(move |votes| {
-                let _ = reply_tx.send(votes);
-            })),
-        };
-        self.tx
-            .send(Msg::Predict(request))
-            .map_err(|_| ServeError::ShuttingDown)?;
-        self.metrics.record_request();
         reply_rx.recv().map_err(|_| ServeError::ShuttingDown)
     }
 
@@ -269,7 +234,7 @@ impl BatchHandle {
         let request = Request {
             features: features.to_vec(),
             enqueued: Instant::now(),
-            reply: Reply::Class(Box::new(on_done)),
+            reply: Box::new(on_done),
         };
         match self.tx.try_send(Msg::Predict(request)) {
             Ok(()) => {
@@ -308,11 +273,6 @@ impl BatchHandle {
     /// A point-in-time reading of the serving counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
-    }
-
-    /// The live counters behind [`metrics`](Self::metrics).
-    pub(crate) fn shared_metrics(&self) -> &ServeMetrics {
-        &self.metrics
     }
 }
 
@@ -392,12 +352,6 @@ impl Batcher {
     /// A point-in-time reading of the serving counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
-    }
-
-    /// The live counters themselves, for the front ends that record
-    /// connection gauges and buffer high-water marks.
-    pub(crate) fn metrics_shared(&self) -> Arc<ServeMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// Graceful shutdown: every already-queued request is still scored
@@ -496,36 +450,6 @@ fn push_row(batch: &mut Batch, request: Request) {
     batch.replies.push((request.reply, request.enqueued));
 }
 
-/// Scores the class rows of a batch, and only those, through one
-/// [`Predictor::predict_matrix`]: `rows` is row-major, `wants_votes[i]`
-/// marks row `i` as a `votes:` request, and the result holds one class
-/// per class row in row order. A batch of only `votes:` rows (a router
-/// shard's steady state) skips the matrix pass. Both the batcher's
-/// workers and the event loop's inline scorer go through here, so a
-/// mixed batch costs the same on every front end.
-pub(crate) fn score_class_rows(
-    engine: &dyn Predictor,
-    rows: &[f32],
-    wants_votes: &[bool],
-) -> Vec<u32> {
-    let n_features = engine.n_features();
-    let n_class = wants_votes.iter().filter(|&&votes| !votes).count();
-    if n_class == 0 {
-        return Vec::new();
-    }
-    let matrix = if n_class == wants_votes.len() {
-        FeatureMatrix::from_row_major(n_class, n_features, rows)
-    } else {
-        let class_rows: Vec<f32> = (0..wants_votes.len())
-            .filter(|&i| !wants_votes[i])
-            .flat_map(|i| &rows[i * n_features..(i + 1) * n_features])
-            .copied()
-            .collect();
-        FeatureMatrix::from_row_major(n_class, n_features, &class_rows)
-    };
-    engine.predict_matrix(&matrix)
-}
-
 /// One scoring worker: pulls closed batches, scores them through the
 /// shared engine under the engine's own batch options, and fans the
 /// classes back out.
@@ -542,30 +466,19 @@ fn worker_loop(engine: &dyn Predictor, batch_rx: &Mutex<Receiver<Batch>>, metric
             }
         };
         let fill = batch.replies.len();
-        let n_features = engine.n_features();
-        let wants_votes: Vec<bool> = batch
-            .replies
-            .iter()
-            .map(|(reply, _)| matches!(reply, Reply::Votes(_)))
-            .collect();
-        let mut classes = score_class_rows(engine, &batch.rows, &wants_votes).into_iter();
+        let matrix = FeatureMatrix::from_row_major(fill, engine.n_features(), &batch.rows);
+        let classes = engine.predict_matrix(&matrix);
         metrics.record_batch(fill);
-        for (i, (reply, enqueued)) in batch.replies.into_iter().enumerate() {
+        for ((done, enqueued), class) in batch.replies.into_iter().zip(classes) {
             metrics.record_latency(enqueued.elapsed());
             // The callback decides what "answered" means: a channel
             // send for blocking callers (a dropped receiver is a caller
             // that gave up — harmless), whatever the caller chose for
             // `try_submit`.
-            match reply {
-                Reply::Class(done) => done(Prediction {
-                    class: classes.next().expect("one class per class row"),
-                    batch_fill: fill,
-                }),
-                Reply::Votes(done) => done(VotesReply {
-                    votes: engine.predict_votes(&batch.rows[i * n_features..(i + 1) * n_features]),
-                    batch_fill: fill,
-                }),
-            }
+            done(Prediction {
+                class,
+                batch_fill: fill,
+            });
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The readiness event-loop TCP front end: one thread, one `epoll`
 //! instance, the sans-io [`ProtocolMachine`] and the engine itself —
 //! the shape that holds thousands of mostly-idle connections in one
-//! process, where the thread-per-connection [`Server`](crate::Server)
-//! would pay a stack and a scheduler entry apiece.
+//! process, where a thread per connection would pay a stack and a
+//! scheduler entry apiece.
 //!
 //! The loop scores on its own thread, run to completion: each
 //! iteration (a *tick*) batches what has already arrived and never
@@ -27,7 +27,9 @@
 //!    class rows, one [`predict_votes`](Predictor::predict_votes) per
 //!    `votes:` row — and fills every reserved slot. A chunk whose
 //!    engine panics answers each of its rows with `error`; the loop
-//!    keeps serving;
+//!    keeps serving. The stdin front end
+//!    ([`serve_lines`](crate::serve_lines)) scores through the same
+//!    chunk scorer;
 //! 4. the loop writes out each connection's *ready prefix* — responses
 //!    leave in request order per connection.
 //!
@@ -41,16 +43,17 @@
 //!
 //! Everything here is safe code; the `unsafe` lives behind the vendored
 //! [`epoll`] shim's minimal API. On non-Linux targets
-//! [`EpollServer::run`] fails with `Unsupported` and callers fall back
-//! to `--front-end threads`.
+//! [`EpollServer::run`] fails with `Unsupported`; only the stdin front
+//! end serves there.
 
-use crate::batcher::{score_class_rows, BatchPolicy, Prediction, ServeError};
+use crate::batcher::{BatchPolicy, Prediction, ServeError};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::protocol::{
     render_busy, render_error, render_prediction, render_votes, ProtocolMachine, WireEvent,
 };
 use crate::server::{handle_event, Action, Handled};
 use epoll::{Events, Interest, Poller};
+use flint_data::FeatureMatrix;
 use flint_exec::Predictor;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -165,8 +168,8 @@ impl EventLoopConfig {
 }
 
 /// The epoll-driven TCP inference server (Linux): one thread accepts,
-/// reads, scores and writes. Protocol and metrics are shared with the
-/// threaded [`Server`](crate::Server); the scoring path is its own.
+/// reads, scores and writes. Protocol, metrics and the chunk scorer are
+/// shared with the stdin front end ([`serve_lines`](crate::serve_lines)).
 ///
 /// ```no_run
 /// use flint_serve::{BatchPolicy, EpollServer};
@@ -206,8 +209,7 @@ impl EpollServer {
     /// `policy` only [`BatchPolicy::max_batch`] applies — the most rows
     /// one engine call scores; the loop never lingers, queues or hands
     /// rows to worker threads, so `linger`, `queue_depth` and `workers`
-    /// configure only the [`Batcher`](crate::Batcher) of the other
-    /// front ends.
+    /// configure only the [`Batcher`](crate::Batcher).
     ///
     /// # Errors
     ///
@@ -224,7 +226,7 @@ impl EpollServer {
             listener,
             local_addr,
             engine,
-            max_batch: policy.max_batch.max(1),
+            max_batch: policy.max_batch,
             config,
         })
     }
@@ -336,8 +338,8 @@ impl EpollServer {
 
 /// The rows one loop iteration admitted, in admission order, each with
 /// the connection slot its answer goes to — scored together once the
-/// readiness pass is over.
-struct TickBatch<'e> {
+/// readiness pass is over. The stdin front end scores through it too.
+pub(crate) struct TickBatch<'e> {
     engine: &'e dyn Predictor,
     max_batch: usize,
     /// Row-major features of every admitted row.
@@ -352,10 +354,10 @@ struct TickBatch<'e> {
 }
 
 impl<'e> TickBatch<'e> {
-    fn new(engine: &'e dyn Predictor, max_batch: usize) -> Self {
+    pub(crate) fn new(engine: &'e dyn Predictor, max_batch: usize) -> Self {
         Self {
             engine,
-            max_batch,
+            max_batch: max_batch.max(1),
             rows: Vec::new(),
             wants_votes: Vec::new(),
             slots: Vec::new(),
@@ -364,13 +366,29 @@ impl<'e> TickBatch<'e> {
     }
 
     /// Rows admitted and not yet answered.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The error line for a row the engine cannot score (wrong
+    /// feature arity), counted as rejected; `None` when it fits.
+    pub(crate) fn reject(&self, row: &[f32], metrics: &ServeMetrics) -> Option<String> {
+        let expected = self.engine.n_features();
+        (row.len() != expected).then(|| {
+            metrics.record_rejected();
+            render_error(
+                &ServeError::WrongArity {
+                    expected,
+                    got: row.len(),
+                }
+                .to_string(),
+            )
+        })
     }
 
     /// Adds one admitted row, answered into slot `seq` of connection
     /// `token`.
-    fn push(&mut self, token: u64, seq: u64, row: &[f32], votes: bool, parsed: Instant) {
+    pub(crate) fn push(&mut self, token: u64, seq: u64, row: &[f32], votes: bool, parsed: Instant) {
         self.rows.extend_from_slice(row);
         self.wants_votes.push(votes);
         self.slots.push((token, seq));
@@ -380,7 +398,11 @@ impl<'e> TickBatch<'e> {
     /// Scores every admitted row in chunks of at most `max_batch`,
     /// hands each rendered answer to `answer(token, seq, line)`, and
     /// empties the batch.
-    fn score(&mut self, metrics: &ServeMetrics, mut answer: impl FnMut(u64, u64, String)) {
+    pub(crate) fn score(
+        &mut self,
+        metrics: &ServeMetrics,
+        mut answer: impl FnMut(u64, u64, String),
+    ) {
         let n_features = self.engine.n_features();
         let mut start = 0;
         while start < self.len() {
@@ -412,6 +434,30 @@ impl<'e> TickBatch<'e> {
         self.slots.clear();
         self.parsed.clear();
     }
+}
+
+/// Scores the class rows of a chunk, and only those, through one
+/// [`Predictor::predict_matrix`]: `rows` is row-major, `wants_votes[i]`
+/// marks row `i` as a `votes:` request, and the result holds one class
+/// per class row in row order. A chunk of only `votes:` rows (a router
+/// shard's steady state) skips the matrix pass.
+fn score_class_rows(engine: &dyn Predictor, rows: &[f32], wants_votes: &[bool]) -> Vec<u32> {
+    let n_features = engine.n_features();
+    let n_class = wants_votes.iter().filter(|&&votes| !votes).count();
+    if n_class == 0 {
+        return Vec::new();
+    }
+    let matrix = if n_class == wants_votes.len() {
+        FeatureMatrix::from_row_major(n_class, n_features, rows)
+    } else {
+        let class_rows: Vec<f32> = (0..wants_votes.len())
+            .filter(|&i| !wants_votes[i])
+            .flat_map(|i| &rows[i * n_features..(i + 1) * n_features])
+            .copied()
+            .collect();
+        FeatureMatrix::from_row_major(n_class, n_features, &class_rows)
+    };
+    engine.predict_matrix(&matrix)
 }
 
 /// Scores one chunk and renders every row's response line; the
@@ -716,13 +762,8 @@ fn read_ready(
                         "max-inflight {} reached",
                         cfg.max_inflight
                     )));
-                } else if row.len() != tick.engine.n_features() {
-                    metrics.record_rejected();
-                    let e = ServeError::WrongArity {
-                        expected: tick.engine.n_features(),
-                        got: row.len(),
-                    };
-                    conn.push_response(render_error(&e.to_string()));
+                } else if let Some(error) = tick.reject(&row, metrics) {
+                    conn.push_response(error);
                 } else {
                     metrics.record_request();
                     tick.push(token, conn.reserve_slot(), &row, votes, parsed);
@@ -752,7 +793,7 @@ mod tests {
     #[test]
     fn epoll_server_round_trips_the_protocol() {
         let (engine, forest, data) = engine_and_data();
-        let server = EpollServer::bind("127.0.0.1:0", engine, BatchPolicy::default().workers(2))
+        let server = EpollServer::bind("127.0.0.1:0", engine, BatchPolicy::default())
             .expect("binds loopback");
         let addr = server.local_addr();
         let runner = std::thread::spawn(move || server.run().expect("serves"));
@@ -796,7 +837,7 @@ mod tests {
     #[test]
     fn pipelined_requests_answer_in_order() {
         let (engine, forest, data) = engine_and_data();
-        let server = EpollServer::bind("127.0.0.1:0", engine, BatchPolicy::default().workers(2))
+        let server = EpollServer::bind("127.0.0.1:0", engine, BatchPolicy::default())
             .expect("binds loopback");
         let addr = server.local_addr();
         let runner = std::thread::spawn(move || server.run().expect("serves"));
@@ -953,7 +994,7 @@ mod tests {
     #[test]
     fn votes_requests_round_trip_with_reference_histograms() {
         let (engine, forest, data) = engine_and_data();
-        let server = EpollServer::bind("127.0.0.1:0", engine, BatchPolicy::default().workers(2))
+        let server = EpollServer::bind("127.0.0.1:0", engine, BatchPolicy::default())
             .expect("binds loopback");
         let addr = server.local_addr();
         let runner = std::thread::spawn(move || server.run().expect("serves"));
@@ -1098,7 +1139,7 @@ mod tests {
         let server = EpollServer::bind_with_config(
             "127.0.0.1:0",
             engine,
-            BatchPolicy::default().workers(2),
+            BatchPolicy::default(),
             EventLoopConfig::default()
                 .max_write_buffer(0)
                 .max_pending_per_conn(512),

@@ -21,25 +21,21 @@
 //!   per line out), including [`ProtocolMachine`], the sans-io framing
 //!   state machine every front end drives — chunk boundaries can never
 //!   change the response stream;
-//! * [`event_loop`] — [`EpollServer`], the readiness event-loop front
-//!   end (`--front-end epoll`, the default on Linux): one thread that
-//!   accepts, reads, scores and writes. Each loop iteration batches
-//!   the rows that have already arrived — never waiting for more —
-//!   scores them in chunks of at most `max_batch`, and answers through
-//!   ordered per-connection response slots, under explicit admission
-//!   control ([`EventLoopConfig`]) that sheds overload with `busy`
-//!   responses instead of queueing it invisibly;
-//! * [`batcher`] — [`Batcher`], for front ends that block per request:
-//!   a collector thread coalesces queued rows under a max-batch /
-//!   max-linger policy (bounded queue, backpressure, graceful
-//!   shutdown-with-drain), a worker pool scores closed batches through
-//!   the shared engine, and per-sample results fan back to their
-//!   callers over oneshot channels;
-//! * [`server`] — [`Server`], the thread-per-connection TCP front end
-//!   over the batcher (`--front-end threads`), [`serve_lines`] for
-//!   stdin/stdout serving, the [`FrontEnd`] selector, and the control
-//!   verbs (`stats`, `health`, `shutdown`, error lines) every front end
-//!   answers through.
+//! * [`event_loop`] — [`EpollServer`], the TCP front end (Linux): one
+//!   thread that accepts, reads, scores and writes. Each loop iteration
+//!   batches the rows that have already arrived — never waiting for
+//!   more — scores them in chunks of at most `max_batch`, and answers
+//!   through ordered per-connection response slots, under explicit
+//!   admission control ([`EventLoopConfig`]) that sheds overload with
+//!   `busy` responses instead of queueing it invisibly;
+//! * [`server`] — [`serve_lines`], the stdin/stdout front end (every
+//!   platform), which scores each read's rows through the event loop's
+//!   chunk scorer, and the control verbs (`stats`, `health`,
+//!   `shutdown`, error lines) both front ends answer through;
+//! * [`batcher`] — [`Batcher`], a collector thread and worker pool that
+//!   coalesce blocking per-request calls under a max-batch / linger
+//!   policy. It is on no `flint` path; the benchmark's layer probes
+//!   still drive it in process.
 //!
 //! Everything is plain `std`: no async runtime, no serde — the crate
 //! works in the vendored-offline workspace and anywhere the rest of
@@ -50,7 +46,7 @@
 //! use flint_data::synth::SynthSpec;
 //! use flint_exec::{EngineBuilder, EngineKind};
 //! use flint_forest::{ForestConfig, RandomForest};
-//! use flint_serve::{BatchPolicy, Batcher};
+//! use flint_serve::serve_lines;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let data = SynthSpec::new(120, 4, 3).generate();
@@ -58,11 +54,21 @@
 //! let engine = EngineBuilder::new(&forest)
 //!     .build(EngineKind::parse("flint-blocked").expect("registered"))?;
 //!
-//! let batcher = Batcher::start(engine, BatchPolicy::default().workers(2));
-//! let handle = batcher.handle();
-//! let served = handle.predict(data.sample(0))?.class;
-//! assert_eq!(served, forest.predict_majority(data.sample(0)));
-//! batcher.shutdown();
+//! // Three rows in one read score as one batch; `stats` sees them.
+//! let mut input = String::new();
+//! for i in 0..3 {
+//!     let row: Vec<String> = data.sample(i).iter().map(f32::to_string).collect();
+//!     input.push_str(&(row.join(",") + "\n"));
+//! }
+//! input.push_str("stats\n");
+//! let mut out = Vec::new();
+//! let stats = serve_lines(&*engine, 64, input.as_bytes(), &mut out)?;
+//! let text = String::from_utf8(out)?;
+//! for (i, line) in text.lines().take(3).enumerate() {
+//!     let class = forest.predict_majority(data.sample(i));
+//!     assert!(line.starts_with(&format!("{{\"class\":{class},")), "{line}");
+//! }
+//! assert_eq!((stats.requests, stats.batches), (3, 1));
 //! # Ok(())
 //! # }
 //! ```
@@ -76,11 +82,11 @@ pub mod metrics;
 pub mod protocol;
 pub mod server;
 
-pub use batcher::{BatchHandle, BatchPolicy, Batcher, Prediction, ServeError, VotesReply};
+pub use batcher::{BatchHandle, BatchPolicy, Batcher, Prediction, ServeError};
 pub use event_loop::{Conn, EpollServer, EventLoopConfig};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use protocol::{
     parse_request, render_busy, render_error, render_prediction, render_votes, FramedLine,
     LineMachine, ParseRequestError, ProtocolMachine, Request, WireEvent, MAX_LINE_BYTES,
 };
-pub use server::{serve_lines, FrontEnd, ParseFrontEndError, Server};
+pub use server::serve_lines;

@@ -12,10 +12,10 @@ use std::time::Duration;
 /// describe recent traffic rather than the whole process lifetime.
 const LATENCY_WINDOW: usize = 1 << 16;
 
-/// Serving counters, one instance per server: owned by the event loop
-/// in the epoll front end, behind an `Arc` wherever several threads
-/// update it (the batcher's handles and workers, the thread-per-
-/// connection front end).
+/// Serving counters, one instance per server: owned by the scoring
+/// thread in `flint serve` (the event loop, or the stdin loop), behind
+/// an `Arc` where several threads update it (the
+/// [`Batcher`](crate::Batcher)'s handles and workers).
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     requests: AtomicU64,
@@ -165,8 +165,8 @@ pub struct MetricsSnapshot {
     /// Largest per-connection write buffer observed, bytes.
     pub write_hwm: u64,
     /// Median request latency in microseconds, over the recent-latency
-    /// window: from parse to scored in the epoll front end, from
-    /// enqueue to scored behind the batcher.
+    /// window: from parse to scored in `flint serve` (TCP and stdin),
+    /// from enqueue to scored behind the [`Batcher`](crate::Batcher).
     pub p50_us: u64,
     /// 99th-percentile request latency in microseconds.
     pub p99_us: u64,

@@ -33,8 +33,8 @@
 //! (one syscall's worth from a nonblocking socket, a whole stdin line,
 //! a proptest-chosen split) and emits one [`WireEvent`] per request
 //! line. It knows nothing about sockets, so the epoll event loop, the
-//! thread-per-connection server, the stdin loop and the unit tests all
-//! drive the *same* state machine — chunk boundaries can never change
+//! stdin loop, the fan-out router and the unit tests all drive the
+//! *same* state machine — chunk boundaries can never change
 //! the response stream (proven by the chunking property suite).
 
 use crate::batcher::Prediction;

@@ -1,15 +1,15 @@
-//! The epoll front end's inline scoring path: rows are scored on the
-//! loop thread as soon as a readiness pass has admitted them, in chunks
-//! of at most `max_batch`, never waiting out a linger; a mixed batch
-//! passes only its class rows to the batched kernel (on the batcher as
-//! well); and a panicking engine costs only its chunk's rows, which
+//! Inline scoring, over TCP and over stdin: rows are scored on the
+//! serving thread as soon as a readiness pass (or a stdin read) has
+//! admitted them, in chunks of at most `max_batch`, never waiting out a
+//! linger; a mixed batch passes only its class rows to the batched
+//! kernel; and a panicking engine costs only its chunk's rows, which
 //! answer `error`, while the loop keeps serving and still shuts down.
 
 use flint_data::synth::SynthSpec;
 use flint_data::{Dataset, FeatureMatrix};
 use flint_exec::{BatchOptions, EngineBuilder, EngineKind, Predictor};
 use flint_forest::{ForestConfig, RandomForest};
-use flint_serve::{BatchPolicy, Batcher, EpollServer, MetricsSnapshot};
+use flint_serve::{serve_lines, BatchPolicy, EpollServer, MetricsSnapshot};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -214,53 +214,90 @@ fn stub() -> (Box<dyn Predictor>, Arc<AtomicUsize>) {
     (engine, batched_rows)
 }
 
-#[test]
-fn a_mixed_batcher_batch_passes_only_its_class_rows_to_the_kernel() {
-    let (engine, batched_rows) = stub();
-    // Four rows fill one batch exactly; the linger never fires.
-    let batcher = Batcher::start(
-        engine,
-        BatchPolicy::default()
-            .max_batch(4)
-            .linger(Duration::from_secs(30)),
-    );
-    let answers: Vec<String> = std::thread::scope(|scope| {
-        let requests: Vec<_> = [[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [-2.0, 0.0]]
-            .into_iter()
-            .enumerate()
-            .map(|(i, row)| {
-                let handle = batcher.handle();
-                scope.spawn(move || {
-                    if i % 2 == 0 {
-                        let p = handle.predict(&row).expect("scored");
-                        format!("class {} batch {}", p.class, p.batch_fill)
-                    } else {
-                        let v = handle.predict_votes(&row).expect("scored");
-                        format!("votes {:?} batch {}", v.votes, v.batch_fill)
-                    }
-                })
-            })
-            .collect();
-        requests
-            .into_iter()
-            .map(|r| r.join().expect("request thread"))
-            .collect()
+/// Runs `input` through the stdin loop on its own thread and returns
+/// the response lines and final stats, failing instead of hanging if
+/// the loop never returns.
+fn serve_stdin(
+    engine: Box<dyn Predictor>,
+    max_batch: usize,
+    input: String,
+) -> (Vec<String>, MetricsSnapshot) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut out = Vec::new();
+        let stats = serve_lines(&*engine, max_batch, input.as_bytes(), &mut out).expect("serves");
+        let _ = tx.send((String::from_utf8(out).expect("utf8"), stats));
     });
+    let (text, stats) = rx
+        .recv_timeout(READ_TIMEOUT)
+        .expect("the stdin loop answered every line and returned");
+    (text.lines().map(str::to_owned).collect(), stats)
+}
+
+#[test]
+fn a_mixed_stdin_chunk_passes_only_its_class_rows_to_the_kernel() {
+    let (engine, batched_rows) = stub();
+    let (lines, stats) = serve_stdin(engine, 4, "1,0\nvotes:-1,0\n2,0\nvotes:-2,0\n".into());
     assert_eq!(
-        answers,
+        lines,
         [
-            "class 1 batch 4",
-            "votes [3, 0] batch 4",
-            "class 1 batch 4",
-            "votes [3, 0] batch 4"
+            "{\"class\":1,\"engine\":\"flint\",\"batch\":4}",
+            "{\"votes\":[3,0],\"engine\":\"flint\",\"batch\":4}",
+            "{\"class\":1,\"engine\":\"flint\",\"batch\":4}",
+            "{\"votes\":[3,0],\"engine\":\"flint\",\"batch\":4}"
         ]
     );
+    assert_eq!(stats.batches, 1);
     assert_eq!(
         batched_rows.load(Ordering::SeqCst),
         2,
         "votes rows must not go through the batched kernel"
     );
-    batcher.shutdown();
+}
+
+#[test]
+fn rows_from_one_piped_read_score_in_batches_larger_than_one() {
+    let (data, forest) = model();
+    let input: String = (0..32).map(|i| csv(data.sample(i)) + "\n").collect();
+    for (max_batch, fills) in [(64, vec![32]), (7, vec![7, 7, 7, 7, 4])] {
+        let (lines, stats) = serve_stdin(flint_blocked(&forest), max_batch, input.clone());
+        assert_eq!(lines.len(), 32);
+        let mut want = Vec::new();
+        for fill in fills {
+            want.extend(std::iter::repeat_n(fill, fill));
+        }
+        for (i, line) in lines.iter().enumerate() {
+            let expected = forest.predict_majority(data.sample(i));
+            assert!(
+                line.starts_with(&format!("{{\"class\":{expected},")),
+                "max_batch {max_batch} response {i}: {line}"
+            );
+            assert_eq!(batch_field(line), want[i], "max_batch {max_batch}: {line}");
+        }
+        assert!(stats.mean_fill > 1.0, "max_batch {max_batch}: {stats:?}");
+    }
+}
+
+#[test]
+fn an_engine_panic_on_stdin_answers_error_for_its_chunk_and_later_lines_still_answer() {
+    let (engine, _) = stub();
+    // Chunks of two: a marked row takes its chunk-mate down with it and
+    // nothing else. `health` closes the pending chunk early, so `-1,0`
+    // scores alone instead of beside the marked `votes:` row after it.
+    let (lines, stats) = serve_stdin(
+        engine,
+        2,
+        format!("1,0\n{MARKED},0\n-1,0\nhealth\nvotes:{MARKED},0\n2,0\n3,0\n"),
+    );
+    assert_eq!(lines.len(), 7, "{lines:?}");
+    for i in [0, 1, 4, 5] {
+        assert!(lines[i].contains("engine panicked"), "line {i}: {lines:?}");
+    }
+    assert_eq!(lines[2], "{\"class\":0,\"engine\":\"flint\",\"batch\":1}");
+    assert!(lines[3].contains("\"ok\":true"), "{lines:?}");
+    assert_eq!(lines[6], "{\"class\":1,\"engine\":\"flint\",\"batch\":1}");
+    assert_eq!(stats.requests, 6);
+    assert_eq!(stats.batches, 4);
 }
 
 #[test]

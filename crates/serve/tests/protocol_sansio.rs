@@ -4,8 +4,8 @@
 //! produce the identical [`WireEvent`] sequence, the identical
 //! end-of-input flush, and the same oversized-line verdicts. This is
 //! the property that lets the epoll front end feed raw nonblocking
-//! reads through the very same machine the buffered threads front end
-//! and the stdin path use, with no behavioural drift between them.
+//! reads through the very same machine the buffered stdin path uses,
+//! with no behavioural drift between them.
 
 use flint_serve::{ProtocolMachine, Request, WireEvent, MAX_LINE_BYTES};
 use proptest::collection::vec;

@@ -1,9 +1,11 @@
-//! Client/server round trip through the `flint-serve` TCP front ends:
-//! train a forest, serve it on a loopback port — through the `epoll`
-//! event loop on Linux, the `threads` baseline elsewhere — score rows
-//! over the wire from concurrent client connections, check every
-//! response against the forest's direct majority vote, read the
-//! `stats` snapshot, and shut the server down cleanly.
+//! Client/server round trip through the `flint-serve` TCP front end:
+//! train a forest, serve it on a loopback port through the `epoll`
+//! event loop, score rows over the wire from concurrent client
+//! connections, check every response against the forest's direct
+//! majority vote, read the `stats` snapshot, and shut the server down
+//! cleanly. TCP serving needs Linux; elsewhere the example says so and
+//! exits (the stdin front end, `flint_serve::serve_lines`, serves on
+//! every platform).
 //!
 //! ```text
 //! cargo run --release --example serving_roundtrip
@@ -12,53 +14,33 @@
 use flint_suite::data::synth::SynthSpec;
 use flint_suite::exec::{EngineBuilder, EngineKind};
 use flint_suite::forest::{ForestConfig, RandomForest};
-use flint_suite::serve::{BatchPolicy, EpollServer, FrontEnd, MetricsSnapshot, Server};
+use flint_suite::serve::{BatchPolicy, EpollServer};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::TcpStream;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    if !cfg!(target_os = "linux") {
+        println!("serving_roundtrip: TCP serving needs Linux (epoll); skipped");
+        return Ok(());
+    }
     let data = SynthSpec::new(240, 6, 3).seed(17).generate();
     let forest = RandomForest::fit(&data, &ForestConfig::grid(12, 10))?;
     let engine = EngineBuilder::new(&forest)
         .build(EngineKind::parse("flint-blocked").expect("registered"))?;
-    let policy = BatchPolicy::default()
-        .max_batch(16)
-        .linger(Duration::from_micros(300))
-        .workers(2);
 
-    // The event-loop front end is the default on Linux; both speak the
-    // identical line protocol, so everything below is front-end
-    // agnostic.
-    let front_end = if cfg!(target_os = "linux") {
-        FrontEnd::Epoll
-    } else {
-        FrontEnd::Threads
-    };
     // Port 0 = ephemeral: the OS picks a free loopback port.
-    type Runner = JoinHandle<std::io::Result<MetricsSnapshot>>;
-    let (addr, engine_name, runner): (SocketAddr, &str, Runner) = match front_end {
-        FrontEnd::Epoll => {
-            let server = EpollServer::bind("127.0.0.1:0", engine, policy)?;
-            let addr = server.local_addr();
-            let name = server.engine_name();
-            (addr, name, std::thread::spawn(move || server.run()))
-        }
-        FrontEnd::Threads => {
-            let server = Server::bind("127.0.0.1:0", engine, policy)?;
-            let addr = server.local_addr();
-            let name = server.engine_name();
-            (addr, name, std::thread::spawn(move || server.run()))
-        }
-    };
+    let server = EpollServer::bind("127.0.0.1:0", engine, BatchPolicy::default().max_batch(16))?;
+    let addr = server.local_addr();
+    let engine_name = server.engine_name();
+    let runner = std::thread::spawn(move || server.run());
     println!(
-        "serving {} trees on {addr} (engine {engine_name}, front end {front_end})",
+        "serving {} trees on {addr} (engine {engine_name})",
         forest.n_trees()
     );
 
     // Four concurrent clients, each scoring a strided quarter of the
-    // rows — their requests coalesce into shared batches server-side.
+    // rows — requests that arrive in the same loop iteration share one
+    // engine call server-side.
     const CLIENTS: usize = 4;
     std::thread::scope(|scope| {
         for client in 0..CLIENTS {

@@ -15,12 +15,11 @@
 //! * [`codegen`] — C/ASM/Rust emitters and the integer-only tree VM,
 //! * [`sim`] — machine cost models and cycle accounting,
 //! * [`serve`] — the inference server over any registered engine: an
-//!   epoll front end that batches and scores on its event-loop thread,
-//!   and a micro-batcher behind the thread-per-connection and stdin
-//!   front ends.
+//!   epoll TCP front end and a stdin front end, both batching and
+//!   scoring on their one serving thread through the same chunk scorer.
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every table and figure.
+//! See `ROADMAP.md` for the system's open items and `EXPERIMENTS.md`
+//! for the paper-vs-measured record of every table and figure.
 
 pub use flint_codegen as codegen;
 pub use flint_core as core;
