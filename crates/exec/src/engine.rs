@@ -63,9 +63,9 @@ use crate::backend::{BackendKind, CompiledForest};
 use crate::batch::{score_spans, BatchEngine, BatchOptions};
 use crate::compile::CompileTreeError;
 use crate::dispatch::KernelPath;
-use crate::f16::{HalfCompare, HalfForest, SimdF16Engine};
+use crate::f16::{HalfCompare, HalfForest};
 use crate::jit::{JitCompare, TieredJit};
-use crate::simd::{lane_policy, SimdCompare, SimdEngine};
+use crate::simd::{LaneEngine, SimdCompare};
 use flint_codegen::{VmForest, VmVariant};
 use flint_data::{Dataset, FeatureMatrix};
 use flint_forest::RandomForest;
@@ -176,17 +176,17 @@ pub enum EngineKind {
     /// The instruction-level tree VM of `flint-codegen` (the executable
     /// stand-in for the paper's assembly backend).
     Vm(VmVariant),
-    /// The 8-wide lane-parallel SIMD traversal
-    /// ([`SimdEngine`]): lane groups of samples descend each tree
-    /// through branchless compare/blend steps, with optional AVX2
-    /// kernels behind the `simd-avx2` feature.
+    /// The 8-wide lane-parallel SIMD traversal ([`crate::simd`]): lane
+    /// groups of samples descend each tree through branchless
+    /// compare/blend steps, with optional AVX2 kernels behind the
+    /// `simd-avx2` feature.
     Simd(SimdCompare),
     /// The tiered template JIT ([`TieredJit`]): tree programs emitted
     /// as x86-64 machine code in executable pages (`jit-x86` feature,
     /// x86-64 Linux), interpreting cold forests and falling back to
     /// the interpreter bit-identically where emitted code cannot run.
     Jit(JitCompare),
-    /// The half-precision lane engine ([`SimdF16Engine`]): the same
+    /// The half-precision lane engine ([`crate::f16`]): the same
     /// wave-interleaved branchless walk over 8-byte binary16 nodes and
     /// `u16` feature slabs — half the memory traffic per level. Its
     /// own comparison family: bit-identical to the scalar f16 walk
@@ -501,21 +501,19 @@ impl<'f> EngineBuilder<'f> {
                 n_features: self.forest.n_features(),
                 opts: self.opts,
             }),
-            EngineKind::Simd(compare) => Box::new(SimdLaneEngine {
-                forest: CompiledForest::compile(self.forest, compare.backend(), self.profile)?,
-                compare,
-                // The kernel path (and any FLINT_KERNEL override) is
-                // resolved once here, at engine build time.
-                path: lane_policy().select(),
-                opts: self.opts,
-            }),
+            // The lane engines resolve their kernel path (and any
+            // FLINT_KERNEL override) once here, at engine build time.
+            EngineKind::Simd(compare) => {
+                Box::new(LaneEngine::simd(self.forest, compare, self.opts)?)
+            }
             EngineKind::Jit(compare) => Box::new(JitEngine {
                 tiered: TieredJit::new(self.forest, compare),
                 opts: self.opts,
             }),
-            EngineKind::SimdF16(compare) => Box::new(SimdF16LaneEngine {
-                engine: SimdF16Engine::new(HalfForest::compile(self.forest, compare)?, self.opts),
-            }),
+            EngineKind::SimdF16(compare) => Box::new(LaneEngine::simd_f16(
+                HalfForest::compile(self.forest, compare)?,
+                self.opts,
+            )),
         })
     }
 
@@ -752,149 +750,79 @@ impl Predictor for VmEngine {
     }
 }
 
-/// [`EngineKind::Simd`]: the 8-wide lane-parallel traversal — lane
-/// groups of samples walk each tree through branchless compare/blend
-/// steps over zero-padded gathers. The kernel path (portable, AVX2 or
-/// NEON) is dispatched once at build time through
-/// [`lane_policy`], honoring the `FLINT_KERNEL` override, and
-/// [`describe`](Predictor::describe) reports the path actually chosen.
-#[derive(Debug)]
-struct SimdLaneEngine {
-    forest: CompiledForest,
-    compare: SimdCompare,
-    path: KernelPath,
-    opts: BatchOptions,
+/// [`EngineKind::Simd`] and [`EngineKind::SimdF16`]: the lane engine of
+/// [`crate::simd`] — lane groups of samples walk each tree through
+/// branchless compare/blend steps over 16-byte f32, 8-byte binary16 or
+/// 4-byte heap nodes. `predict_one` and `predict_votes` run the
+/// family's scalar reference, so single-row and batched answers are
+/// bit-identical by construction; [`describe`](Predictor::describe)
+/// reports the kernel path dispatched at build time. The other methods
+/// answer through `LaneEngine`'s inherent methods of the same name.
+impl Predictor for LaneEngine {
+    fn kind(&self) -> EngineKind {
+        LaneEngine::kind(self)
+    }
+
+    fn n_features(&self) -> usize {
+        LaneEngine::n_features(self)
+    }
+
+    fn n_classes(&self) -> usize {
+        LaneEngine::n_classes(self)
+    }
+
+    fn options(&self) -> BatchOptions {
+        LaneEngine::options(self)
+    }
+
+    fn describe(&self) -> &'static str {
+        lane_describe(LaneEngine::kind(self), self.kernel_path())
+    }
+
+    fn predict_one(&self, features: &[f32]) -> u32 {
+        flint_forest::metrics::majority_vote(&LaneEngine::predict_votes(self, features))
+    }
+
+    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
+        LaneEngine::predict_votes(self, features)
+    }
+
+    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
+        self.predict(matrix, opts)
+    }
 }
 
-/// The dispatch-aware description of the f32 lane engine: the base
+/// The dispatch-aware description of a lane engine: its kind's
 /// strategy line with the resolved kernel path appended in the stable
 /// `[kernel <path>]` suffix log scrapers key on.
-fn simd_describe(compare: SimdCompare, path: KernelPath) -> &'static str {
-    match (compare, path) {
-        (SimdCompare::Flint, KernelPath::Portable) => {
-            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel portable]"
-        }
-        (SimdCompare::Flint, KernelPath::Avx2) => {
-            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel avx2]"
-        }
-        (SimdCompare::Flint, KernelPath::Neon) => {
-            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel neon]"
-        }
-        (SimdCompare::Float, KernelPath::Portable) => {
-            "8-wide SIMD lane traversal, float compares, branchless blend [kernel portable]"
-        }
-        (SimdCompare::Float, KernelPath::Avx2) => {
-            "8-wide SIMD lane traversal, float compares, branchless blend [kernel avx2]"
-        }
-        (SimdCompare::Float, KernelPath::Neon) => {
-            "8-wide SIMD lane traversal, float compares, branchless blend [kernel neon]"
-        }
-    }
-}
-
-impl Predictor for SimdLaneEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Simd(self.compare)
-    }
-
-    fn n_features(&self) -> usize {
-        self.forest.n_features()
-    }
-
-    fn n_classes(&self) -> usize {
-        self.forest.n_classes()
-    }
-
-    fn options(&self) -> BatchOptions {
-        self.opts
-    }
-
-    fn describe(&self) -> &'static str {
-        simd_describe(self.compare, self.path)
-    }
-
-    fn predict_one(&self, features: &[f32]) -> u32 {
-        self.forest.predict(features)
-    }
-
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        self.forest.predict_votes(features)
-    }
-
-    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        SimdEngine::new(&self.forest, *opts)
-            .with_kernel(self.path)
-            .predict(matrix)
-    }
-}
-
-/// [`EngineKind::SimdF16`]: the half-precision lane engine — the wave
-/// walk of [`SimdLaneEngine`] over 8-byte binary16 nodes and `u16`
-/// feature slabs. `predict_one` runs the family's scalar reference
-/// ([`HalfForest::predict`]), so single-row and batched answers are
-/// bit-identical by construction; [`describe`](Predictor::describe)
-/// reports the dispatched kernel path.
-#[derive(Debug)]
-struct SimdF16LaneEngine {
-    engine: SimdF16Engine,
-}
-
-/// The dispatch-aware description of the f16 lane engine (same
-/// `[kernel <path>]` suffix contract as [`simd_describe`]).
-fn simd_f16_describe(compare: HalfCompare, path: KernelPath) -> &'static str {
-    match (compare, path) {
-        (HalfCompare::Flint, KernelPath::Portable) => {
-            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel portable]"
-        }
-        (HalfCompare::Flint, KernelPath::Avx2) => {
-            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel avx2]"
-        }
-        (HalfCompare::Flint, KernelPath::Neon) => {
-            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel neon]"
-        }
-        (HalfCompare::Float, KernelPath::Portable) => {
-            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel portable]"
-        }
-        (HalfCompare::Float, KernelPath::Avx2) => {
-            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel avx2]"
-        }
-        (HalfCompare::Float, KernelPath::Neon) => {
-            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel neon]"
-        }
-    }
-}
-
-impl Predictor for SimdF16LaneEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::SimdF16(self.engine.forest().compare())
-    }
-
-    fn n_features(&self) -> usize {
-        self.engine.forest().n_features()
-    }
-
-    fn n_classes(&self) -> usize {
-        self.engine.forest().n_classes()
-    }
-
-    fn options(&self) -> BatchOptions {
-        self.engine.options()
-    }
-
-    fn describe(&self) -> &'static str {
-        simd_f16_describe(self.engine.forest().compare(), self.engine.kernel_path())
-    }
-
-    fn predict_one(&self, features: &[f32]) -> u32 {
-        self.engine.forest().predict(features)
-    }
-
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        self.engine.forest().predict_votes(features)
-    }
-
-    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        self.engine.predict_with(matrix, opts)
+fn lane_describe(kind: EngineKind, path: KernelPath) -> &'static str {
+    let [portable, avx2, neon] = match kind {
+        EngineKind::Simd(SimdCompare::Flint) => [
+            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel portable]",
+            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel avx2]",
+            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel neon]",
+        ],
+        EngineKind::Simd(SimdCompare::Float) => [
+            "8-wide SIMD lane traversal, float compares, branchless blend [kernel portable]",
+            "8-wide SIMD lane traversal, float compares, branchless blend [kernel avx2]",
+            "8-wide SIMD lane traversal, float compares, branchless blend [kernel neon]",
+        ],
+        EngineKind::SimdF16(HalfCompare::Flint) => [
+            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel portable]",
+            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel avx2]",
+            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel neon]",
+        ],
+        EngineKind::SimdF16(HalfCompare::Float) => [
+            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel portable]",
+            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel avx2]",
+            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel neon]",
+        ],
+        _ => unreachable!("{kind} is not a lane engine"),
+    };
+    match path {
+        KernelPath::Portable => portable,
+        KernelPath::Avx2 => avx2,
+        KernelPath::Neon => neon,
     }
 }
 
@@ -1230,7 +1158,7 @@ mod tests {
             assert!(!description.is_empty(), "{}", engine.name());
             if dispatch_aware.contains(&engine.name()) {
                 let expected = match engine.name() {
-                    "simd" | "simd-float" => lane_policy().select(),
+                    "simd" | "simd-float" => crate::simd::lane_policy().select(),
                     _ => {
                         let compare = match engine.kind() {
                             EngineKind::SimdF16(c) => c,

@@ -1,5 +1,5 @@
-//! Half-precision node slabs: the `simd-f16` / `simd-f16-float`
-//! lane engines.
+//! Half-precision node slabs: the binary16 node formats of the
+//! `simd-f16` / `simd-f16-float` lane engines.
 //!
 //! The lane walk in [`crate::simd`] is bandwidth-bound on large
 //! forests: every level gathers 16-byte nodes and 4-byte feature
@@ -14,6 +14,17 @@
 //! feature bytes of the f32 walk — on the AVX2 path, one 64-bit
 //! gather pair fetches all eight nodes whole where the f32 kernels
 //! spend four 32-bit-word gathers.
+//!
+//! On the AVX2 path the engine goes further when **every** tree of the
+//! forest is at most 15 levels deep: it re-lays each tree into a
+//! **4-byte implicit-child heap slab**, which drops the stored child
+//! indices, so a traversal level costs two gathers (node word +
+//! feature) against the f32 kernels' five. The decision is made once
+//! per forest: one deeper tree keeps the whole forest on 8-byte nodes.
+//! Both layouts store the same threshold bits and prepared keys, only
+//! addressed differently. Either way the engine is the one lane walker
+//! of [`crate::simd`]; this module supplies the node formats, their
+//! `u16` slab fill and their per-path steps.
 //!
 //! **f16 engines are their own comparison family.** Quantizing
 //! thresholds and features to binary16 legitimately changes decisions
@@ -40,8 +51,8 @@
 //!
 //! ```
 //! use flint_data::{synth::SynthSpec, FeatureMatrix};
-//! use flint_exec::f16::{HalfCompare, HalfForest, SimdF16Engine};
-//! use flint_exec::BatchOptions;
+//! use flint_exec::f16::{HalfCompare, HalfForest};
+//! use flint_exec::{EngineBuilder, EngineKind};
 //! use flint_forest::{ForestConfig, RandomForest};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,24 +60,22 @@
 //! let forest = RandomForest::fit(&data, &ForestConfig::grid(5, 7))?;
 //! let half = HalfForest::compile(&forest, HalfCompare::Flint)?;
 //!
-//! let matrix = FeatureMatrix::from_dataset(&data);
-//! let engine = SimdF16Engine::new(half, BatchOptions::default());
-//! let batch = engine.predict(&matrix);
+//! let engine = EngineBuilder::new(&forest).build(EngineKind::SimdF16(HalfCompare::Flint))?;
+//! let batch = engine.predict_matrix(&FeatureMatrix::from_dataset(&data));
 //! // The engine's contract: bit-identical to its own scalar f16 walk.
 //! for i in 0..data.n_samples() {
-//!     assert_eq!(batch[i], engine.forest().predict(data.sample(i)));
+//!     assert_eq!(batch[i], half.predict(data.sample(i)));
 //! }
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::batch::{score_spans, BatchOptions};
 use crate::compile::CompileTreeError;
 use crate::dispatch::{KernelPath, KernelPolicy};
-use crate::simd::{vote_group, F32x8, U32x8, WAVE};
+use crate::simd::{step_portable, walk_wave, F32x8, Lane, LaneTree, U32x8};
 use flint_core::half::Half;
 use flint_core::PreparedThreshold;
-use flint_data::{FeatureMatrix, LANES};
+use flint_data::FeatureMatrix;
 use flint_forest::{DecisionTree, Node, NodeId, RandomForest};
 use flint_layout::{LayoutStrategy, TreeLayout, TreeProfile};
 
@@ -346,7 +355,7 @@ impl HalfIntTree {
 
 /// The compiled trees of one compare mode.
 #[derive(Debug, Clone)]
-enum HalfTrees {
+pub(crate) enum HalfTrees {
     Float(Vec<HalfFloatTree>),
     Int(Vec<HalfIntTree>),
 }
@@ -390,6 +399,11 @@ impl HalfForest {
             n_classes: forest.n_classes(),
             n_features: forest.n_features(),
         })
+    }
+
+    /// The compiled trees, for the lane engine.
+    pub(crate) fn trees(&self) -> &HalfTrees {
+        &self.trees
     }
 
     /// The comparison mode the forest was compiled for.
@@ -460,10 +474,10 @@ impl HalfForest {
 const HEAP_MAX_DEPTH: u32 = 15;
 
 /// Max heap depth of `nodes` rooted at flat position 0, or `None` if
-/// it exceeds [`HEAP_MAX_DEPTH`]. `child` maps a non-leaf node to its
-/// (left, right) flat positions; leaves return `None`.
+/// it exceeds [`HEAP_MAX_DEPTH`]. `fields` maps a node to its
+/// `[feature, payload, left, right]` words.
 #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-fn heap_depth<N>(nodes: &[N], child: impl Fn(&N) -> Option<(u16, u16)>) -> Option<u32> {
+fn heap_depth<N>(nodes: &[N], fields: impl Fn(&N) -> [u16; 4]) -> Option<u32> {
     let mut depth = 0;
     let mut stack = vec![(0u16, 0u32)];
     while let Some((flat, level)) = stack.pop() {
@@ -471,7 +485,8 @@ fn heap_depth<N>(nodes: &[N], child: impl Fn(&N) -> Option<(u16, u16)>) -> Optio
             return None;
         }
         depth = depth.max(level);
-        if let Some((left, right)) = child(&nodes[flat as usize]) {
+        let [feature, _, left, right] = fields(&nodes[flat as usize]);
+        if feature != LEAF_MARKER_F16 {
             stack.push((left, level + 1));
             stack.push((right, level + 1));
         }
@@ -487,18 +502,16 @@ fn heap_depth<N>(nodes: &[N], child: impl Fn(&N) -> Option<(u16, u16)>) -> Optio
 /// advance out of real split nodes). Returns `None` for trees deeper
 /// than [`HEAP_MAX_DEPTH`].
 #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-fn heapify<N>(
-    nodes: &[N],
-    word: impl Fn(&N) -> u32,
-    child: impl Fn(&N) -> Option<(u16, u16)>,
-) -> Option<Vec<u32>> {
-    let depth = heap_depth(nodes, &child)?;
+fn heapify<N>(nodes: &[N], fields: impl Fn(&N) -> [u16; 4]) -> Option<Vec<u32>> {
+    let depth = heap_depth(nodes, &fields)?;
     let mut heap = vec![u32::from(LEAF_MARKER_F16); (1usize << (depth + 1)) - 1];
     let mut stack = vec![(0u16, 0usize)];
     while let Some((flat, pos)) = stack.pop() {
-        let node = &nodes[flat as usize];
-        heap[pos] = word(node);
-        if let Some((left, right)) = child(node) {
+        let [feature, payload, left, right] = fields(&nodes[flat as usize]);
+        if feature == LEAF_MARKER_F16 {
+            heap[pos] = u32::from(LEAF_MARKER_F16) | u32::from(left) << 16;
+        } else {
+            heap[pos] = u32::from(feature) | u32::from(payload) << 16;
             stack.push((left, 2 * pos + 1));
             stack.push((right, 2 * pos + 2));
         }
@@ -506,485 +519,216 @@ fn heapify<N>(
     Some(heap)
 }
 
-/// Builds the per-tree heap slabs for a compiled forest, or `None` if
-/// any tree is too deep for the heap layout.
+/// A float-comparison tree heapified by [`heapify`]: word payloads are
+/// binary16 threshold bits.
 #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-fn heapify_forest(trees: &HalfTrees) -> Option<Vec<Vec<u32>>> {
-    match trees {
-        HalfTrees::Float(trees) => trees
-            .iter()
-            .map(|t| {
-                heapify(
-                    t.nodes(),
-                    |n| {
-                        if n.feature == LEAF_MARKER_F16 {
-                            u32::from(LEAF_MARKER_F16) | u32::from(n.left) << 16
-                        } else {
-                            u32::from(n.feature) | u32::from(n.threshold) << 16
-                        }
-                    },
-                    |n| (n.feature != LEAF_MARKER_F16).then_some((n.left, n.right)),
-                )
-            })
-            .collect(),
-        HalfTrees::Int(trees) => trees
-            .iter()
-            .map(|t| {
-                heapify(
-                    t.nodes(),
-                    |n| {
-                        if n.feature_and_flip == LEAF_MARKER_F16 {
-                            u32::from(LEAF_MARKER_F16) | u32::from(n.left) << 16
-                        } else {
-                            u32::from(n.feature_and_flip) | u32::from(n.key as u16) << 16
-                        }
-                    },
-                    |n| (n.feature_and_flip != LEAF_MARKER_F16).then_some((n.left, n.right)),
-                )
-            })
-            .collect(),
-    }
-}
-
-/// The half-precision lane engine: the wave-interleaved branchless
-/// walk of [`crate::simd`] over 8-byte nodes and `u16` feature slabs.
-///
-/// Owns its [`HalfForest`]; the kernel path is selected once at
-/// construction through [`f16_policy`] (honoring the `FLINT_KERNEL`
-/// override) and reported by the registry engine's `describe()`.
-///
-/// On the AVX2 path the engine additionally re-lays each tree into a
-/// **4-byte implicit-child heap slab** (`heapify`): dropping the
-/// stored child indices halves the node word again and removes one of
-/// the two node gathers per level, so an AVX2 traversal level costs
-/// two gathers (node word + feature) against the f32 kernels' five.
-/// Trees deeper than `HEAP_MAX_DEPTH` (15) fall back to the 8-byte
-/// explicit-child gather walk. Both walks are bit-identical to the
-/// scalar reference — the heap slab stores the same binary16
-/// threshold bits and prepared keys, only addressed differently.
 #[derive(Debug, Clone)]
-pub struct SimdF16Engine {
-    forest: HalfForest,
-    opts: BatchOptions,
-    path: KernelPath,
+pub(crate) struct FloatHeap(Vec<u32>);
+
+/// An FLInt-comparison tree heapified by [`heapify`]: word payloads are
+/// prepared `i16` keys.
+#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+#[derive(Debug, Clone)]
+pub(crate) struct IntHeap(Vec<u32>);
+
+/// How a lane engine lays out a [`HalfForest`]'s nodes — decided once
+/// per forest by [`HalfLayout::select`].
+#[derive(Debug, Clone)]
+pub(crate) enum HalfLayout {
+    /// The forest's own 8-byte explicit-child nodes.
+    Nodes,
+    /// Every float-comparison tree as a 4-byte heap slab.
     #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-    heap: Option<Vec<Vec<u32>>>,
+    FloatHeap(Vec<FloatHeap>),
+    /// Every FLInt-comparison tree as a 4-byte heap slab.
+    #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+    IntHeap(Vec<IntHeap>),
 }
 
-impl SimdF16Engine {
-    /// Binds `forest` to the given options and selects the kernel
-    /// path (building the heap slabs when that path is AVX2).
-    pub fn new(forest: HalfForest, opts: BatchOptions) -> Self {
-        let path = f16_policy(forest.compare()).select();
-        #[allow(clippy::needless_update)]
-        let mut engine = Self {
-            forest,
-            opts,
-            path,
-            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-            heap: None,
-        };
-        engine.rebuild_heap();
-        engine
-    }
-
-    /// Overrides the dispatched kernel path (the differential suites
-    /// pin accelerated paths against portable this way). Forcing a
-    /// path that is not compiled in silently runs portable; forcing a
-    /// compiled-in path on a CPU without the ISA panics at predict
-    /// time.
-    pub fn with_kernel(mut self, path: KernelPath) -> Self {
-        self.path = path;
-        self.rebuild_heap();
-        self
-    }
-
-    /// (Re)builds the AVX2 heap slabs to match the current kernel
-    /// path: present exactly when the engine dispatches to AVX2 and
-    /// every tree fits the heap layout.
-    fn rebuild_heap(&mut self) {
+impl HalfLayout {
+    /// The heap slabs when `path` is AVX2 (only its kernels walk them)
+    /// and every tree fits the heap layout; otherwise — one tree deeper
+    /// than `HEAP_MAX_DEPTH` is enough — the 8-byte nodes.
+    pub(crate) fn select(forest: &HalfForest, path: KernelPath) -> Self {
         #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-        {
-            self.heap = if self.path == KernelPath::Avx2 {
-                heapify_forest(&self.forest.trees)
-            } else {
-                None
+        if path == KernelPath::Avx2 {
+            let heaps = match &forest.trees {
+                HalfTrees::Float(trees) => trees
+                    .iter()
+                    .map(|t| {
+                        heapify(&t.nodes, |n| [n.feature, n.threshold, n.left, n.right])
+                            .map(FloatHeap)
+                    })
+                    .collect::<Option<_>>()
+                    .map(HalfLayout::FloatHeap),
+                HalfTrees::Int(trees) => trees
+                    .iter()
+                    .map(|t| {
+                        heapify(&t.nodes, |n| {
+                            [n.feature_and_flip, n.key as u16, n.left, n.right]
+                        })
+                        .map(IntHeap)
+                    })
+                    .collect::<Option<_>>()
+                    .map(HalfLayout::IntHeap),
             };
+            if let Some(heaps) = heaps {
+                return heaps;
+            }
         }
+        #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
+        let _ = (forest, path);
+        HalfLayout::Nodes
     }
+}
 
-    /// The kernel path this engine dispatches to.
-    pub fn kernel_path(&self) -> KernelPath {
-        self.path
-    }
+impl Lane for u16 {
+    /// The AVX2 u16 gathers read 4 bytes at 2-byte granularity, so the
+    /// read at a slab's final index needs one element past it.
+    const OVERHANG: usize = 1;
 
-    /// The compiled binary16 forest (also the family's scalar
-    /// reference via [`HalfForest::predict`]).
-    pub fn forest(&self) -> &HalfForest {
-        &self.forest
-    }
-
-    /// The bound options (clamping applied at use, not here).
-    pub fn options(&self) -> BatchOptions {
-        self.opts
-    }
-
-    /// Scores every sample of `matrix`, returning one class per
-    /// sample. Bit-identical to [`HalfForest::predict`] per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix.n_features()` differs from the model's.
-    pub fn predict(&self, matrix: &FeatureMatrix) -> Vec<u32> {
-        self.predict_with(matrix, &self.opts)
-    }
-
-    /// [`predict`](Self::predict) under explicit batch options instead
-    /// of the bound ones (the registry's `predict_batch` seam).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix.n_features()` differs from the model's.
-    pub fn predict_with(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        assert_eq!(
-            matrix.n_features(),
-            self.forest.n_features,
-            "feature matrix width"
-        );
-        let mut out = vec![0u32; matrix.n_samples()];
-        score_spans(opts, &mut out, |start, span| {
-            self.score_span(matrix, start, span, self.path, opts.block_samples);
-        });
-        out
-    }
-
-    fn score_span(
-        &self,
+    /// Quantizes the group's features into binary16 bits — via the
+    /// F16C bulk converter when the engine dispatched to the AVX2 path
+    /// on a CPU with F16C, via the scalar
+    /// [`FeatureMatrix::gather_lanes_f16`] loop otherwise. The two
+    /// routes are bit-identical: [`Half::from_f32`] pins the
+    /// `VCVTPS2PH` hardware mapping (round-to-nearest-even,
+    /// quiet-bit-forced NaN payloads).
+    #[inline]
+    fn fill(
         matrix: &FeatureMatrix,
-        start: usize,
-        out: &mut [u32],
+        first: usize,
+        slab: &mut [u16],
+        scratch: &mut [f32],
         path: KernelPath,
-        block_samples: usize,
     ) {
-        let block = block_samples.max(1);
-        let n_features = self.forest.n_features;
-        let n_classes = self.forest.n_classes;
-        let group_stride = n_features * LANES;
-        let cap = block.min(out.len());
-        // Per-worker scratch: quantized u16 lane slabs, an f32 staging
-        // slab for the F16C bulk converter, and the flat vote
-        // accumulator. The single trailing element backs the AVX2 u16
-        // gathers, which read 4 bytes at the slab's last index — each
-        // group's slab is carved one element past its stride.
-        let mut lanes = vec![0u16; cap.div_ceil(LANES) * group_stride + 1];
-        let mut scratch = vec![0f32; group_stride];
-        let mut votes = vec![0u32; cap * n_classes];
-        let mut offset = 0;
-        while offset < out.len() {
-            let len = block.min(out.len() - offset);
-            let n_groups = len.div_ceil(LANES);
-            for g in 0..n_groups {
-                quantize_group(
-                    matrix,
-                    start + offset + g * LANES,
-                    &mut scratch,
-                    &mut lanes[g * group_stride..(g + 1) * group_stride],
-                    path,
-                );
-            }
-            let votes = &mut votes[..len * n_classes];
-            votes.fill(0);
-            // Heap slabs exist exactly when the engine dispatched to
-            // AVX2 and every tree fits the implicit-child layout; a
-            // heap-walked tree's leaf word carries the class in its
-            // high half.
+        #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+        if path == KernelPath::Avx2 && crate::dispatch::KernelCaps::get().f16c {
+            matrix.gather_lanes(first, scratch);
+            avx2::convert_lanes(scratch, slab);
+            return;
+        }
+        #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
+        let _ = (scratch, path);
+        matrix.gather_lanes_f16(first, slab);
+    }
+}
+
+impl LaneTree for HalfFloatTree {
+    type Lane = u16;
+
+    #[inline]
+    fn walk(&self, slabs: &[&[u16]], cursors: &mut [U32x8], path: KernelPath) {
+        match path {
             #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-            let heaps: &[Vec<u32>] = self.heap.as_deref().unwrap_or(&[]);
-            #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
-            let heaps: &[Vec<u32>] = &[];
-            match &self.forest.trees {
-                HalfTrees::Float(trees) => {
-                    for (ti, tree) in trees.iter().enumerate() {
-                        if let Some(heap) = heaps.get(ti) {
-                            each_wave_f16(
-                                &lanes,
-                                n_groups,
-                                group_stride,
-                                |slabs, cursors| walk_float_heap(heap, slabs, cursors),
-                                |g, cursor| {
-                                    vote_group(votes, n_classes, len, g, |i| {
-                                        heap[cursor.0[i] as usize] >> 16
-                                    });
-                                },
-                            );
-                            continue;
-                        }
-                        let nodes = tree.nodes();
-                        each_wave_f16(
-                            &lanes,
-                            n_groups,
-                            group_stride,
-                            |slabs, cursors| walk_float(nodes, slabs, cursors, path),
-                            |g, cursor| {
-                                vote_group(votes, n_classes, len, g, |i| {
-                                    u32::from(nodes[cursor.0[i] as usize].left)
-                                });
-                            },
-                        );
-                    }
-                }
-                HalfTrees::Int(trees) => {
-                    for (ti, tree) in trees.iter().enumerate() {
-                        if let Some(heap) = heaps.get(ti) {
-                            each_wave_f16(
-                                &lanes,
-                                n_groups,
-                                group_stride,
-                                |slabs, cursors| walk_int_heap(heap, slabs, cursors),
-                                |g, cursor| {
-                                    vote_group(votes, n_classes, len, g, |i| {
-                                        heap[cursor.0[i] as usize] >> 16
-                                    });
-                                },
-                            );
-                            continue;
-                        }
-                        let nodes = tree.nodes();
-                        each_wave_f16(
-                            &lanes,
-                            n_groups,
-                            group_stride,
-                            |slabs, cursors| walk_int(nodes, slabs, cursors, path),
-                            |g, cursor| {
-                                vote_group(votes, n_classes, len, g, |i| {
-                                    u32::from(nodes[cursor.0[i] as usize].left)
-                                });
-                            },
-                        );
-                    }
-                }
-            }
-            for (k, slot) in out[offset..offset + len].iter_mut().enumerate() {
-                *slot = flint_forest::metrics::majority_vote(
-                    &votes[k * n_classes..(k + 1) * n_classes],
-                );
-            }
-            offset += len;
+            KernelPath::Avx2 => avx2::walk_float(&self.nodes, slabs, cursors),
+            _ => walk_wave(slabs, cursors, |slab, cursor| {
+                let fields = |n: &HalfFloatNode| [n.feature, n.threshold, n.left, n.right];
+                let widen = |bits: u32| Half::from_bits(bits as u16).to_f32();
+                let leaf = u32::from(LEAF_MARKER_F16);
+                step_portable(
+                    &self.nodes,
+                    slab,
+                    cursor,
+                    |n| fields(n).map(u32::from),
+                    leaf,
+                    u32::MAX,
+                    |_, t, x| {
+                        // Widen both sides binary16 -> f32 (exact), then
+                        // IEEE `<=`, like the scalar reference walk.
+                        F32x8(x.map(|b| widen(u32::from(b)))).le(F32x8(t.0.map(widen)))
+                    },
+                )
+            }),
         }
     }
-}
 
-/// Quantizes one sample group's features into its u16 lane slab — via
-/// the F16C bulk converter when the engine dispatched to the AVX2 path
-/// on a CPU with F16C, via the scalar
-/// [`FeatureMatrix::gather_lanes_f16`] loop otherwise. The two routes
-/// are bit-identical: [`Half::from_f32`] pins the `VCVTPS2PH` hardware
-/// mapping (round-to-nearest-even, quiet-bit-forced NaN payloads).
-#[inline]
-fn quantize_group(
-    matrix: &FeatureMatrix,
-    first_sample: usize,
-    scratch: &mut [f32],
-    slab: &mut [u16],
-    path: KernelPath,
-) {
-    #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-    if path == KernelPath::Avx2 && crate::dispatch::KernelCaps::get().f16c {
-        matrix.gather_lanes(first_sample, scratch);
-        avx2::convert_lanes(scratch, slab);
-        return;
-    }
-    #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
-    let _ = (scratch, path);
-    matrix.gather_lanes_f16(first_sample, slab);
-}
-
-/// The u16-slab counterpart of the f32 walk's wave carver: each
-/// group's slab is `group_stride + 1` elements — one element past its
-/// live lanes — so the AVX2 u16 gathers (4-byte reads at 2-byte
-/// granularity) stay in bounds at the slab's final index.
-#[inline]
-fn each_wave_f16(
-    lanes: &[u16],
-    n_groups: usize,
-    group_stride: usize,
-    mut walk: impl FnMut(&[&[u16]], &mut [U32x8]),
-    mut sink: impl FnMut(usize, U32x8),
-) {
-    for wave_start in (0..n_groups).step_by(WAVE) {
-        let k = WAVE.min(n_groups - wave_start);
-        let mut slabs: [&[u16]; WAVE] = [&[]; WAVE];
-        for (j, slab) in slabs[..k].iter_mut().enumerate() {
-            let g = wave_start + j;
-            *slab = &lanes[g * group_stride..(g + 1) * group_stride + 1];
-        }
-        let mut cursors = [U32x8::ZERO; WAVE];
-        walk(&slabs[..k], &mut cursors[..k]);
-        for (j, &cursor) in cursors[..k].iter().enumerate() {
-            sink(wave_start + j, cursor);
-        }
+    #[inline]
+    fn leaf_class(&self, cursor: u32) -> u32 {
+        u32::from(self.nodes[cursor as usize].left)
     }
 }
 
-/// f16 float-comparison wave walk, dispatched on the engine's
-/// [`KernelPath`].
-#[inline]
-fn walk_float(nodes: &[HalfFloatNode], slabs: &[&[u16]], cursors: &mut [U32x8], path: KernelPath) {
-    match path {
-        #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-        KernelPath::Avx2 => avx2::walk_float(nodes, slabs, cursors),
-        _ => walk_float_portable(nodes, slabs, cursors),
-    }
-}
+impl LaneTree for HalfIntTree {
+    type Lane = u16;
 
-/// f16 FLInt-comparison wave walk, dispatched on the engine's
-/// [`KernelPath`].
-#[inline]
-fn walk_int(nodes: &[HalfIntNode], slabs: &[&[u16]], cursors: &mut [U32x8], path: KernelPath) {
-    match path {
-        #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-        KernelPath::Avx2 => avx2::walk_int(nodes, slabs, cursors),
-        _ => walk_int_portable(nodes, slabs, cursors),
-    }
-}
-
-/// Float-family wave walk over a 4-byte implicit-child heap slab.
-/// Only ever invoked with a heap present, which [`SimdF16Engine`]
-/// builds exactly when it dispatched to AVX2.
-fn walk_float_heap(heap: &[u32], slabs: &[&[u16]], cursors: &mut [U32x8]) {
-    #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-    {
-        avx2::walk_float_heap(heap, slabs, cursors);
-    }
-    #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
-    {
-        let _ = (heap, slabs, cursors);
-        unreachable!("heap slabs are only built on the AVX2 path");
-    }
-}
-
-/// FLInt-family wave walk over a 4-byte implicit-child heap slab.
-/// Only ever invoked with a heap present, which [`SimdF16Engine`]
-/// builds exactly when it dispatched to AVX2.
-fn walk_int_heap(heap: &[u32], slabs: &[&[u16]], cursors: &mut [U32x8]) {
-    #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-    {
-        avx2::walk_int_heap(heap, slabs, cursors);
-    }
-    #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
-    {
-        let _ = (heap, slabs, cursors);
-        unreachable!("heap slabs are only built on the AVX2 path");
-    }
-}
-
-/// Portable f16 float walk: widen the u16 lane bits and the node's
-/// binary16 threshold to `f32` (exact) and compare with IEEE `<=` —
-/// the same per-level blend structure as the f32 walk.
-#[inline]
-fn walk_float_portable(nodes: &[HalfFloatNode], slabs: &[&[u16]], cursors: &mut [U32x8]) {
-    debug_assert_eq!(slabs.len(), cursors.len());
-    let mut done = [false; WAVE];
-    loop {
-        let mut remaining = false;
-        for (gi, &slab) in slabs.iter().enumerate() {
-            if done[gi] {
-                continue;
-            }
-            let cursor = cursors[gi];
-            let mut feature = [0u32; LANES];
-            let mut threshold = [0.0f32; LANES];
-            let mut left = [0u32; LANES];
-            let mut right = [0u32; LANES];
-            for i in 0..LANES {
-                let node = &nodes[cursor.0[i] as usize];
-                feature[i] = u32::from(node.feature);
-                threshold[i] = Half::from_bits(node.threshold).to_f32();
-                left[i] = u32::from(node.left);
-                right[i] = u32::from(node.right);
-            }
-            let feature = U32x8(feature);
-            let is_leaf = feature.eq_mask(U32x8::splat(u32::from(LEAF_MARKER_F16)));
-            if is_leaf.all_set() {
-                done[gi] = true;
-                continue;
-            }
-            remaining = true;
-            let fsafe = U32x8::blend(is_leaf, U32x8::ZERO, feature);
-            let mut x = [0.0f32; LANES];
-            for i in 0..LANES {
-                x[i] = Half::from_bits(slab[fsafe.0[i] as usize * LANES + i]).to_f32();
-            }
-            let go_left = F32x8(x).le(F32x8(threshold));
-            let next = U32x8::blend(go_left, U32x8(left), U32x8(right));
-            cursors[gi] = U32x8::blend(is_leaf, cursor, next);
-        }
-        if !remaining {
-            break;
-        }
-    }
-}
-
-/// Portable f16 FLInt walk: the 16-bit prepared test evaluated in
-/// sign-extended 32-bit lanes (sign extension preserves `i16` order,
-/// so the compare domain is unchanged). The XOR happens in the 16-bit
-/// domain *before* widening — exactly [`PreparedThreshold::le_bits`].
-#[inline]
-fn walk_int_portable(nodes: &[HalfIntNode], slabs: &[&[u16]], cursors: &mut [U32x8]) {
-    debug_assert_eq!(slabs.len(), cursors.len());
-    let mut done = [false; WAVE];
-    loop {
-        let mut remaining = false;
-        for (gi, &slab) in slabs.iter().enumerate() {
-            if done[gi] {
-                continue;
-            }
-            let cursor = cursors[gi];
-            let mut ff = [0u32; LANES];
-            let mut key = [0u32; LANES];
-            let mut left = [0u32; LANES];
-            let mut right = [0u32; LANES];
-            for i in 0..LANES {
-                let node = &nodes[cursor.0[i] as usize];
-                ff[i] = u32::from(node.feature_and_flip);
-                key[i] = node.key as i32 as u32; // sign-extended
-                left[i] = u32::from(node.left);
-                right[i] = u32::from(node.right);
-            }
-            let ffv = U32x8(ff);
-            let is_leaf = ffv.eq_mask(U32x8::splat(u32::from(LEAF_MARKER_F16)));
-            if is_leaf.all_set() {
-                done[gi] = true;
-                continue;
-            }
-            remaining = true;
-            let mut flip = [0u32; LANES];
-            let mut bx = [0u32; LANES];
-            for i in 0..LANES {
-                let flips = ff[i] & u32::from(FLIP_BIT_F16) != 0;
-                flip[i] = if flips { u32::MAX } else { 0 };
-                // Leaf lanes read slot 0 (their ff is the all-ones
-                // marker); the step is blended away below.
-                let f = if ff[i] == u32::from(LEAF_MARKER_F16) {
-                    0
-                } else {
-                    (ff[i] & !u32::from(FLIP_BIT_F16)) as usize
+    #[inline]
+    fn walk(&self, slabs: &[&[u16]], cursors: &mut [U32x8], path: KernelPath) {
+        match path {
+            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            KernelPath::Avx2 => avx2::walk_int(&self.nodes, slabs, cursors),
+            _ => walk_wave(slabs, cursors, |slab, cursor| {
+                // The key sign-extends to 32 bits, which preserves i16 order.
+                let fields = |n: &HalfIntNode| {
+                    [
+                        u32::from(n.feature_and_flip),
+                        n.key as i32 as u32,
+                        u32::from(n.left),
+                        u32::from(n.right),
+                    ]
                 };
-                let x16 = slab[f * LANES + i] ^ if flips { 0x8000 } else { 0 };
-                bx[i] = x16 as i16 as i32 as u32; // sign-extended
-            }
-            let flip = U32x8(flip);
-            let key = U32x8(key);
-            let bx = U32x8(bx);
-            // go right: flip ? key > bx : bx > key (signed) — the
-            // negation of PreparedThreshold::le_bits at 16-bit width.
-            let go_right = U32x8::blend(flip, key.gt_signed(bx), bx.gt_signed(key));
-            let next = U32x8::blend(go_right, U32x8(right), U32x8(left));
-            cursors[gi] = U32x8::blend(is_leaf, cursor, next);
+                let leaf = u32::from(LEAF_MARKER_F16);
+                let mask = u32::from(!FLIP_BIT_F16);
+                step_portable(
+                    &self.nodes,
+                    slab,
+                    cursor,
+                    fields,
+                    leaf,
+                    mask,
+                    |ff, key, x| {
+                        // XOR the flip bit in the 16-bit domain *before*
+                        // sign-extending — exactly PreparedThreshold::le_bits
+                        // at 16-bit width; go right where
+                        // flip ? key > bx : bx > key (signed).
+                        let flip = U32x8(ff.0.map(|w| ((w << 16) as i32 >> 31) as u32));
+                        let bx = U32x8(core::array::from_fn(|i| {
+                            (x[i] ^ (flip.0[i] as u16 & FLIP_BIT_F16)) as i16 as i32 as u32
+                        }));
+                        let go_right = U32x8::blend(flip, key.gt_signed(bx), bx.gt_signed(key));
+                        go_right.xor(U32x8::splat(u32::MAX))
+                    },
+                )
+            }),
         }
-        if !remaining {
-            break;
-        }
+    }
+
+    #[inline]
+    fn leaf_class(&self, cursor: u32) -> u32 {
+        u32::from(self.nodes[cursor as usize].left)
+    }
+}
+
+/// Heap slabs exist only on the AVX2 path ([`HalfLayout::select`]), so
+/// they have no other kernel; a leaf word carries its class in the high
+/// half.
+#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+impl LaneTree for FloatHeap {
+    type Lane = u16;
+
+    #[inline]
+    fn walk(&self, slabs: &[&[u16]], cursors: &mut [U32x8], _: KernelPath) {
+        avx2::walk_float_heap(&self.0, slabs, cursors);
+    }
+
+    #[inline]
+    fn leaf_class(&self, cursor: u32) -> u32 {
+        self.0[cursor as usize] >> 16
+    }
+}
+
+#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+impl LaneTree for IntHeap {
+    type Lane = u16;
+
+    #[inline]
+    fn walk(&self, slabs: &[&[u16]], cursors: &mut [U32x8], _: KernelPath) {
+        avx2::walk_int_heap(&self.0, slabs, cursors);
+    }
+
+    #[inline]
+    fn leaf_class(&self, cursor: u32) -> u32 {
+        self.0[cursor as usize] >> 16
     }
 }
 
@@ -995,12 +739,13 @@ fn walk_int_portable(nodes: &[HalfIntNode], slabs: &[&[u16]], cursors: &mut [U32
 /// halving this module exists for. The float path additionally bulk-
 /// quantizes feature slabs with `VCVTPS2PH` ([`convert_lanes`]).
 ///
-/// The heap walks ([`walk_float_heap`]/[`walk_int_heap`]) go further:
+/// The heap walks (`walk_float_heap`/`walk_int_heap`) go further:
 /// a tree heapified into 4-byte implicit-child words needs only **one
 /// 32-bit node gather** per level — children live at `2p + 1`/`2p + 2`
 /// and are reached by shift-add arithmetic instead of a second stored
 /// word — cutting the per-level gather count to two (node + feature)
-/// against the f32 kernels' five.
+/// against the f32 kernels' five. Every kernel is a step run by the
+/// shared [`walk_wave`] loop.
 ///
 /// Soundness argument (this island mirrors `simd::avx2`):
 ///
@@ -1019,13 +764,15 @@ fn walk_int_portable(nodes: &[HalfIntNode], slabs: &[&[u16]], cursors: &mut [U32
 /// * feature gathers use scale 2 over u16 elements at index
 ///   `feature * 8 + lane < group_stride`; each 4-byte read therefore
 ///   ends at byte `2 * (group_stride - 1) + 4` at most, which the
-///   one-element slab overhang of [`each_wave_f16`] keeps in bounds;
+///   one-element overhang every group's slab is carved with (the
+///   `u16` `Lane::OVERHANG`, applied by the shared span scorer) keeps
+///   in bounds;
 /// * the F16C slab converter walks equal-length exact chunks of its
 ///   two slices.
 #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{HalfFloatNode, HalfIntNode, U32x8, FLIP_BIT_F16, LEAF_MARKER_F16, WAVE};
+    use super::{walk_wave, HalfFloatNode, HalfIntNode, U32x8, FLIP_BIT_F16, LEAF_MARKER_F16};
     use core::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_andnot_si256, _mm256_blendv_epi8,
         _mm256_castps_si256, _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmp_ps,
@@ -1181,61 +928,91 @@ mod avx2 {
         )
     }
 
+    /// The binary16 feature bits of each lane: a 2-byte-scaled gather
+    /// at `feature * 8 + lane`, masked to the low half.
+    ///
+    /// # Safety
+    ///
+    /// Every `feature` lane must be a valid feature index of the
+    /// group's slab (leaf lanes clamped to 0), and the slab must run
+    /// one element past its last lane value.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gather_x16(slab: &[u16], feature: __m256i) -> __m256i {
+        let lane_off = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(feature), lane_off);
+        // SAFETY: xidx = feature*8 + lane < group_stride over u16
+        // elements (scale 2); the 4-byte read at the maximal index ends
+        // inside the slab's one-element overhang (per the module
+        // soundness argument and the caller's guarantee).
+        let xg = unsafe { _mm256_i32gather_epi32::<2>(slab.as_ptr().cast(), xidx) };
+        _mm256_and_si256(xg, _mm256_set1_epi32(0xffff))
+    }
+
+    /// The float family's compare: widen both sides binary16 -> f32
+    /// (exact) and take LE_OQ — false on NaN, identical to the scalar
+    /// reference walk. All-ones lanes go left.
+    #[inline]
+    #[target_feature(enable = "avx2,f16c")]
+    fn le_f16(x16: __m256i, t16: __m256i) -> __m256i {
+        let xs = _mm256_cvtph_ps(pack_u16(x16));
+        let ts = _mm256_cvtph_ps(pack_u16(t16));
+        _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(xs, ts))
+    }
+
+    /// The FLInt family's compare on a node's `feature_and_flip` lanes
+    /// `ff`, sign-extended prepared `key` and feature bits `x16`: XOR
+    /// in the 16-bit domain, then sign-extend — exactly the portable
+    /// step's order of operations — and go right where
+    /// `flip ? key > bx : bx > key`, the negation of
+    /// PreparedThreshold::le_bits, lane-wise. All-ones lanes go right.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn gt_flint16(ff: __m256i, key: __m256i, x16: __m256i) -> __m256i {
+        // Flip mask: broadcast bit 15 of feature_and_flip.
+        let flip = _mm256_srai_epi32::<31>(_mm256_slli_epi32::<16>(ff));
+        let sign16 = _mm256_set1_epi32(i32::from(FLIP_BIT_F16));
+        let bx16 = _mm256_xor_si256(x16, _mm256_and_si256(flip, sign16));
+        let bx = _mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(bx16));
+        _mm256_blendv_epi8(
+            _mm256_cmpgt_epi32(bx, key),
+            _mm256_cmpgt_epi32(key, bx),
+            flip,
+        )
+    }
+
     #[target_feature(enable = "avx2,f16c")]
     unsafe fn walk_float_avx2(nodes: &[HalfFloatNode], slabs: &[&[u16]], cursors: &mut [U32x8]) {
         let base = nodes.as_ptr().cast::<i64>();
         let low16 = _mm256_set1_epi32(0xffff);
         let leaf = _mm256_set1_epi32(i32::from(LEAF_MARKER_F16));
-        let lane_off = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        let mut done = [false; WAVE];
-        loop {
-            let mut remaining = false;
-            for (gi, &slab) in slabs.iter().enumerate() {
-                if done[gi] {
-                    continue;
-                }
-                // SAFETY: U32x8 is #[repr(align(32))], so the cursor
-                // slot is a valid aligned 32-byte load source.
-                let cursor = unsafe { _mm256_load_si256(cursors[gi].0.as_ptr().cast()) };
-                // SAFETY: every cursor lane is root (0) or an in-tree
-                // child index (per the module soundness argument).
-                let (w0, w1) = unsafe { gather_nodes(base, cursor) };
-                let feature = _mm256_and_si256(w0, low16);
-                let is_leaf = _mm256_cmpeq_epi32(feature, leaf);
-                if _mm256_movemask_epi8(is_leaf) == -1 {
-                    done[gi] = true;
-                    continue;
-                }
-                remaining = true;
-                // word 0 high half: the binary16 threshold bits.
-                let t16 = _mm256_srli_epi32::<16>(w0);
-                let left = _mm256_and_si256(w1, low16);
-                let right = _mm256_srli_epi32::<16>(w1);
-                // Leaf lanes gather lane slot 0 (feature clamped by andnot).
-                let fsafe = _mm256_andnot_si256(is_leaf, feature);
-                let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(fsafe), lane_off);
-                // SAFETY: xidx = feature*8 + lane < group_stride over
-                // u16 elements (scale 2); the 4-byte read at the
-                // maximal index ends inside the slab's one-element
-                // overhang (per the module soundness argument).
-                let xg = unsafe { _mm256_i32gather_epi32::<2>(slab.as_ptr().cast(), xidx) };
-                let x16 = _mm256_and_si256(xg, low16);
-                // Widen both sides binary16 -> f32 (exact) and compare
-                // with LE_OQ: false on NaN, identical to the scalar
-                // reference walk.
-                let xs = _mm256_cvtph_ps(pack_u16(x16));
-                let ts = _mm256_cvtph_ps(pack_u16(t16));
-                let go_left = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(xs, ts));
-                let next = _mm256_blendv_epi8(right, left, go_left);
-                let next = _mm256_blendv_epi8(next, cursor, is_leaf);
-                // SAFETY: same aligned cursor slot as the load above,
-                // borrowed mutably — a valid 32-byte store target.
-                unsafe { _mm256_store_si256(cursors[gi].0.as_mut_ptr().cast(), next) };
+        walk_wave(slabs, cursors, |slab, slot| {
+            // SAFETY: U32x8 is #[repr(align(32))], so the cursor slot
+            // is a valid aligned 32-byte load source.
+            let cursor = unsafe { _mm256_load_si256(slot.0.as_ptr().cast()) };
+            // SAFETY: every cursor lane is root (0) or an in-tree child
+            // index (per the module soundness argument).
+            let (w0, w1) = unsafe { gather_nodes(base, cursor) };
+            let feature = _mm256_and_si256(w0, low16);
+            let is_leaf = _mm256_cmpeq_epi32(feature, leaf);
+            if _mm256_movemask_epi8(is_leaf) == -1 {
+                return false;
             }
-            if !remaining {
-                break;
-            }
-        }
+            // Leaf lanes gather lane slot 0 (feature clamped by andnot).
+            // SAFETY: split lanes hold valid feature indices, and the
+            // span scorer carves every u16 slab with its overhang.
+            let x16 = unsafe { gather_x16(slab, _mm256_andnot_si256(is_leaf, feature)) };
+            // word 0 high half: the binary16 threshold bits.
+            let go_left = le_f16(x16, _mm256_srli_epi32::<16>(w0));
+            let left = _mm256_and_si256(w1, low16);
+            let right = _mm256_srli_epi32::<16>(w1);
+            let next = _mm256_blendv_epi8(right, left, go_left);
+            let next = _mm256_blendv_epi8(next, cursor, is_leaf);
+            // SAFETY: same aligned cursor slot as the load above,
+            // borrowed mutably — a valid 32-byte store target.
+            unsafe { _mm256_store_si256(slot.0.as_mut_ptr().cast(), next) };
+            true
+        });
     }
 
     #[target_feature(enable = "avx2")]
@@ -1243,65 +1020,36 @@ mod avx2 {
         let base = nodes.as_ptr().cast::<i64>();
         let low16 = _mm256_set1_epi32(0xffff);
         let leaf = _mm256_set1_epi32(i32::from(LEAF_MARKER_F16));
-        let sign16 = _mm256_set1_epi32(i32::from(FLIP_BIT_F16));
         let feat_mask = _mm256_set1_epi32(i32::from(!FLIP_BIT_F16));
-        let lane_off = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        let mut done = [false; WAVE];
-        loop {
-            let mut remaining = false;
-            for (gi, &slab) in slabs.iter().enumerate() {
-                if done[gi] {
-                    continue;
-                }
-                // SAFETY: U32x8 is #[repr(align(32))], so the cursor
-                // slot is a valid aligned 32-byte load source.
-                let cursor = unsafe { _mm256_load_si256(cursors[gi].0.as_ptr().cast()) };
-                // SAFETY: every cursor lane is root (0) or an in-tree
-                // child index (per the module soundness argument).
-                let (w0, w1) = unsafe { gather_nodes(base, cursor) };
-                let ff = _mm256_and_si256(w0, low16);
-                let is_leaf = _mm256_cmpeq_epi32(ff, leaf);
-                if _mm256_movemask_epi8(is_leaf) == -1 {
-                    done[gi] = true;
-                    continue;
-                }
-                remaining = true;
-                // word 0 high half, arithmetic shift: the sign-extended
-                // i16 prepared key.
-                let key = _mm256_srai_epi32::<16>(w0);
-                let left = _mm256_and_si256(w1, low16);
-                let right = _mm256_srli_epi32::<16>(w1);
-                // Flip mask: broadcast bit 15 of feature_and_flip.
-                let flip = _mm256_srai_epi32::<31>(_mm256_slli_epi32::<16>(ff));
-                let fsafe = _mm256_andnot_si256(is_leaf, _mm256_and_si256(ff, feat_mask));
-                let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(fsafe), lane_off);
-                // SAFETY: xidx = feature*8 + lane < group_stride over
-                // u16 elements (scale 2); the 4-byte read at the
-                // maximal index ends inside the slab's one-element
-                // overhang (per the module soundness argument).
-                let xg = unsafe { _mm256_i32gather_epi32::<2>(slab.as_ptr().cast(), xidx) };
-                let x16 = _mm256_and_si256(xg, low16);
-                // XOR in the 16-bit domain, then sign-extend — exactly
-                // the portable walk's order of operations.
-                let bx16 = _mm256_xor_si256(x16, _mm256_and_si256(flip, sign16));
-                let bx = _mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(bx16));
-                // go right: flip ? key > bx : bx > key — the negation
-                // of PreparedThreshold::le_bits, lane-wise.
-                let go_right = _mm256_blendv_epi8(
-                    _mm256_cmpgt_epi32(bx, key),
-                    _mm256_cmpgt_epi32(key, bx),
-                    flip,
-                );
-                let next = _mm256_blendv_epi8(left, right, go_right);
-                let next = _mm256_blendv_epi8(next, cursor, is_leaf);
-                // SAFETY: same aligned cursor slot as the load above,
-                // borrowed mutably — a valid 32-byte store target.
-                unsafe { _mm256_store_si256(cursors[gi].0.as_mut_ptr().cast(), next) };
+        walk_wave(slabs, cursors, |slab, slot| {
+            // SAFETY: U32x8 is #[repr(align(32))], so the cursor slot
+            // is a valid aligned 32-byte load source.
+            let cursor = unsafe { _mm256_load_si256(slot.0.as_ptr().cast()) };
+            // SAFETY: every cursor lane is root (0) or an in-tree child
+            // index (per the module soundness argument).
+            let (w0, w1) = unsafe { gather_nodes(base, cursor) };
+            let ff = _mm256_and_si256(w0, low16);
+            let is_leaf = _mm256_cmpeq_epi32(ff, leaf);
+            if _mm256_movemask_epi8(is_leaf) == -1 {
+                return false;
             }
-            if !remaining {
-                break;
-            }
-        }
+            let fsafe = _mm256_andnot_si256(is_leaf, _mm256_and_si256(ff, feat_mask));
+            // SAFETY: split lanes hold valid feature indices (flip bit
+            // masked off), leaf lanes are clamped to 0, and the span
+            // scorer carves every u16 slab with its overhang.
+            let x16 = unsafe { gather_x16(slab, fsafe) };
+            // word 0 high half, arithmetic shift: the sign-extended i16
+            // prepared key.
+            let go_right = gt_flint16(ff, _mm256_srai_epi32::<16>(w0), x16);
+            let left = _mm256_and_si256(w1, low16);
+            let right = _mm256_srli_epi32::<16>(w1);
+            let next = _mm256_blendv_epi8(left, right, go_right);
+            let next = _mm256_blendv_epi8(next, cursor, is_leaf);
+            // SAFETY: same aligned cursor slot as the load above,
+            // borrowed mutably — a valid 32-byte store target.
+            unsafe { _mm256_store_si256(slot.0.as_mut_ptr().cast(), next) };
+            true
+        });
     }
 
     #[target_feature(enable = "avx2,f16c")]
@@ -1309,57 +1057,37 @@ mod avx2 {
         let base = heap.as_ptr().cast::<i32>();
         let low16 = _mm256_set1_epi32(0xffff);
         let leaf = _mm256_set1_epi32(i32::from(LEAF_MARKER_F16));
-        let lane_off = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         let one = _mm256_set1_epi32(1);
-        let mut done = [false; WAVE];
-        loop {
-            let mut remaining = false;
-            for (gi, &slab) in slabs.iter().enumerate() {
-                if done[gi] {
-                    continue;
-                }
-                // SAFETY: U32x8 is #[repr(align(32))], so the cursor
-                // slot is a valid aligned 32-byte load source.
-                let cursor = unsafe { _mm256_load_si256(cursors[gi].0.as_ptr().cast()) };
-                // SAFETY: every cursor lane is a heap position of a
-                // real node — root (0) or a child slot `2p + 1`/`2p + 2`
-                // of a split node, which the full-depth heap always
-                // allocates (per the module soundness argument) — so
-                // each 4-byte gather at scale 4 stays in bounds.
-                let w0 = unsafe { _mm256_i32gather_epi32::<4>(base, cursor) };
-                let feature = _mm256_and_si256(w0, low16);
-                let is_leaf = _mm256_cmpeq_epi32(feature, leaf);
-                if _mm256_movemask_epi8(is_leaf) == -1 {
-                    done[gi] = true;
-                    continue;
-                }
-                remaining = true;
-                // High half of the node word: the binary16 threshold.
-                let t16 = _mm256_srli_epi32::<16>(w0);
-                // Leaf lanes gather lane slot 0 (feature clamped by andnot).
-                let fsafe = _mm256_andnot_si256(is_leaf, feature);
-                let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(fsafe), lane_off);
-                // SAFETY: xidx = feature*8 + lane < group_stride over
-                // u16 elements (scale 2); the 4-byte read at the
-                // maximal index ends inside the slab's one-element
-                // overhang (per the module soundness argument).
-                let xg = unsafe { _mm256_i32gather_epi32::<2>(slab.as_ptr().cast(), xidx) };
-                let x16 = _mm256_and_si256(xg, low16);
-                let xs = _mm256_cvtph_ps(pack_u16(x16));
-                let ts = _mm256_cvtph_ps(pack_u16(t16));
-                let go_left = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(xs, ts));
-                // Implicit children: left at 2c+1, right one further.
-                let lchild = _mm256_add_epi32(_mm256_slli_epi32::<1>(cursor), one);
-                let next = _mm256_add_epi32(lchild, _mm256_andnot_si256(go_left, one));
-                let next = _mm256_blendv_epi8(next, cursor, is_leaf);
-                // SAFETY: same aligned cursor slot as the load above,
-                // borrowed mutably — a valid 32-byte store target.
-                unsafe { _mm256_store_si256(cursors[gi].0.as_mut_ptr().cast(), next) };
+        walk_wave(slabs, cursors, |slab, slot| {
+            // SAFETY: U32x8 is #[repr(align(32))], so the cursor slot
+            // is a valid aligned 32-byte load source.
+            let cursor = unsafe { _mm256_load_si256(slot.0.as_ptr().cast()) };
+            // SAFETY: every cursor lane is a heap position of a real
+            // node — root (0) or a child slot `2p + 1`/`2p + 2` of a
+            // split node, which the full-depth heap always allocates
+            // (per the module soundness argument) — so each 4-byte
+            // gather at scale 4 stays in bounds.
+            let w0 = unsafe { _mm256_i32gather_epi32::<4>(base, cursor) };
+            let feature = _mm256_and_si256(w0, low16);
+            let is_leaf = _mm256_cmpeq_epi32(feature, leaf);
+            if _mm256_movemask_epi8(is_leaf) == -1 {
+                return false;
             }
-            if !remaining {
-                break;
-            }
-        }
+            // Leaf lanes gather lane slot 0 (feature clamped by andnot).
+            // SAFETY: split lanes hold valid feature indices, and the
+            // span scorer carves every u16 slab with its overhang.
+            let x16 = unsafe { gather_x16(slab, _mm256_andnot_si256(is_leaf, feature)) };
+            // High half of the node word: the binary16 threshold.
+            let go_left = le_f16(x16, _mm256_srli_epi32::<16>(w0));
+            // Implicit children: left at 2c+1, right one further.
+            let lchild = _mm256_add_epi32(_mm256_slli_epi32::<1>(cursor), one);
+            let next = _mm256_add_epi32(lchild, _mm256_andnot_si256(go_left, one));
+            let next = _mm256_blendv_epi8(next, cursor, is_leaf);
+            // SAFETY: same aligned cursor slot as the load above,
+            // borrowed mutably — a valid 32-byte store target.
+            unsafe { _mm256_store_si256(slot.0.as_mut_ptr().cast(), next) };
+            true
+        });
     }
 
     #[target_feature(enable = "avx2")]
@@ -1367,76 +1095,51 @@ mod avx2 {
         let base = heap.as_ptr().cast::<i32>();
         let low16 = _mm256_set1_epi32(0xffff);
         let leaf = _mm256_set1_epi32(i32::from(LEAF_MARKER_F16));
-        let sign16 = _mm256_set1_epi32(i32::from(FLIP_BIT_F16));
         let feat_mask = _mm256_set1_epi32(i32::from(!FLIP_BIT_F16));
-        let lane_off = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         let one = _mm256_set1_epi32(1);
-        let mut done = [false; WAVE];
-        loop {
-            let mut remaining = false;
-            for (gi, &slab) in slabs.iter().enumerate() {
-                if done[gi] {
-                    continue;
-                }
-                // SAFETY: U32x8 is #[repr(align(32))], so the cursor
-                // slot is a valid aligned 32-byte load source.
-                let cursor = unsafe { _mm256_load_si256(cursors[gi].0.as_ptr().cast()) };
-                // SAFETY: every cursor lane is a heap position of a
-                // real node — root (0) or a child slot `2p + 1`/`2p + 2`
-                // of a split node, which the full-depth heap always
-                // allocates (per the module soundness argument) — so
-                // each 4-byte gather at scale 4 stays in bounds.
-                let w0 = unsafe { _mm256_i32gather_epi32::<4>(base, cursor) };
-                let ff = _mm256_and_si256(w0, low16);
-                let is_leaf = _mm256_cmpeq_epi32(ff, leaf);
-                if _mm256_movemask_epi8(is_leaf) == -1 {
-                    done[gi] = true;
-                    continue;
-                }
-                remaining = true;
-                // High half of the node word, arithmetic shift: the
-                // sign-extended i16 prepared key.
-                let key = _mm256_srai_epi32::<16>(w0);
-                // Flip mask: broadcast bit 15 of feature_and_flip.
-                let flip = _mm256_srai_epi32::<31>(_mm256_slli_epi32::<16>(ff));
-                let fsafe = _mm256_andnot_si256(is_leaf, _mm256_and_si256(ff, feat_mask));
-                let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(fsafe), lane_off);
-                // SAFETY: xidx = feature*8 + lane < group_stride over
-                // u16 elements (scale 2); the 4-byte read at the
-                // maximal index ends inside the slab's one-element
-                // overhang (per the module soundness argument).
-                let xg = unsafe { _mm256_i32gather_epi32::<2>(slab.as_ptr().cast(), xidx) };
-                let x16 = _mm256_and_si256(xg, low16);
-                // XOR in the 16-bit domain, then sign-extend — exactly
-                // the portable walk's order of operations.
-                let bx16 = _mm256_xor_si256(x16, _mm256_and_si256(flip, sign16));
-                let bx = _mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(bx16));
-                // go right: flip ? key > bx : bx > key — the negation
-                // of PreparedThreshold::le_bits, lane-wise.
-                let go_right = _mm256_blendv_epi8(
-                    _mm256_cmpgt_epi32(bx, key),
-                    _mm256_cmpgt_epi32(key, bx),
-                    flip,
-                );
-                // Implicit children: left at 2c+1; subtracting the
-                // all-ones go-right mask lands on 2c+2.
-                let lchild = _mm256_add_epi32(_mm256_slli_epi32::<1>(cursor), one);
-                let next = _mm256_sub_epi32(lchild, go_right);
-                let next = _mm256_blendv_epi8(next, cursor, is_leaf);
-                // SAFETY: same aligned cursor slot as the load above,
-                // borrowed mutably — a valid 32-byte store target.
-                unsafe { _mm256_store_si256(cursors[gi].0.as_mut_ptr().cast(), next) };
+        walk_wave(slabs, cursors, |slab, slot| {
+            // SAFETY: U32x8 is #[repr(align(32))], so the cursor slot
+            // is a valid aligned 32-byte load source.
+            let cursor = unsafe { _mm256_load_si256(slot.0.as_ptr().cast()) };
+            // SAFETY: every cursor lane is a heap position of a real
+            // node — root (0) or a child slot `2p + 1`/`2p + 2` of a
+            // split node, which the full-depth heap always allocates
+            // (per the module soundness argument) — so each 4-byte
+            // gather at scale 4 stays in bounds.
+            let w0 = unsafe { _mm256_i32gather_epi32::<4>(base, cursor) };
+            let ff = _mm256_and_si256(w0, low16);
+            let is_leaf = _mm256_cmpeq_epi32(ff, leaf);
+            if _mm256_movemask_epi8(is_leaf) == -1 {
+                return false;
             }
-            if !remaining {
-                break;
-            }
-        }
+            let fsafe = _mm256_andnot_si256(is_leaf, _mm256_and_si256(ff, feat_mask));
+            // SAFETY: split lanes hold valid feature indices (flip bit
+            // masked off), leaf lanes are clamped to 0, and the span
+            // scorer carves every u16 slab with its overhang.
+            let x16 = unsafe { gather_x16(slab, fsafe) };
+            // High half of the node word, arithmetic shift: the
+            // sign-extended i16 prepared key.
+            let go_right = gt_flint16(ff, _mm256_srai_epi32::<16>(w0), x16);
+            // Implicit children: left at 2c+1; subtracting the all-ones
+            // go-right mask lands on 2c+2.
+            let lchild = _mm256_add_epi32(_mm256_slli_epi32::<1>(cursor), one);
+            let next = _mm256_sub_epi32(lchild, go_right);
+            let next = _mm256_blendv_epi8(next, cursor, is_leaf);
+            // SAFETY: same aligned cursor slot as the load above,
+            // borrowed mutably — a valid 32-byte store target.
+            unsafe { _mm256_store_si256(slot.0.as_mut_ptr().cast(), next) };
+            true
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchOptions;
+    use crate::dispatch::KernelCaps;
+    use crate::simd::{LaneEngine, SimdCompare};
+    use crate::CompiledForest;
     use flint_data::synth::SynthSpec;
     use flint_data::Dataset;
     use flint_forest::{ForestConfig, RandomForest};
@@ -1471,9 +1174,9 @@ mod tests {
                     let opts = BatchOptions::default()
                         .block_samples(block)
                         .threads(threads);
-                    let engine = SimdF16Engine::new(half.clone(), opts);
+                    let engine = LaneEngine::simd_f16(half.clone(), opts);
                     assert_eq!(
-                        engine.predict(&matrix),
+                        engine.predict(&matrix, &opts),
                         want,
                         "{compare:?} block {block} threads {threads}"
                     );
@@ -1494,24 +1197,28 @@ mod tests {
         }
     }
 
+    /// The AVX2 heap kernels against the portable 8-byte walk (the
+    /// 8-byte AVX2 kernels are pinned by the deep-forest test below).
     #[test]
     fn avx2_and_portable_f16_paths_agree() {
-        if !crate::simd::avx2_enabled() {
-            return; // feature off or CPU without AVX2
-        }
-        let caps = crate::dispatch::KernelCaps::get();
         for compare in [HalfCompare::Flint, HalfCompare::Float] {
-            if matches!(compare, HalfCompare::Float) && !caps.f16c {
-                continue; // the float kernel additionally needs F16C
+            // Feature off, CPU without AVX2, or (float) without F16C.
+            if f16_policy(compare).select_with(KernelCaps::get(), None) != KernelPath::Avx2 {
+                continue;
             }
             let (data, half) = setup(compare);
+            assert!(!matches!(
+                HalfLayout::select(&half, KernelPath::Avx2),
+                HalfLayout::Nodes
+            ));
             let matrix = FeatureMatrix::from_dataset(&data);
-            let engine = SimdF16Engine::new(half, BatchOptions::default().block_samples(13));
-            let accelerated = engine
-                .clone()
-                .with_kernel(KernelPath::Avx2)
-                .predict(&matrix);
-            let portable = engine.with_kernel(KernelPath::Portable).predict(&matrix);
+            let opts = BatchOptions::default().block_samples(13);
+            let engine = LaneEngine::simd_f16(half.clone(), opts);
+            let accelerated = engine.with_kernel(KernelPath::Avx2).predict(&matrix, &opts);
+            let engine = LaneEngine::simd_f16(half, opts);
+            let portable = engine
+                .with_kernel(KernelPath::Portable)
+                .predict(&matrix, &opts);
             assert_eq!(accelerated, portable, "{compare:?}");
         }
     }
@@ -1520,8 +1227,9 @@ mod tests {
     fn empty_batch_and_wrong_width() {
         let (_, half) = setup(HalfCompare::Flint);
         let empty = FeatureMatrix::from_row_major(0, half.n_features(), &[]);
-        let engine = SimdF16Engine::new(half, BatchOptions::default().threads(3));
-        assert_eq!(engine.predict(&empty), Vec::<u32>::new());
+        let opts = BatchOptions::default().threads(3);
+        let engine = LaneEngine::simd_f16(half, opts);
+        assert_eq!(engine.predict(&empty, &opts), Vec::<u32>::new());
     }
 
     #[test]
@@ -1529,7 +1237,8 @@ mod tests {
     fn wrong_width_panics() {
         let (_, half) = setup(HalfCompare::Flint);
         let bad = FeatureMatrix::from_row_major(1, 2, &[0.0, 0.0]);
-        let _ = SimdF16Engine::new(half, BatchOptions::default()).predict(&bad);
+        let opts = BatchOptions::default();
+        let _ = LaneEngine::simd_f16(half, opts).predict(&bad, &opts);
     }
 
     #[test]
@@ -1626,6 +1335,134 @@ mod tests {
             "{:?} row {row:?}",
             half.compare()
         );
+    }
+
+    /// A forest whose first tree is a vine deeper than the heap layout
+    /// accepts, plus two shallow trees, with request rows that land at
+    /// every vine depth and on the NaN/infinity/signed-zero edges.
+    fn deep_vine_forest(with_vine: bool) -> (RandomForest, Vec<Vec<f32>>) {
+        const DEPTH: u32 = 20;
+        let leaf = |class: u32| Node::Leaf {
+            class,
+            counts: (0..3).map(|c| u32::from(c == class)).collect(),
+        };
+        let split = |feature: u32, threshold: f32, left: u32, right: u32| Node::Split {
+            feature,
+            threshold,
+            left: NodeId(left),
+            right: NodeId(right),
+        };
+        // Split k sits at index 2k with a leaf on its left and the next
+        // split on its right; row value v leaves the vine at depth
+        // ceil(2v), so the grid below reaches every level.
+        let mut vine = Vec::new();
+        for k in 0..DEPTH {
+            vine.push(split(k % 2, k as f32 / 2.0, 2 * k + 1, 2 * k + 2));
+            vine.push(leaf(k % 3));
+        }
+        vine.push(leaf(2));
+        let shallow_a = vec![
+            split(0, 3.0, 1, 2),
+            leaf(0),
+            split(1, -1.0, 3, 4),
+            leaf(1),
+            leaf(2),
+        ];
+        let shallow_b = vec![split(1, 5.0, 1, 2), leaf(1), leaf(0)];
+        let mut trees = Vec::new();
+        if with_vine {
+            trees.push(DecisionTree::new(vine, 2, 3).expect("valid vine"));
+        }
+        trees.push(DecisionTree::new(shallow_a, 2, 3).expect("valid tree"));
+        trees.push(DecisionTree::new(shallow_b, 2, 3).expect("valid tree"));
+        let mut rows: Vec<Vec<f32>> = (0..=92)
+            .flat_map(|i| {
+                let v = -1.0 + 0.25 * i as f32;
+                [vec![v, v], vec![v, -v], vec![v, 10.0 - v]]
+            })
+            .collect();
+        for x in [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+        ] {
+            rows.push(vec![x, 0.0]);
+            rows.push(vec![0.0, x]);
+            rows.push(vec![x, x]);
+        }
+        (RandomForest::from_trees(trees), rows)
+    }
+
+    /// The 8-byte walk behind any forest with a tree deeper than the
+    /// heap layout: on every kernel path the host offers, `simd-f16`
+    /// and `simd-f16-float` match their scalar reference and `simd`
+    /// and `simd-float` the f32 majority vote, at every block size.
+    /// One deep tree keeps the whole forest on 8-byte nodes; the same
+    /// forest without it takes the heap on AVX2.
+    #[test]
+    fn deep_forest_takes_the_8_byte_walk_on_every_path() {
+        let (forest, rows) = deep_vine_forest(true);
+        assert!(forest.depth() > 15, "the vine must exceed the heap depth");
+        let matrix = FeatureMatrix::from_row_major(rows.len(), 2, &rows.concat());
+        let caps = KernelCaps::get();
+        for compare in [HalfCompare::Flint, HalfCompare::Float] {
+            let half = HalfForest::compile(&forest, compare).expect("compiles");
+            let want: Vec<u32> = rows.iter().map(|r| half.predict(r)).collect();
+            let auto = f16_policy(compare).select_with(caps, None);
+            for block in [1usize, 7, 64] {
+                let opts = BatchOptions::default().block_samples(block);
+                for path in [KernelPath::Portable, auto] {
+                    let layout = HalfLayout::select(&half, path);
+                    assert!(
+                        matches!(layout, HalfLayout::Nodes),
+                        "{compare:?} {path}: heap built"
+                    );
+                    let engine = LaneEngine::simd_f16(half.clone(), opts).with_kernel(path);
+                    assert_eq!(
+                        engine.predict(&matrix, &opts),
+                        want,
+                        "{compare:?} {path} block {block}"
+                    );
+                }
+            }
+            let (shallow, _) = deep_vine_forest(false);
+            let half = HalfForest::compile(&shallow, compare).expect("compiles");
+            let layout = HalfLayout::select(&half, auto);
+            assert_eq!(
+                matches!(layout, HalfLayout::Nodes),
+                auto != KernelPath::Avx2,
+                "{compare:?}"
+            );
+        }
+        // The f32 lane engines answer for the f32 majority vote; on NaN
+        // rows each compare family keeps its own scalar decision.
+        let auto = crate::simd::lane_policy().select_with(caps, None);
+        for compare in [SimdCompare::Flint, SimdCompare::Float] {
+            let backend =
+                CompiledForest::compile(&forest, compare.backend(), None).expect("compiles");
+            let want: Vec<u32> = rows.iter().map(|r| backend.predict(r)).collect();
+            for (row, &class) in rows.iter().zip(&want) {
+                if !row.iter().any(|x| x.is_nan()) {
+                    assert_eq!(class, forest.predict_majority(row), "{compare:?} {row:?}");
+                }
+            }
+            for block in [1usize, 7, 64] {
+                let opts = BatchOptions::default().block_samples(block);
+                for path in [KernelPath::Portable, auto] {
+                    let engine = LaneEngine::simd(&forest, compare, opts)
+                        .expect("compiles")
+                        .with_kernel(path);
+                    assert_eq!(
+                        engine.predict(&matrix, &opts),
+                        want,
+                        "{compare:?} {path} block {block}"
+                    );
+                }
+            }
+        }
     }
 
     proptest::proptest! {

@@ -17,24 +17,26 @@
 //!   interleaved traversal, reusable per-worker scratch buffers, and
 //!   scoped-thread data parallelism over sample blocks. Predictions
 //!   are bit-identical to the scalar path for every [`BackendKind`];
-//! * [`simd::SimdEngine`] — the 8-wide lane-parallel traversal:
+//! * [`mod@simd`] — the 8-wide lane-parallel traversal behind the
+//!   `simd`/`simd-float` and `simd-f16`/`simd-f16-float` engines:
 //!   samples descend each tree in lane groups through branchless
-//!   compare/blend steps ([`simd::F32x8`]/[`simd::U32x8`] portable
-//!   vectors, plus `std::arch` AVX2 kernels behind the `simd-avx2`
-//!   feature and NEON kernels on aarch64). Ragged tails read
-//!   zero-padded lanes from [`flint_data::FeatureMatrix::gather_lanes`]
-//!   instead of branching;
+//!   compare/blend steps (portable lane loops, plus `std::arch` AVX2
+//!   kernels behind the `simd-avx2` feature and NEON kernels on
+//!   aarch64). One wave loop and one span scorer serve every node
+//!   format; ragged tails read zero-padded lanes from
+//!   [`flint_data::FeatureMatrix::gather_lanes`] instead of branching;
 //! * [`dispatch`] — the unified kernel-dispatch layer: host
 //!   capabilities ([`dispatch::KernelCaps`]) probed once per process,
 //!   a per-engine-family [`dispatch::KernelPolicy`], the
 //!   `FLINT_KERNEL` environment override, and a recorded
 //!   [`dispatch::KernelPath`] that every dispatch-aware engine reports
 //!   through [`engine::Predictor::describe`];
-//! * [`mod@f16`] — half-precision node slabs: forests re-compiled with
-//!   `f16` thresholds ([`flint_core::half::Half`], monotone
-//!   round-to-nearest-even) into 8-byte nodes, walked by the
-//!   `simd-f16`/`simd-f16-float` lane engines that move half the node
-//!   bytes per wave. Quantization legitimately changes decisions near
+//! * [`mod@f16`] — half-precision node formats: forests re-compiled
+//!   with `f16` thresholds ([`flint_core::half::Half`], monotone
+//!   round-to-nearest-even) into 8-byte nodes — or, on the AVX2 path
+//!   when every tree is at most 15 deep, 4-byte implicit-child heap
+//!   words — that the lane walker reads at half the node bytes per
+//!   wave or less. Quantization legitimately changes decisions near
 //!   thresholds, so these engines form their own comparison family,
 //!   pinned to their scalar f16 walk rather than the f32 majority
 //!   vote;
@@ -105,9 +107,9 @@ pub use batch::{BatchEngine, BatchOptions};
 pub use compile::{CompileTreeError, FloatNode, FloatTree, IntNode, IntTree};
 pub use dispatch::{KernelCaps, KernelPath, KernelPolicy, KERNEL_ENV};
 pub use engine::{BuildEngineError, EngineBuilder, EngineKind, ParseEngineKindError, Predictor};
-pub use f16::{f16_policy, HalfCompare, HalfForest, SimdF16Engine};
+pub use f16::{f16_policy, HalfCompare, HalfForest};
 pub use jit::{
     jit_supported, EmittedCode, JitCompare, JitError, JitForest, JitTier, TieredJit,
     DEFAULT_HOT_AFTER, FORCE_FALLBACK_ENV,
 };
-pub use simd::{avx2_enabled, lane_policy, SimdCompare, SimdEngine, LANES};
+pub use simd::{lane_policy, SimdCompare, LANES};

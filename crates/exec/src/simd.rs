@@ -1,4 +1,6 @@
-//! 8-wide SIMD lane-parallel forest traversal.
+//! 8-wide SIMD lane-parallel forest traversal: the one lane walker
+//! behind the `simd`, `simd-float`, `simd-f16` and `simd-f16-float`
+//! engines.
 //!
 //! The blocked walk in [`crate::batch`] already keeps a block of
 //! independent per-sample load chains in flight, but every
@@ -8,9 +10,9 @@
 //!
 //! * [`F32x8`] / [`U32x8`] — fixed 8-lane vectors over `[f32; 8]` /
 //!   `[u32; 8]`, written as plain lane loops that stable Rust
-//!   autovectorizes reliably (no nightly `std::simd`), plus an
-//!   `std::arch` AVX2 kernel behind the `simd-avx2` feature gate with
-//!   runtime CPUID dispatch ([`avx2_enabled`]);
+//!   autovectorizes reliably (no nightly `std::simd`), plus `std::arch`
+//!   AVX2 kernels behind the `simd-avx2` feature gate and NEON kernels
+//!   on aarch64, selected once per engine through [`lane_policy`];
 //! * **branchless select** — a lane group of 8 samples descends one
 //!   tree together; each level gathers the 8 current nodes, compares
 //!   all lanes at once and blends left/right child indices by mask.
@@ -29,10 +31,17 @@
 //!   lone group is bound by memory latency; round-robin stepping keeps
 //!   several independent chains in flight per tree, the lane-engine
 //!   analogue of the blocked walk's interleaved per-sample loads;
-//! * **span parallelism** — [`SimdEngine::predict`] distributes sample
-//!   blocks over the same `score_spans` partitioning (in
-//!   [`crate::batch`]) every other engine uses, so thread boundaries
-//!   (and therefore results) are identical by construction.
+//! * **one walker for every node format** — the wave loop and the span
+//!   scorer (fill lane slabs → walk each tree in waves → vote →
+//!   majority vote) are shared by the 16-byte f32 nodes of this module
+//!   and the 8-byte binary16 and 4-byte heap nodes of [`crate::f16`].
+//!   A format supplies only its slab element and, per kernel path, the
+//!   step that advances one lane group a level; FLInt vs float is the
+//!   compare inside that step;
+//! * **span parallelism** — batches are split over the same
+//!   `score_spans` partitioning (in [`crate::batch`]) every other
+//!   engine uses, so thread boundaries (and therefore results) are
+//!   identical by construction.
 //!
 //! Traversal decisions are bit-identical to the scalar backends for
 //! every input: the float kernel uses the same IEEE `<=` (NaN compares
@@ -44,7 +53,7 @@
 //!
 //! ```
 //! use flint_data::{synth::SynthSpec, FeatureMatrix};
-//! use flint_exec::{BackendKind, BatchOptions, CompiledForest, SimdEngine};
+//! use flint_exec::{BackendKind, BatchOptions, CompiledForest, EngineBuilder, EngineKind};
 //! use flint_forest::{ForestConfig, RandomForest};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,19 +61,27 @@
 //! let forest = RandomForest::fit(&data, &ForestConfig::grid(5, 7))?;
 //! let backend = CompiledForest::compile(&forest, BackendKind::Flint, None)?;
 //!
+//! let engine = EngineBuilder::new(&forest)
+//!     .options(BatchOptions::default().block_samples(64))
+//!     .build(EngineKind::parse("simd").expect("registered"))?;
 //! let matrix = FeatureMatrix::from_dataset(&data);
-//! let engine = SimdEngine::new(&backend, BatchOptions::default());
-//! assert_eq!(engine.predict(&matrix), backend.predict_dataset(&data));
+//! assert_eq!(engine.predict_matrix(&matrix), backend.predict_dataset(&data));
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::backend::{BackendKind, CompiledForest, Trees};
 use crate::batch::{score_spans, BatchOptions};
-use crate::compile::{FloatNode, IntNode, FLIP_BIT, LEAF_MARKER};
+use crate::compile::{
+    CompileTreeError, FloatNode, FloatTree, IntNode, IntTree, FLIP_BIT, LEAF_MARKER,
+};
 use crate::dispatch::{KernelPath, KernelPolicy};
+use crate::engine::EngineKind;
+use crate::f16::{f16_policy, HalfForest, HalfLayout, HalfTrees};
 use flint_data::FeatureMatrix;
 pub use flint_data::LANES;
+use flint_forest::metrics::majority_vote;
+use flint_forest::RandomForest;
 
 // The AVX2 kernels gather node fields by 32-bit word offset, which is
 // only sound while both node formats stay exactly four words.
@@ -189,22 +206,6 @@ impl U32x8 {
     }
 }
 
-/// Whether the AVX2 kernels are compiled in (`simd-avx2` feature on an
-/// x86-64 target) **and** the CPU reports AVX2 at runtime. Kept as the
-/// family's historical probe; engines now select a [`KernelPath`]
-/// through [`lane_policy`] at build time instead of re-probing per
-/// batch.
-pub fn avx2_enabled() -> bool {
-    #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
 /// The f32 lane family's dispatch policy: AVX2 kernels exist behind
 /// the `simd-avx2` feature on x86-64, NEON kernels on aarch64, and the
 /// portable autovectorized walk everywhere.
@@ -239,203 +240,6 @@ impl SimdCompare {
     }
 }
 
-/// A compiled forest bound to the lane-parallel traversal.
-///
-/// The engine borrows the forest; compile once, then score any number
-/// of [`FeatureMatrix`] batches through it. Prefer building through
-/// the registry ([`crate::EngineKind::Simd`]) unless you already hold a
-/// [`CompiledForest`].
-#[derive(Debug, Clone, Copy)]
-pub struct SimdEngine<'f> {
-    forest: &'f CompiledForest,
-    opts: BatchOptions,
-    path: KernelPath,
-}
-
-impl<'f> SimdEngine<'f> {
-    /// Binds `forest` to the given options. `block_samples` is the
-    /// cache-blocking unit exactly as in the blocked engine; lane
-    /// groups of [`LANES`] samples are carved out of each block. The
-    /// kernel path is selected here, once, through [`lane_policy`]
-    /// (honoring the `FLINT_KERNEL` override) and stays fixed for the
-    /// engine's lifetime.
-    pub fn new(forest: &'f CompiledForest, opts: BatchOptions) -> Self {
-        Self {
-            forest,
-            opts,
-            path: lane_policy().select(),
-        }
-    }
-
-    /// Overrides the dispatched kernel path (differential tests pin
-    /// the accelerated paths against portable this way).
-    ///
-    /// Forcing a path whose kernels are not compiled in silently runs
-    /// portable; forcing a compiled-in path on a CPU without the ISA
-    /// panics at predict time (the kernel entries re-assert support).
-    pub fn with_kernel(mut self, path: KernelPath) -> Self {
-        self.path = path;
-        self
-    }
-
-    /// The kernel path this engine dispatches to.
-    pub fn kernel_path(&self) -> KernelPath {
-        self.path
-    }
-
-    /// The bound options (clamping applied at use, not here).
-    pub fn options(&self) -> BatchOptions {
-        self.opts
-    }
-
-    /// Scores every sample of `matrix`, returning one class per sample.
-    ///
-    /// Bit-identical to calling [`CompiledForest::predict`] per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix.n_features()` differs from the model's.
-    pub fn predict(&self, matrix: &FeatureMatrix) -> Vec<u32> {
-        assert_eq!(
-            matrix.n_features(),
-            self.forest.n_features(),
-            "feature matrix width"
-        );
-        let mut out = vec![0u32; matrix.n_samples()];
-        // The kernel decision was made once at engine build time.
-        score_spans(&self.opts, &mut out, |start, span| {
-            self.score_span(matrix, start, span, self.path);
-        });
-        out
-    }
-
-    /// Scores samples `start..start + out.len()` into `out`.
-    /// `block_trees` is ignored: the wave walk already amortizes each
-    /// tree's node array over every resident lane group, so there is
-    /// no inner tree-blocking level to tune.
-    fn score_span(&self, matrix: &FeatureMatrix, start: usize, out: &mut [u32], path: KernelPath) {
-        let block = self.opts.block_samples.max(1);
-        let n_features = self.forest.n_features();
-        let n_classes = self.forest.n_classes();
-        let group_stride = n_features * LANES;
-        let cap = block.min(out.len());
-        // Per-worker scratch, reused across blocks: the lane-gathered
-        // sample slabs and the flat vote accumulator.
-        let mut lanes = vec![0.0f32; cap.div_ceil(LANES) * group_stride];
-        let mut votes = vec![0u32; cap * n_classes];
-        let mut offset = 0;
-        while offset < out.len() {
-            let len = block.min(out.len() - offset);
-            let n_groups = len.div_ceil(LANES);
-            for g in 0..n_groups {
-                matrix.gather_lanes(
-                    start + offset + g * LANES,
-                    &mut lanes[g * group_stride..(g + 1) * group_stride],
-                );
-            }
-            let votes = &mut votes[..len * n_classes];
-            votes.fill(0);
-            // Tree-major within the block, as in the blocked engine:
-            // each tree's node array stays hot while every resident
-            // lane group descends it. Groups advance in *waves* of
-            // [`WAVE`] so several independent gather chains are in
-            // flight per level — one lock-step group alone is
-            // latency-bound on its own dependent node loads.
-            match self.forest.trees() {
-                Trees::Float(trees) => {
-                    for tree in trees {
-                        let nodes = tree.nodes();
-                        each_wave(
-                            &lanes,
-                            n_groups,
-                            group_stride,
-                            |slabs, cursors| walk_float(nodes, slabs, cursors, path),
-                            |g, cursor| {
-                                vote_group(votes, n_classes, len, g, |i| {
-                                    nodes[cursor.0[i] as usize].left
-                                });
-                            },
-                        );
-                    }
-                }
-                Trees::Soft(trees) => {
-                    for tree in trees {
-                        let nodes = tree.nodes();
-                        each_wave(
-                            &lanes,
-                            n_groups,
-                            group_stride,
-                            |slabs, cursors| {
-                                walk_float_portable(nodes, slabs, cursors, soft_le_mask)
-                            },
-                            |g, cursor| {
-                                vote_group(votes, n_classes, len, g, |i| {
-                                    nodes[cursor.0[i] as usize].left
-                                });
-                            },
-                        );
-                    }
-                }
-                Trees::Int(trees) => {
-                    for tree in trees {
-                        let nodes = tree.nodes();
-                        each_wave(
-                            &lanes,
-                            n_groups,
-                            group_stride,
-                            |slabs, cursors| walk_int(nodes, slabs, cursors, path),
-                            |g, cursor| {
-                                vote_group(votes, n_classes, len, g, |i| {
-                                    nodes[cursor.0[i] as usize].left
-                                });
-                            },
-                        );
-                    }
-                }
-            }
-            for (k, slot) in out[offset..offset + len].iter_mut().enumerate() {
-                *slot = flint_forest::metrics::majority_vote(
-                    &votes[k * n_classes..(k + 1) * n_classes],
-                );
-            }
-            offset += len;
-        }
-    }
-}
-
-/// Records one vote per live lane of group `g` (pad lanes past `len`
-/// are never read back — their traversal result is discarded here).
-/// Shared with the f16 lane engine in [`crate::f16`].
-#[inline]
-pub(crate) fn vote_group(
-    votes: &mut [u32],
-    n_classes: usize,
-    len: usize,
-    g: usize,
-    leaf_class: impl Fn(usize) -> u32,
-) {
-    let live = LANES.min(len - g * LANES);
-    for i in 0..live {
-        votes[(g * LANES + i) * n_classes + leaf_class(i) as usize] += 1;
-    }
-}
-
-/// Lane-wise software-float `<=` mask — the no-FPU comparison for
-/// [`Trees::Soft`] forests (portable path only; the decisions, not the
-/// instruction count, are what must match).
-#[inline]
-fn soft_le_mask(x: F32x8, t: F32x8) -> U32x8 {
-    let mut out = [0u32; LANES];
-    for (slot, (a, b)) in out.iter_mut().zip(x.0.into_iter().zip(t.0)) {
-        *slot = if flint_softfloat::soft_le(a, b) {
-            u32::MAX
-        } else {
-            0
-        };
-    }
-    U32x8(out)
-}
-
 /// Lane groups walked concurrently per tree. One lock-step group's
 /// per-level node loads form a single dependent chain (gather →
 /// compare → blend → next gather), so the walk is bound by memory
@@ -444,111 +248,72 @@ fn soft_le_mask(x: F32x8, t: F32x8) -> U32x8 {
 /// walk's interleaved per-sample load chains.
 pub(crate) const WAVE: usize = 8;
 
-/// Carves `n_groups` lane slabs out of `lanes`, walks them in waves of
-/// [`WAVE`] through `walk` (which advances every cursor to its leaf),
-/// and hands each group's leaf cursor to `sink`.
-#[inline]
-fn each_wave(
-    lanes: &[f32],
-    n_groups: usize,
-    group_stride: usize,
-    mut walk: impl FnMut(&[&[f32]], &mut [U32x8]),
-    mut sink: impl FnMut(usize, U32x8),
-) {
-    for wave_start in (0..n_groups).step_by(WAVE) {
-        let k = WAVE.min(n_groups - wave_start);
-        let mut slabs: [&[f32]; WAVE] = [&[]; WAVE];
-        for (j, slab) in slabs[..k].iter_mut().enumerate() {
-            let g = wave_start + j;
-            *slab = &lanes[g * group_stride..(g + 1) * group_stride];
-        }
-        let mut cursors = [U32x8::ZERO; WAVE];
-        walk(&slabs[..k], &mut cursors[..k]);
-        for (j, &cursor) in cursors[..k].iter().enumerate() {
-            sink(wave_start + j, cursor);
-        }
+/// A lane slab element: what a node format's lane groups read their
+/// feature values from — `f32` features for the 16-byte nodes, binary16
+/// bits for the binary16 formats.
+pub(crate) trait Lane: Copy + Default + Send + Sync {
+    /// Elements past a group's last lane value that its kernels may
+    /// read: each group's slab is carved this much longer.
+    const OVERHANG: usize;
+
+    /// Fills `slab` (`n_features * LANES` elements, feature-major,
+    /// zero-padded) with the lane group starting at sample `first`;
+    /// `scratch` is an f32 slab of the same length for fills that
+    /// convert, and `path` the engine's kernel path.
+    fn fill(
+        matrix: &FeatureMatrix,
+        first: usize,
+        slab: &mut [Self],
+        scratch: &mut [f32],
+        path: KernelPath,
+    );
+}
+
+impl Lane for f32 {
+    const OVERHANG: usize = 0;
+
+    #[inline]
+    fn fill(matrix: &FeatureMatrix, first: usize, slab: &mut [f32], _: &mut [f32], _: KernelPath) {
+        matrix.gather_lanes(first, slab);
     }
 }
 
-/// Float-comparison wave walk, dispatched on the engine's
-/// [`KernelPath`]. Paths whose kernels are not compiled in fall
-/// through to portable (the match arms are `cfg`-gated away).
-#[inline]
-fn walk_float(nodes: &[FloatNode], slabs: &[&[f32]], cursors: &mut [U32x8], path: KernelPath) {
-    match path {
-        #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-        KernelPath::Avx2 => avx2::walk_float(nodes, slabs, cursors),
-        #[cfg(target_arch = "aarch64")]
-        KernelPath::Neon => neon::walk_float(nodes, slabs, cursors),
-        _ => walk_float_portable(nodes, slabs, cursors, F32x8::le),
-    }
+/// One compiled tree in a node format the lane walker can traverse.
+pub(crate) trait LaneTree: Sync {
+    /// The slab element the format's kernels compare against.
+    type Lane: Lane;
+
+    /// Walks a wave of lane groups from the root until every lane sits
+    /// on a leaf, through `path`'s kernel; on return each cursor holds
+    /// its group's leaf positions.
+    fn walk(&self, slabs: &[&[Self::Lane]], cursors: &mut [U32x8], path: KernelPath);
+
+    /// The class of the leaf at position `cursor`.
+    fn leaf_class(&self, cursor: u32) -> u32;
 }
 
-/// FLInt-comparison wave walk, dispatched on the engine's
-/// [`KernelPath`].
-#[inline]
-fn walk_int(nodes: &[IntNode], slabs: &[&[f32]], cursors: &mut [U32x8], path: KernelPath) {
-    match path {
-        #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-        KernelPath::Avx2 => avx2::walk_int(nodes, slabs, cursors),
-        #[cfg(target_arch = "aarch64")]
-        KernelPath::Neon => neon::walk_int(nodes, slabs, cursors),
-        _ => walk_int_portable(nodes, slabs, cursors),
-    }
-}
-
-/// Walks a wave of lane groups down one float-comparison tree. Each
-/// level of each group gathers its 8 current nodes, masks leaves,
-/// compares all lanes through `le_mask` and blends child indices;
-/// leaf lanes blend back to themselves, so a group's only branch is
-/// its group-wide "all lanes landed" exit. Groups step round-robin —
-/// their per-level load chains are independent, which is what hides
-/// the node-gather latency. On return every cursor holds its group's
-/// leaf positions.
-#[inline]
-fn walk_float_portable(
-    nodes: &[FloatNode],
-    slabs: &[&[f32]],
+/// The wave loop every portable and AVX2 kernel runs. `step` advances
+/// one group's cursors one level in place and returns `true`, or
+/// returns `false` once every lane of the group sits on a leaf (leaf
+/// lanes blend back to themselves, so that is a group's only branch).
+/// Groups step round-robin — their per-level load chains are
+/// independent, which is what hides the node-gather latency — until
+/// all of them have landed.
+#[inline(always)]
+pub(crate) fn walk_wave<L>(
+    slabs: &[&[L]],
     cursors: &mut [U32x8],
-    le_mask: impl Fn(F32x8, F32x8) -> U32x8,
+    mut step: impl FnMut(&[L], &mut U32x8) -> bool,
 ) {
     debug_assert_eq!(slabs.len(), cursors.len());
     let mut done = [false; WAVE];
     loop {
         let mut remaining = false;
-        for (gi, &slab) in slabs.iter().enumerate() {
-            if done[gi] {
-                continue;
+        for ((done, &slab), cursor) in done.iter_mut().zip(slabs).zip(cursors.iter_mut()) {
+            if !*done {
+                *done = !step(slab, cursor);
+                remaining |= !*done;
             }
-            let cursor = cursors[gi];
-            let mut feature = [0u32; LANES];
-            let mut threshold = [0.0f32; LANES];
-            let mut left = [0u32; LANES];
-            let mut right = [0u32; LANES];
-            for i in 0..LANES {
-                let node = &nodes[cursor.0[i] as usize];
-                feature[i] = node.feature;
-                threshold[i] = node.threshold;
-                left[i] = node.left;
-                right[i] = node.right;
-            }
-            let feature = U32x8(feature);
-            let is_leaf = feature.eq_mask(U32x8::splat(LEAF_MARKER));
-            if is_leaf.all_set() {
-                done[gi] = true;
-                continue;
-            }
-            remaining = true;
-            // Leaf lanes read lane slot 0 instead of indexing with the
-            // leaf marker; the value is blended away below.
-            let fsafe = U32x8::blend(is_leaf, U32x8::ZERO, feature);
-            let mut x = [0.0f32; LANES];
-            for i in 0..LANES {
-                x[i] = slab[fsafe.0[i] as usize * LANES + i];
-            }
-            let go_left = le_mask(F32x8(x), F32x8(threshold));
-            let next = U32x8::blend(go_left, U32x8(left), U32x8(right));
-            cursors[gi] = U32x8::blend(is_leaf, cursor, next);
         }
         if !remaining {
             break;
@@ -556,69 +321,344 @@ fn walk_float_portable(
     }
 }
 
-/// The FLInt counterpart of [`walk_float_portable`]: per lane, the
-/// offline-resolved integer test of
-/// [`flint_core::PreparedThreshold::le_bits`] — sign-bit XOR where the
-/// node's flip bit is set, then one signed compare — evaluated
-/// branchlessly across all 8 lanes of every group in the wave.
-#[inline]
-fn walk_int_portable(nodes: &[IntNode], slabs: &[&[f32]], cursors: &mut [U32x8]) {
-    debug_assert_eq!(slabs.len(), cursors.len());
-    let sign = U32x8::splat(FLIP_BIT);
-    let mut done = [false; WAVE];
-    loop {
-        let mut remaining = false;
-        for (gi, &slab) in slabs.iter().enumerate() {
-            if done[gi] {
-                continue;
-            }
-            let cursor = cursors[gi];
-            let mut ff = [0u32; LANES];
-            let mut key = [0u32; LANES];
-            let mut left = [0u32; LANES];
-            let mut right = [0u32; LANES];
-            for i in 0..LANES {
-                let node = &nodes[cursor.0[i] as usize];
-                ff[i] = node.feature_and_flip;
-                key[i] = node.key as u32;
-                left[i] = node.left;
-                right[i] = node.right;
-            }
-            let ff = U32x8(ff);
-            let key = U32x8(key);
-            let is_leaf = ff.eq_mask(U32x8::splat(LEAF_MARKER));
-            if is_leaf.all_set() {
-                done[gi] = true;
-                continue;
-            }
-            remaining = true;
-            // The flip bit is the sign bit of `feature_and_flip`; leaf
-            // lanes (all-ones marker) also read as flipped, but their
-            // next cursor is blended back to themselves regardless.
-            let flip = ff.sign_mask();
-            let feature = ff.and(U32x8::splat(!FLIP_BIT));
-            let fsafe = U32x8::blend(is_leaf, U32x8::ZERO, feature);
-            let mut x = [0.0f32; LANES];
-            for i in 0..LANES {
-                x[i] = slab[fsafe.0[i] as usize * LANES + i];
-            }
-            let bits = F32x8(x).to_bits();
-            let bx = bits.xor(flip.and(sign));
-            // go right: flip ? key > bx : bx > key (signed) — the exact
-            // negation of PreparedThreshold::le_bits.
-            let go_right = U32x8::blend(flip, key.gt_signed(bx), bx.gt_signed(key));
-            let next = U32x8::blend(go_right, U32x8(right), U32x8(left));
-            cursors[gi] = U32x8::blend(is_leaf, cursor, next);
+/// The node format a lane engine walks, chosen once per forest.
+#[derive(Debug)]
+enum LaneForest {
+    /// 16-byte f32 nodes of a `Naive` or `Flint` compiled forest.
+    F32(CompiledForest),
+    /// Binary16 nodes, in the layout the kernel path allows.
+    F16(HalfForest, HalfLayout),
+}
+
+/// The lane engine behind `simd`, `simd-float`, `simd-f16` and
+/// `simd-f16-float`: one span scorer over whichever node format it
+/// holds. The kernel path is selected once at build time through the
+/// family's policy ([`lane_policy`] or [`f16_policy`], honoring the
+/// `FLINT_KERNEL` override) and stays fixed for the engine's lifetime.
+/// Single rows (`predict_votes`) run the family's scalar reference.
+#[derive(Debug)]
+pub(crate) struct LaneEngine {
+    kind: EngineKind,
+    forest: LaneForest,
+    opts: BatchOptions,
+    path: KernelPath,
+}
+
+impl LaneEngine {
+    /// `simd` / `simd-float`: compiles `forest` into 16-byte nodes for
+    /// `compare`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CompileTreeError`] from FLInt threshold preparation.
+    pub(crate) fn simd(
+        forest: &RandomForest,
+        compare: SimdCompare,
+        opts: BatchOptions,
+    ) -> Result<Self, CompileTreeError> {
+        Ok(Self {
+            kind: EngineKind::Simd(compare),
+            forest: LaneForest::F32(CompiledForest::compile(forest, compare.backend(), None)?),
+            opts,
+            path: lane_policy().select(),
+        })
+    }
+
+    /// `simd-f16` / `simd-f16-float` over `forest`'s binary16 nodes:
+    /// 4-byte heap words when the AVX2 path is selected and every tree
+    /// fits the heap layout, else the 8-byte nodes.
+    pub(crate) fn simd_f16(forest: HalfForest, opts: BatchOptions) -> Self {
+        let path = f16_policy(forest.compare()).select();
+        Self {
+            kind: EngineKind::SimdF16(forest.compare()),
+            forest: LaneForest::F16(forest, HalfLayout::Nodes),
+            opts,
+            path,
         }
-        if !remaining {
-            break;
+        .with_kernel(path)
+    }
+
+    /// Overrides the dispatched kernel path (the differential tests pin
+    /// accelerated paths against portable this way), re-choosing the
+    /// binary16 layout to match. Forcing a path whose kernels are not
+    /// compiled in silently runs portable; forcing a compiled-in path
+    /// on a CPU without the ISA panics at predict time (the kernel
+    /// entries re-assert support).
+    pub(crate) fn with_kernel(mut self, path: KernelPath) -> Self {
+        self.path = path;
+        if let LaneForest::F16(half, layout) = &mut self.forest {
+            *layout = HalfLayout::select(half, path);
+        }
+        self
+    }
+
+    /// Which registry entry this engine is.
+    pub(crate) fn kind(&self) -> EngineKind {
+        self.kind
+    }
+
+    /// The kernel path this engine dispatches to.
+    pub(crate) fn kernel_path(&self) -> KernelPath {
+        self.path
+    }
+
+    /// The bound batch options.
+    pub(crate) fn options(&self) -> BatchOptions {
+        self.opts
+    }
+
+    /// Expected feature vector length.
+    pub(crate) fn n_features(&self) -> usize {
+        match &self.forest {
+            LaneForest::F32(forest) => forest.n_features(),
+            LaneForest::F16(half, _) => half.n_features(),
+        }
+    }
+
+    /// Number of classes.
+    pub(crate) fn n_classes(&self) -> usize {
+        match &self.forest {
+            LaneForest::F32(forest) => forest.n_classes(),
+            LaneForest::F16(half, _) => half.n_classes(),
+        }
+    }
+
+    /// The family's scalar reference histogram for one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len() != n_features()`.
+    pub(crate) fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
+        match &self.forest {
+            LaneForest::F32(forest) => forest.predict_votes(features),
+            LaneForest::F16(half, _) => half.predict_votes(features),
+        }
+    }
+
+    /// Scores every sample of `matrix` under `opts`, one class per
+    /// sample — bit-identical to the family's scalar reference per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `matrix.n_features()` differs from the model's.
+    pub(crate) fn predict(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
+        assert_eq!(
+            matrix.n_features(),
+            self.n_features(),
+            "feature matrix width"
+        );
+        let block = opts.block_samples;
+        let mut out = vec![0u32; matrix.n_samples()];
+        score_spans(opts, &mut out, |start, span| match &self.forest {
+            LaneForest::F32(forest) => match forest.trees() {
+                Trees::Float(trees) => self.score_span(trees, matrix, start, span, block),
+                Trees::Int(trees) => self.score_span(trees, matrix, start, span, block),
+                Trees::Soft(_) => unreachable!("lane engines compile Naive or Flint trees"),
+            },
+            LaneForest::F16(half, HalfLayout::Nodes) => match half.trees() {
+                HalfTrees::Float(trees) => self.score_span(trees, matrix, start, span, block),
+                HalfTrees::Int(trees) => self.score_span(trees, matrix, start, span, block),
+            },
+            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            LaneForest::F16(_, HalfLayout::FloatHeap(trees)) => {
+                self.score_span(trees, matrix, start, span, block)
+            }
+            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            LaneForest::F16(_, HalfLayout::IntHeap(trees)) => {
+                self.score_span(trees, matrix, start, span, block)
+            }
+        });
+        out
+    }
+
+    /// The one span scorer: scores samples `start..start + out.len()`
+    /// into `out`, block by block — fill the block's lane slabs, walk
+    /// each tree over them in waves, vote, majority vote.
+    ///
+    /// Tree-major within the block, as in the blocked engine: each
+    /// tree's nodes stay hot while every resident lane group descends
+    /// it, in waves of [`WAVE`] groups. `block_trees` is ignored: the
+    /// wave walk already amortizes each tree over every resident group,
+    /// so there is no inner tree-blocking level to tune.
+    fn score_span<T: LaneTree>(
+        &self,
+        trees: &[T],
+        matrix: &FeatureMatrix,
+        start: usize,
+        out: &mut [u32],
+        block: usize,
+    ) {
+        let block = block.max(1);
+        let n_classes = self.n_classes();
+        let group_stride = matrix.n_features() * LANES;
+        let overhang = T::Lane::OVERHANG;
+        let cap = block.min(out.len());
+        // Per-worker scratch, reused across blocks: the lane slabs, an
+        // f32 staging slab for converting fills, and the flat vote
+        // accumulator.
+        let mut lanes = vec![T::Lane::default(); cap.div_ceil(LANES) * group_stride + overhang];
+        let mut scratch = vec![0f32; group_stride];
+        let mut votes = vec![0u32; cap * n_classes];
+        let mut offset = 0;
+        while offset < out.len() {
+            let len = block.min(out.len() - offset);
+            let n_groups = len.div_ceil(LANES);
+            for g in 0..n_groups {
+                T::Lane::fill(
+                    matrix,
+                    start + offset + g * LANES,
+                    &mut lanes[g * group_stride..(g + 1) * group_stride],
+                    &mut scratch,
+                    self.path,
+                );
+            }
+            let votes = &mut votes[..len * n_classes];
+            votes.fill(0);
+            for tree in trees {
+                for wave_start in (0..n_groups).step_by(WAVE) {
+                    let k = WAVE.min(n_groups - wave_start);
+                    // Each group's slab runs `overhang` elements past its
+                    // stride, into the next group's (or the spare tail).
+                    let mut slabs: [&[T::Lane]; WAVE] = [&[]; WAVE];
+                    for (j, slab) in slabs[..k].iter_mut().enumerate() {
+                        let g = wave_start + j;
+                        *slab = &lanes[g * group_stride..(g + 1) * group_stride + overhang];
+                    }
+                    let mut cursors = [U32x8::ZERO; WAVE];
+                    tree.walk(&slabs[..k], &mut cursors[..k], self.path);
+                    for (j, cursor) in cursors[..k].iter().enumerate() {
+                        let g = wave_start + j;
+                        // Pad lanes past `len` are never read back.
+                        for (i, &at) in cursor.0[..LANES.min(len - g * LANES)].iter().enumerate() {
+                            votes[(g * LANES + i) * n_classes + tree.leaf_class(at) as usize] += 1;
+                        }
+                    }
+                }
+            }
+            for (k, slot) in out[offset..offset + len].iter_mut().enumerate() {
+                *slot = majority_vote(&votes[k * n_classes..(k + 1) * n_classes]);
+            }
+            offset += len;
         }
     }
 }
 
-/// The `std::arch` AVX2 kernels: the same two walks with hardware
+impl LaneTree for FloatTree {
+    type Lane = f32;
+
+    #[inline]
+    fn walk(&self, slabs: &[&[f32]], cursors: &mut [U32x8], path: KernelPath) {
+        let nodes = self.nodes();
+        match path {
+            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            KernelPath::Avx2 => avx2::walk_float(nodes, slabs, cursors),
+            #[cfg(target_arch = "aarch64")]
+            KernelPath::Neon => neon::walk_float(nodes, slabs, cursors),
+            _ => walk_wave(slabs, cursors, |slab, cursor| {
+                let fields = |n: &FloatNode| [n.feature, n.threshold.to_bits(), n.left, n.right];
+                step_portable(
+                    nodes,
+                    slab,
+                    cursor,
+                    fields,
+                    LEAF_MARKER,
+                    u32::MAX,
+                    |_, t, x| {
+                        // IEEE `<=`: NaN lanes compare false, like the scalar walk.
+                        F32x8(x).le(F32x8(t.0.map(f32::from_bits)))
+                    },
+                )
+            }),
+        }
+    }
+
+    #[inline]
+    fn leaf_class(&self, cursor: u32) -> u32 {
+        self.nodes()[cursor as usize].left
+    }
+}
+
+impl LaneTree for IntTree {
+    type Lane = f32;
+
+    #[inline]
+    fn walk(&self, slabs: &[&[f32]], cursors: &mut [U32x8], path: KernelPath) {
+        let nodes = self.nodes();
+        match path {
+            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            KernelPath::Avx2 => avx2::walk_int(nodes, slabs, cursors),
+            #[cfg(target_arch = "aarch64")]
+            KernelPath::Neon => neon::walk_int(nodes, slabs, cursors),
+            _ => walk_wave(slabs, cursors, |slab, cursor| {
+                let fields = |n: &IntNode| [n.feature_and_flip, n.key as u32, n.left, n.right];
+                step_portable(
+                    nodes,
+                    slab,
+                    cursor,
+                    fields,
+                    LEAF_MARKER,
+                    !FLIP_BIT,
+                    |ff, key, x| {
+                        // The flip bit is the sign bit of `feature_and_flip`:
+                        // XOR it into the feature bits where set, then the
+                        // signed compare of PreparedThreshold::le_bits.
+                        let flip = ff.sign_mask();
+                        let bx = F32x8(x).to_bits().xor(flip.and(U32x8::splat(FLIP_BIT)));
+                        let go_right = U32x8::blend(flip, key.gt_signed(bx), bx.gt_signed(key));
+                        go_right.xor(U32x8::splat(u32::MAX))
+                    },
+                )
+            }),
+        }
+    }
+
+    #[inline]
+    fn leaf_class(&self, cursor: u32) -> u32 {
+        self.nodes()[cursor as usize].left
+    }
+}
+
+/// The portable step every node format shares: gathers the group's 8
+/// current nodes as `[feature word, payload, left, right]` lanes
+/// (`fields`), masks leaves (feature word `leaf`), reads each split
+/// lane's slab value at feature index `word & feature_mask` (leaf lanes
+/// read slot 0; their step is blended away) and blends child indices by
+/// `go_left(word, payload, x)` — the compare family's decision, the one
+/// part FLInt and float steps do not share.
+#[inline(always)]
+pub(crate) fn step_portable<N, L: Copy>(
+    nodes: &[N],
+    slab: &[L],
+    cursor: &mut U32x8,
+    fields: impl Fn(&N) -> [u32; 4],
+    leaf: u32,
+    feature_mask: u32,
+    go_left: impl Fn(U32x8, U32x8, [L; LANES]) -> U32x8,
+) -> bool {
+    let mut lanes = [[0u32; LANES]; 4];
+    for i in 0..LANES {
+        let node = fields(&nodes[cursor.0[i] as usize]);
+        for (lane, word) in lanes.iter_mut().zip(node) {
+            lane[i] = word;
+        }
+    }
+    let [word, payload, left, right] = lanes.map(U32x8);
+    let is_leaf = word.eq_mask(U32x8::splat(leaf));
+    if is_leaf.all_set() {
+        return false;
+    }
+    let feature = word.and(U32x8::splat(feature_mask));
+    let fsafe = U32x8::blend(is_leaf, U32x8::ZERO, feature);
+    let x = core::array::from_fn(|i| slab[fsafe.0[i] as usize * LANES + i]);
+    let next = U32x8::blend(go_left(word, payload, x), left, right);
+    *cursor = U32x8::blend(is_leaf, *cursor, next);
+    true
+}
+
+/// The `std::arch` AVX2 kernels: the same two steps with hardware
 /// gathers (`vpgatherdd`/`vgatherdps`) for the node fields and lane
-/// values, `vpcmpgtd`/`vcmpps` compares and `vpblendvb` selects.
+/// values, `vpcmpgtd`/`vcmpps` compares and `vpblendvb` selects, run by
+/// the shared [`walk_wave`] loop.
 ///
 /// This is the one `unsafe` island of the crate. Soundness argument:
 ///
@@ -634,7 +674,7 @@ fn walk_int_portable(nodes: &[IntNode], slabs: &[&[f32]], cursors: &mut [U32x8])
 #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{U32x8, WAVE};
+    use super::{walk_wave, U32x8};
     use crate::compile::{FloatNode, IntNode, FLIP_BIT, LEAF_MARKER};
     use core::arch::x86_64::{
         _mm256_add_epi32, _mm256_and_si256, _mm256_andnot_si256, _mm256_blendv_epi8,
@@ -675,67 +715,49 @@ mod avx2 {
         let base = nodes.as_ptr().cast::<i32>();
         let leaf = _mm256_set1_epi32(LEAF_MARKER as i32);
         let lane_off = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        // Round-robin over the wave's groups: each group's cursor is
-        // loaded, advanced one level and stored back (U32x8 is 32-byte
-        // aligned), so up to WAVE independent gather chains are in
-        // flight while each one waits on its own node loads.
-        let mut done = [false; WAVE];
-        loop {
-            let mut remaining = false;
-            for (gi, &slab) in slabs.iter().enumerate() {
-                if done[gi] {
-                    continue;
-                }
-                // SAFETY: U32x8 is #[repr(align(32))], so the cursor
-                // slot is a valid aligned 32-byte load source.
-                let cursor = unsafe { _mm256_load_si256(cursors[gi].0.as_ptr().cast()) };
-                // Node word index: each node is four 32-bit words.
-                let word = _mm256_slli_epi32::<2>(cursor);
-                // SAFETY: every cursor lane is root (0) or an in-tree
-                // child index, so word+0 indexes inside the four-word
-                // node slice (per the module soundness argument).
-                let feature = unsafe { _mm256_i32gather_epi32::<4>(base, word) };
-                let is_leaf = _mm256_cmpeq_epi32(feature, leaf);
-                if _mm256_movemask_epi8(is_leaf) == -1 {
-                    done[gi] = true;
-                    continue;
-                }
-                remaining = true;
-                // SAFETY: word+1..word+3 index the threshold/left/right
-                // words of the same in-bounds node.
-                let threshold = unsafe {
-                    _mm256_i32gather_ps::<4>(
-                        base.cast(),
-                        _mm256_add_epi32(word, _mm256_set1_epi32(1)),
-                    )
-                };
-                // SAFETY: as above (word+2 of an in-bounds node).
-                let left = unsafe {
-                    _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(2)))
-                };
-                // SAFETY: as above (word+3 of an in-bounds node).
-                let right = unsafe {
-                    _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(3)))
-                };
-                // Leaf lanes gather lane slot 0 (feature clamped by andnot).
-                let fsafe = _mm256_andnot_si256(is_leaf, feature);
-                let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(fsafe), lane_off);
-                // SAFETY: xidx = feature*8 + lane with feature a valid
-                // index (or clamped to 0 for leaf lanes), inside the
-                // n_features*LANES slab.
-                let x = unsafe { _mm256_i32gather_ps::<4>(slab.as_ptr(), xidx) };
-                // LE_OQ: false on NaN — identical to scalar `<=`.
-                let go_left = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(x, threshold));
-                let next = _mm256_blendv_epi8(right, left, go_left);
-                let next = _mm256_blendv_epi8(next, cursor, is_leaf);
-                // SAFETY: same aligned cursor slot as the load above,
-                // borrowed mutably — a valid 32-byte store target.
-                unsafe { _mm256_store_si256(cursors[gi].0.as_mut_ptr().cast(), next) };
+        walk_wave(slabs, cursors, |slab, slot| {
+            // SAFETY: U32x8 is #[repr(align(32))], so the cursor slot
+            // is a valid aligned 32-byte load source.
+            let cursor = unsafe { _mm256_load_si256(slot.0.as_ptr().cast()) };
+            // Node word index: each node is four 32-bit words.
+            let word = _mm256_slli_epi32::<2>(cursor);
+            // SAFETY: every cursor lane is root (0) or an in-tree child
+            // index, so word+0 indexes inside the four-word node slice
+            // (per the module soundness argument).
+            let feature = unsafe { _mm256_i32gather_epi32::<4>(base, word) };
+            let is_leaf = _mm256_cmpeq_epi32(feature, leaf);
+            if _mm256_movemask_epi8(is_leaf) == -1 {
+                return false;
             }
-            if !remaining {
-                break;
-            }
-        }
+            // SAFETY: word+1..word+3 index the threshold/left/right
+            // words of the same in-bounds node.
+            let threshold = unsafe {
+                _mm256_i32gather_ps::<4>(base.cast(), _mm256_add_epi32(word, _mm256_set1_epi32(1)))
+            };
+            // SAFETY: as above (word+2 of an in-bounds node).
+            let left = unsafe {
+                _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(2)))
+            };
+            // SAFETY: as above (word+3 of an in-bounds node).
+            let right = unsafe {
+                _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(3)))
+            };
+            // Leaf lanes gather lane slot 0 (feature clamped by andnot).
+            let fsafe = _mm256_andnot_si256(is_leaf, feature);
+            let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(fsafe), lane_off);
+            // SAFETY: xidx = feature*8 + lane with feature a valid index
+            // (or clamped to 0 for leaf lanes), inside the
+            // n_features*LANES slab.
+            let x = unsafe { _mm256_i32gather_ps::<4>(slab.as_ptr(), xidx) };
+            // LE_OQ: false on NaN — identical to scalar `<=`.
+            let go_left = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(x, threshold));
+            let next = _mm256_blendv_epi8(right, left, go_left);
+            let next = _mm256_blendv_epi8(next, cursor, is_leaf);
+            // SAFETY: same aligned cursor slot as the load above,
+            // borrowed mutably — a valid 32-byte store target.
+            unsafe { _mm256_store_si256(slot.0.as_mut_ptr().cast(), next) };
+            true
+        });
     }
 
     #[target_feature(enable = "avx2")]
@@ -745,67 +767,56 @@ mod avx2 {
         let sign = _mm256_set1_epi32(FLIP_BIT as i32);
         let feat_mask = _mm256_set1_epi32(!FLIP_BIT as i32);
         let lane_off = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        let mut done = [false; WAVE];
-        loop {
-            let mut remaining = false;
-            for (gi, &slab) in slabs.iter().enumerate() {
-                if done[gi] {
-                    continue;
-                }
-                // SAFETY: U32x8 is #[repr(align(32))], so the cursor
-                // slot is a valid aligned 32-byte load source.
-                let cursor = unsafe { _mm256_load_si256(cursors[gi].0.as_ptr().cast()) };
-                let word = _mm256_slli_epi32::<2>(cursor);
-                // SAFETY: every cursor lane is root (0) or an in-tree
-                // child index, so word+0 indexes inside the four-word
-                // node slice (per the module soundness argument).
-                let ff = unsafe { _mm256_i32gather_epi32::<4>(base, word) };
-                let is_leaf = _mm256_cmpeq_epi32(ff, leaf);
-                if _mm256_movemask_epi8(is_leaf) == -1 {
-                    done[gi] = true;
-                    continue;
-                }
-                remaining = true;
-                // SAFETY: word+1..word+3 index the key/left/right words
-                // of the same in-bounds node.
-                let key = unsafe {
-                    _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(1)))
-                };
-                // SAFETY: as above (word+2 of an in-bounds node).
-                let left = unsafe {
-                    _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(2)))
-                };
-                // SAFETY: as above (word+3 of an in-bounds node).
-                let right = unsafe {
-                    _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(3)))
-                };
-                // The flip bit is the sign bit of feature_and_flip; leaf
-                // lanes also read as flipped but are blended back below.
-                let flip = _mm256_srai_epi32::<31>(ff);
-                let fsafe = _mm256_andnot_si256(is_leaf, _mm256_and_si256(ff, feat_mask));
-                let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(fsafe), lane_off);
-                // SAFETY: xidx = feature*8 + lane with feature masked to
-                // a valid index (or clamped to 0 for leaf lanes), inside
-                // the n_features*LANES slab.
-                let bits = unsafe { _mm256_i32gather_epi32::<4>(slab.as_ptr().cast(), xidx) };
-                let bx = _mm256_xor_si256(bits, _mm256_and_si256(flip, sign));
-                // go right: flip ? key > bx : bx > key — the negation of
-                // PreparedThreshold::le_bits, lane-wise.
-                let go_right = _mm256_blendv_epi8(
-                    _mm256_cmpgt_epi32(bx, key),
-                    _mm256_cmpgt_epi32(key, bx),
-                    flip,
-                );
-                let next = _mm256_blendv_epi8(left, right, go_right);
-                let next = _mm256_blendv_epi8(next, cursor, is_leaf);
-                // SAFETY: same aligned cursor slot as the load above,
-                // borrowed mutably — a valid 32-byte store target.
-                unsafe { _mm256_store_si256(cursors[gi].0.as_mut_ptr().cast(), next) };
+        walk_wave(slabs, cursors, |slab, slot| {
+            // SAFETY: U32x8 is #[repr(align(32))], so the cursor slot
+            // is a valid aligned 32-byte load source.
+            let cursor = unsafe { _mm256_load_si256(slot.0.as_ptr().cast()) };
+            let word = _mm256_slli_epi32::<2>(cursor);
+            // SAFETY: every cursor lane is root (0) or an in-tree child
+            // index, so word+0 indexes inside the four-word node slice
+            // (per the module soundness argument).
+            let ff = unsafe { _mm256_i32gather_epi32::<4>(base, word) };
+            let is_leaf = _mm256_cmpeq_epi32(ff, leaf);
+            if _mm256_movemask_epi8(is_leaf) == -1 {
+                return false;
             }
-            if !remaining {
-                break;
-            }
-        }
+            // SAFETY: word+1..word+3 index the key/left/right words of
+            // the same in-bounds node.
+            let key = unsafe {
+                _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(1)))
+            };
+            // SAFETY: as above (word+2 of an in-bounds node).
+            let left = unsafe {
+                _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(2)))
+            };
+            // SAFETY: as above (word+3 of an in-bounds node).
+            let right = unsafe {
+                _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(3)))
+            };
+            // The flip bit is the sign bit of feature_and_flip; leaf
+            // lanes also read as flipped but are blended back below.
+            let flip = _mm256_srai_epi32::<31>(ff);
+            let fsafe = _mm256_andnot_si256(is_leaf, _mm256_and_si256(ff, feat_mask));
+            let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(fsafe), lane_off);
+            // SAFETY: xidx = feature*8 + lane with feature masked to a
+            // valid index (or clamped to 0 for leaf lanes), inside the
+            // n_features*LANES slab.
+            let bits = unsafe { _mm256_i32gather_epi32::<4>(slab.as_ptr().cast(), xidx) };
+            let bx = _mm256_xor_si256(bits, _mm256_and_si256(flip, sign));
+            // go right: flip ? key > bx : bx > key — the negation of
+            // PreparedThreshold::le_bits, lane-wise.
+            let go_right = _mm256_blendv_epi8(
+                _mm256_cmpgt_epi32(bx, key),
+                _mm256_cmpgt_epi32(key, bx),
+                flip,
+            );
+            let next = _mm256_blendv_epi8(left, right, go_right);
+            let next = _mm256_blendv_epi8(next, cursor, is_leaf);
+            // SAFETY: same aligned cursor slot as the load above,
+            // borrowed mutably — a valid 32-byte store target.
+            unsafe { _mm256_store_si256(slot.0.as_mut_ptr().cast(), next) };
+            true
+        });
     }
 }
 
@@ -1002,27 +1013,14 @@ mod neon {
     }
 }
 
-impl CompiledForest {
-    /// Batch prediction through the lane-parallel SIMD engine.
-    /// Convenience wrapper mirroring
-    /// [`CompiledForest::predict_dataset_batched`]; bit-identical to
-    /// [`CompiledForest::predict_dataset`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset's feature count differs from the model's.
-    pub fn predict_dataset_simd(&self, data: &flint_data::Dataset, opts: BatchOptions) -> Vec<u32> {
-        let matrix = FeatureMatrix::from_dataset(data);
-        SimdEngine::new(self, opts).predict(&matrix)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::KernelCaps;
+    use crate::engine::Predictor;
     use flint_data::synth::SynthSpec;
     use flint_data::Dataset;
-    use flint_forest::{ForestConfig, RandomForest};
+    use flint_forest::ForestConfig;
 
     #[test]
     fn lane_ops_match_scalar_semantics() {
@@ -1054,36 +1052,42 @@ mod tests {
         assert!(!eq.all_set());
     }
 
-    fn setup(kind: BackendKind) -> (Dataset, CompiledForest) {
+    fn setup() -> (Dataset, RandomForest) {
         let data = SynthSpec::new(230, 5, 3)
             .cluster_std(1.0)
             .negative_fraction(0.5)
             .seed(11)
             .generate();
         let forest = RandomForest::fit(&data, &ForestConfig::grid(6, 8)).expect("trainable");
-        let backend = CompiledForest::compile(&forest, kind, None).expect("compiles");
-        (data, backend)
+        (data, forest)
+    }
+
+    fn engine(forest: &RandomForest, compare: SimdCompare, opts: BatchOptions) -> LaneEngine {
+        LaneEngine::simd(forest, compare, opts).expect("compiles")
+    }
+
+    /// The scalar reference of `compare`'s family.
+    fn reference(forest: &RandomForest, compare: SimdCompare, data: &Dataset) -> Vec<u32> {
+        CompiledForest::compile(forest, compare.backend(), None)
+            .expect("compiles")
+            .predict_dataset(data)
     }
 
     #[test]
     fn lane_walk_matches_scalar_for_every_compare_mode() {
-        for kind in [
-            BackendKind::Flint,
-            BackendKind::Naive,
-            BackendKind::SoftFloat,
-        ] {
-            let (data, backend) = setup(kind);
-            let want = backend.predict_dataset(&data);
-            let matrix = FeatureMatrix::from_dataset(&data);
+        let (data, forest) = setup();
+        let matrix = FeatureMatrix::from_dataset(&data);
+        for compare in [SimdCompare::Flint, SimdCompare::Float] {
+            let want = reference(&forest, compare, &data);
             for block in [1usize, 7, 64, 1024] {
                 for threads in [1usize, 4] {
                     let opts = BatchOptions::default()
                         .block_samples(block)
                         .threads(threads);
                     assert_eq!(
-                        SimdEngine::new(&backend, opts).predict(&matrix),
+                        engine(&forest, compare, opts).predict(&matrix, &opts),
                         want,
-                        "{kind:?} block {block} threads {threads}"
+                        "{compare:?} block {block} threads {threads}"
                     );
                 }
             }
@@ -1092,29 +1096,33 @@ mod tests {
 
     #[test]
     fn dataset_wrapper_and_degenerate_options() {
-        let (data, backend) = setup(BackendKind::Flint);
-        let want = backend.predict_dataset(&data);
+        let (data, forest) = setup();
         let opts = BatchOptions::default()
             .block_samples(0)
             .block_trees(0)
             .threads(0);
-        assert_eq!(backend.predict_dataset_simd(&data, opts), want);
+        assert_eq!(
+            engine(&forest, SimdCompare::Flint, opts).predict_dataset(&data),
+            reference(&forest, SimdCompare::Flint, &data)
+        );
     }
 
     #[test]
     fn empty_batch_is_empty() {
-        let (_, backend) = setup(BackendKind::Flint);
-        let empty = FeatureMatrix::from_row_major(0, backend.n_features(), &[]);
-        let engine = SimdEngine::new(&backend, BatchOptions::default().threads(3));
-        assert_eq!(engine.predict(&empty), Vec::<u32>::new());
+        let (_, forest) = setup();
+        let empty = FeatureMatrix::from_row_major(0, forest.n_features(), &[]);
+        let opts = BatchOptions::default().threads(3);
+        let engine = engine(&forest, SimdCompare::Flint, opts);
+        assert_eq!(engine.predict(&empty, &opts), Vec::<u32>::new());
     }
 
     #[test]
     #[should_panic(expected = "feature matrix width")]
     fn wrong_width_panics() {
-        let (_, backend) = setup(BackendKind::Flint);
+        let (_, forest) = setup();
         let bad = FeatureMatrix::from_row_major(1, 2, &[0.0, 0.0]);
-        let _ = SimdEngine::new(&backend, BatchOptions::default()).predict(&bad);
+        let opts = BatchOptions::default();
+        let _ = engine(&forest, SimdCompare::Flint, opts).predict(&bad, &opts);
     }
 
     /// When the AVX2 kernels are compiled in and the CPU has them, the
@@ -1123,16 +1131,20 @@ mod tests {
     /// the scalar engines).
     #[test]
     fn avx2_and_portable_paths_agree() {
-        if !avx2_enabled() {
+        if lane_policy().select_with(KernelCaps::get(), None) != KernelPath::Avx2 {
             return; // feature off or CPU without AVX2: nothing to cross-check
         }
-        for kind in [BackendKind::Flint, BackendKind::Naive] {
-            let (data, backend) = setup(kind);
-            let matrix = FeatureMatrix::from_dataset(&data);
-            let engine = SimdEngine::new(&backend, BatchOptions::default());
-            let accelerated = engine.with_kernel(KernelPath::Avx2).predict(&matrix);
-            let portable = engine.with_kernel(KernelPath::Portable).predict(&matrix);
-            assert_eq!(accelerated, portable, "{kind:?}");
+        let (data, forest) = setup();
+        let matrix = FeatureMatrix::from_dataset(&data);
+        let opts = BatchOptions::default();
+        for compare in [SimdCompare::Flint, SimdCompare::Float] {
+            let accelerated = engine(&forest, compare, opts).with_kernel(KernelPath::Avx2);
+            let portable = engine(&forest, compare, opts).with_kernel(KernelPath::Portable);
+            assert_eq!(
+                accelerated.predict(&matrix, &opts),
+                portable.predict(&matrix, &opts),
+                "{compare:?}"
+            );
         }
     }
 
@@ -1140,8 +1152,8 @@ mod tests {
     /// live capability snapshot.
     #[test]
     fn build_time_path_matches_policy() {
-        let (_, backend) = setup(BackendKind::Flint);
-        let engine = SimdEngine::new(&backend, BatchOptions::default());
+        let (_, forest) = setup();
+        let engine = engine(&forest, SimdCompare::Flint, BatchOptions::default());
         // The unit-test process may or may not have FLINT_KERNEL set;
         // re-running the policy must reproduce the engine's choice.
         assert_eq!(engine.kernel_path(), lane_policy().select());

@@ -123,6 +123,10 @@ pub fn write_forest<W: Write>(forest: &RandomForest, writer: W) -> std::io::Resu
     w.flush()
 }
 
+/// The most elements [`read_forest`] reserves from a count the file
+/// declares; longer lists grow as their lines arrive.
+const RESERVE_LIMIT: usize = 1 << 16;
+
 /// Reads a forest written by [`write_forest`].
 ///
 /// # Errors
@@ -165,30 +169,33 @@ pub fn read_forest<R: BufRead>(reader: R) -> Result<RandomForest, ReadModelError
             "expected `forest n_features=.. n_classes=.. n_trees=..`",
         )
     })?;
-    let n_features = get_usize(&fields, "n_features").ok_or_else(|| syntax(ln, "n_features"))?;
-    let n_classes = get_usize(&fields, "n_classes").ok_or_else(|| syntax(ln, "n_classes"))?;
-    let n_trees = get_usize(&fields, "n_trees").ok_or_else(|| syntax(ln, "n_trees"))?;
+    let n_features = get::<usize>(&fields, "n_features").ok_or_else(|| syntax(ln, "n_features"))?;
+    let n_classes = get::<usize>(&fields, "n_classes").ok_or_else(|| syntax(ln, "n_classes"))?;
+    let n_trees = get::<usize>(&fields, "n_trees").ok_or_else(|| syntax(ln, "n_trees"))?;
 
-    let mut trees = Vec::with_capacity(n_trees);
+    // Declared counts come from the file: reserve at most
+    // `RESERVE_LIMIT` elements from one, so a lying header runs out of
+    // lines instead of memory.
+    let mut trees = Vec::with_capacity(n_trees.min(RESERVE_LIMIT));
     for _ in 0..n_trees {
         let (ln, tree_line) = next_line()?;
         let fields = parse_fields(&tree_line, "tree")
             .ok_or_else(|| syntax(ln, "expected `tree n_nodes=..`"))?;
-        let n_nodes = get_usize(&fields, "n_nodes").ok_or_else(|| syntax(ln, "n_nodes"))?;
-        let mut nodes = Vec::with_capacity(n_nodes);
+        let n_nodes = get::<usize>(&fields, "n_nodes").ok_or_else(|| syntax(ln, "n_nodes"))?;
+        let mut nodes = Vec::with_capacity(n_nodes.min(RESERVE_LIMIT));
         for _ in 0..n_nodes {
             let (ln, node_line) = next_line()?;
             let trimmed = node_line.trim();
             if let Some(fields) = parse_fields(trimmed, "split") {
                 let feature =
-                    get_usize(&fields, "feature").ok_or_else(|| syntax(ln, "feature"))? as u32;
+                    get::<u32>(&fields, "feature").ok_or_else(|| syntax(ln, "feature"))?;
                 let bits = fields
                     .iter()
                     .find(|(k, _)| *k == "bits")
                     .and_then(|(_, v)| u32::from_str_radix(v, 16).ok())
                     .ok_or_else(|| syntax(ln, "bits"))?;
-                let left = get_usize(&fields, "left").ok_or_else(|| syntax(ln, "left"))? as u32;
-                let right = get_usize(&fields, "right").ok_or_else(|| syntax(ln, "right"))? as u32;
+                let left = get::<u32>(&fields, "left").ok_or_else(|| syntax(ln, "left"))?;
+                let right = get::<u32>(&fields, "right").ok_or_else(|| syntax(ln, "right"))?;
                 nodes.push(Node::Split {
                     feature,
                     threshold: f32::from_bits(bits),
@@ -196,7 +203,7 @@ pub fn read_forest<R: BufRead>(reader: R) -> Result<RandomForest, ReadModelError
                     right: NodeId(right),
                 });
             } else if let Some(fields) = parse_fields(trimmed, "leaf") {
-                let class = get_usize(&fields, "class").ok_or_else(|| syntax(ln, "class"))? as u32;
+                let class = get::<u32>(&fields, "class").ok_or_else(|| syntax(ln, "class"))?;
                 let counts_text = fields
                     .iter()
                     .find(|(k, _)| *k == "counts")
@@ -239,7 +246,10 @@ fn parse_fields<'a>(line: &'a str, tag: &str) -> Option<Vec<(&'a str, &'a str)>>
     Some(fields)
 }
 
-fn get_usize(fields: &[(&str, &str)], key: &str) -> Option<usize> {
+/// The value of `key` parsed as `T`: `None` if missing, malformed or
+/// out of `T`'s range, so a `u32` node field is never truncated into a
+/// different valid model.
+fn get<T: core::str::FromStr>(fields: &[(&str, &str)], key: &str) -> Option<T> {
     fields
         .iter()
         .find(|(k, _)| *k == key)
@@ -343,5 +353,155 @@ mod tests {
         let text = "flint-forest v1\nforest n_features=1 n_classes=2 n_trees=1\ntree n_nodes=1\nleaf class=0 counts=a,b\nend\n";
         let err = read_forest(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("line 4"), "{err}");
+    }
+
+    /// A one-tree model whose split line and forest header are given.
+    fn model(header: &str, split: &str) -> String {
+        format!(
+            "flint-forest v1\n{header}\ntree n_nodes=3\n{split}\n\
+             leaf class=0 counts=1,0\nleaf class=1 counts=0,1\nend\n"
+        )
+    }
+
+    const HEADER: &str = "forest n_features=1 n_classes=2 n_trees=1";
+    const SPLIT: &str = "split feature=0 bits=3f800000 left=1 right=2";
+
+    /// Values past `u32` are rejected naming their field, never
+    /// truncated into a different valid model; declared counts past
+    /// the file's content run out of lines, never reserve memory.
+    #[test]
+    fn rejects_out_of_range_fields_and_absurd_counts() {
+        read_forest(model(HEADER, SPLIT).as_bytes()).expect("the base model is valid");
+        let leaf = "leaf class=4294967297 counts=1,0";
+        let cases = [
+            (
+                model(HEADER, &SPLIT.replace("feature=0", "feature=4294967296")),
+                "feature",
+            ),
+            (
+                model(HEADER, &SPLIT.replace("left=1", "left=4294967297")),
+                "left",
+            ),
+            (
+                model(HEADER, SPLIT).replace("leaf class=0 counts=1,0", leaf),
+                "class",
+            ),
+            (
+                model(
+                    &HEADER.replace("n_trees=1", "n_trees=4611686018427387904"),
+                    SPLIT,
+                ),
+                "expected `tree",
+            ),
+            (
+                model(&HEADER.replace("n_trees=1", "n_trees=100000000000"), SPLIT),
+                "expected `tree",
+            ),
+            (
+                model(HEADER, SPLIT).replace("n_nodes=3", "n_nodes=100000000000"),
+                "expected `split",
+            ),
+        ];
+        for (text, field) in cases {
+            match read_forest(text.as_bytes()) {
+                Err(ReadModelError::Syntax { message, .. }) => {
+                    assert!(message.contains(field), "{message:?} for {text:?}")
+                }
+                other => panic!("{other:?} for {text:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_unreachable_nodes() {
+        // Node 3 hangs off nothing, and its children dangle.
+        let text = model(HEADER, SPLIT)
+            .replace("tree n_nodes=3", "tree n_nodes=4")
+            .replace("end\n", "split feature=0 bits=0 left=9 right=9\nend\n");
+        let err = read_forest(text.as_bytes()).unwrap_err();
+        assert!(matches!(err, ReadModelError::InvalidTree(_)), "{err}");
+    }
+
+    /// One edit to a valid v1 file: `kind` picks the edit, `at` the
+    /// line or byte it lands on, `value` what it writes.
+    fn mutate(text: &str, kind: u32, at: u32, value: u64) -> String {
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let line = at as usize % lines.len();
+        let numbers = [
+            value.to_string(),
+            (value % 8).to_string(),
+            u32::MAX.to_string(),
+            (u64::from(u32::MAX) + 1 + value % 4).to_string(),
+            u64::MAX.to_string(),
+            "-1".to_owned(),
+            String::new(),
+            format!("{value:x}"),
+        ];
+        match kind % 6 {
+            // Replace one `key=value` field's value.
+            0 => {
+                let mut parts: Vec<String> = lines[line].split(' ').map(str::to_owned).collect();
+                let field = value as usize % parts.len();
+                if let Some((key, _)) = parts[field].clone().split_once('=') {
+                    parts[field] = format!("{key}={}", numbers[(value >> 8) as usize % 8]);
+                }
+                lines[line] = parts.join(" ");
+            }
+            1 => {
+                lines.remove(line);
+            }
+            2 => {
+                let copy = lines[line].clone();
+                lines.insert(line, copy);
+            }
+            3 => {
+                let other = value as usize % lines.len();
+                lines.swap(line, other);
+            }
+            // Truncate anywhere, mid-line included.
+            4 => return text[..at as usize % (text.len() + 1)].to_owned(),
+            _ => {
+                let mut bytes = text.as_bytes().to_vec();
+                let i = at as usize % bytes.len();
+                bytes[i] = b" =,0123456789abcdefxyz\n-"[value as usize % 24];
+                return String::from_utf8(bytes).expect("ascii");
+            }
+        }
+        lines.join("\n") + "\n"
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Any mutated v1 file loads as a validated forest — every
+        /// child index in range, and a faithful round trip — or fails
+        /// with a `ReadModelError`; it never panics.
+        #[test]
+        fn mutated_models_load_validated_or_fail_cleanly(
+            edits in proptest::collection::vec(
+                (0u32..6, proptest::prelude::any::<u32>(), proptest::prelude::any::<u64>()),
+                1..4,
+            ),
+        ) {
+            let mut text = Vec::new();
+            write_forest(&forest(), &mut text).expect("write");
+            let mut text = String::from_utf8(text).expect("ascii");
+            for &(kind, at, value) in &edits {
+                text = mutate(&text, kind, at, value);
+            }
+            if let Ok(loaded) = read_forest(text.as_bytes()) {
+                for tree in loaded.trees() {
+                    for node in tree.nodes() {
+                        if let Node::Split { left, right, .. } = node {
+                            proptest::prop_assert!(left.index() < tree.n_nodes());
+                            proptest::prop_assert!(right.index() < tree.n_nodes());
+                        }
+                    }
+                }
+                let mut again = Vec::new();
+                write_forest(&loaded, &mut again).expect("write");
+                proptest::prop_assert_eq!(read_forest(&again[..]).expect("re-read"), loaded);
+            }
+        }
     }
 }

@@ -42,10 +42,10 @@ pub enum ValidateTreeError {
         /// The offending node.
         node: NodeId,
     },
-    /// A node is its own ancestor (cycle) or is visited twice (the
-    /// arena does not encode a tree).
+    /// A node is its own ancestor (cycle), is visited twice, or is
+    /// unreachable from the root (the arena does not encode a tree).
     NotATree {
-        /// The node reached twice.
+        /// The node reached twice, or never.
         node: NodeId,
     },
 }
@@ -58,7 +58,9 @@ impl core::fmt::Display for ValidateTreeError {
             Self::FeatureRange { node } => write!(f, "node {node} tests an out-of-range feature"),
             Self::NanThreshold { node } => write!(f, "node {node} has a NaN split value"),
             Self::LeafClass { node } => write!(f, "leaf {node} has an invalid class or counts"),
-            Self::NotATree { node } => write!(f, "node {node} is reachable twice (not a tree)"),
+            Self::NotATree { node } => {
+                write!(f, "node {node} is reachable twice or never (not a tree)")
+            }
         }
     }
 }
@@ -128,7 +130,14 @@ impl DecisionTree {
                 }
             }
         }
-        Ok(())
+        // An unreachable node escapes every check above, yet compilers
+        // lay out (and remap the children of) every node in the arena.
+        match seen.iter().position(|&reached| !reached) {
+            Some(i) => Err(ValidateTreeError::NotATree {
+                node: NodeId(i as u32),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Number of input features the tree expects.
