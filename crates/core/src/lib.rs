@@ -84,4 +84,4 @@ pub use compare::{
 };
 pub use error::PrepareThresholdError;
 pub use threshold::PreparedThreshold;
-pub use total_order::FlintOrd;
+pub use total_order::{order_key, FlintOrd};

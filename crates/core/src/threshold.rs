@@ -131,6 +131,24 @@ impl<F: FloatBits> PreparedThreshold<F> {
         self.key
     }
 
+    /// The split's FLInt order key: [`key`](Self::key) for non-negative
+    /// splits, `!key()` for negative ones — the
+    /// [`order_key`](crate::order_key) of the effective split value.
+    ///
+    /// This is Theorem 2's sign-flip case folded into the key, for
+    /// walks over node arrays that key each feature once:
+    /// `order_key(x) <= t.order_key()` decides exactly as
+    /// [`le_bits`](Self::le_bits) for every bit pattern of `x`, NaN
+    /// included (positive NaN goes right, negative NaN goes left).
+    #[inline]
+    pub fn order_key(&self) -> F::Signed {
+        if self.flip {
+            !self.key
+        } else {
+            self.key
+        }
+    }
+
     /// Whether this node flips the feature's sign bit before comparing
     /// (true exactly for negative split values).
     #[inline]

@@ -13,14 +13,16 @@
 //! (`-0.0 < +0.0`, NaN excluded) into the unsigned integers. [`FlintOrd`]
 //! wraps a float together with this property, providing `Ord`/`Eq` so
 //! floats can be sorted, put in `BTreeMap`s, or binary-searched using
-//! integer comparisons only.
+//! integer comparisons only. [`order_key`] is the same map on the
+//! signed view, as a bit-level function defined on every pattern, NaN
+//! included: the key the data-driven FLInt tree walks compare.
 //!
 //! This goes slightly beyond the paper (which needs only `>=`), but is
 //! the natural library generalization: it is the same trick, resolved
 //! once per value instead of once per comparison, and it is what a
 //! downstream user wants when they ask "can I sort with FLInt?".
 
-use crate::bits::{BitInt, FloatBits};
+use crate::bits::FloatBits;
 use crate::compare::ge_bits;
 use core::cmp::Ordering;
 
@@ -83,23 +85,43 @@ impl<F: FloatBits> FlintOrd<F> {
     }
 
     /// The order key: a signed integer whose natural order equals the
-    /// paper's float order.
-    ///
-    /// For non-negative patterns `SI(B)` is already order-preserving
-    /// (Lemma 3) and stays as-is. For negative patterns (order-inverted
-    /// per Lemma 6) the bits are inverted and the sign bit re-set
-    /// (`!SI(B) ^ SIGN_MASK`), mapping `[-inf, -0.0]` monotonically
-    /// onto `[iN::MIN, -1]` — strictly below every non-negative key.
-    /// Integer operations only.
+    /// paper's float order ([`order_key`] of the wrapped value).
     #[inline]
     pub fn order_key(self) -> F::Signed {
-        let si = self.0.to_signed_bits();
-        if si < F::Signed::ZERO {
-            !si ^ F::SIGN_MASK_SIGNED
-        } else {
-            si
-        }
+        order_key(self.0)
     }
+}
+
+/// The FLInt order key of `value`'s bit pattern: a signed integer whose
+/// natural order is the paper's float order.
+///
+/// `key(s) = s ^ ((s >> (k - 1)) & iN::MAX)` on the signed pattern `s`,
+/// with an arithmetic shift. Non-negative patterns keep `SI(B)`, which
+/// is already order-preserving (Lemma 3). Negative patterns
+/// (order-inverted per Lemma 6) have every bit below the sign inverted,
+/// mapping `[-inf, -0.0]` monotonically onto `[iN::MIN, -1]`, strictly
+/// below every non-negative key. One shift, one AND and one XOR; no
+/// branch and no float instruction.
+///
+/// Defined on every bit pattern, NaN included: positive NaN patterns
+/// key above `+inf`, negative ones below `-inf`. So for any split `t`,
+/// `order_key(x) <= PreparedThreshold::new(t)?.order_key()` decides
+/// exactly as [`PreparedThreshold::le_bits`](crate::PreparedThreshold::le_bits)
+/// does: a data-driven tree walk keys each feature once and then pays
+/// one signed compare per node.
+///
+/// ```
+/// use flint_core::order_key;
+///
+/// assert!(order_key(-2.0f32) < order_key(-1.0f32));
+/// assert!(order_key(-0.0f32) < order_key(0.0f32));
+/// assert!(order_key(f32::INFINITY) < order_key(f32::NAN));
+/// assert!(order_key(-f32::NAN) < order_key(f32::NEG_INFINITY));
+/// ```
+#[inline]
+pub fn order_key<F: FloatBits>(value: F) -> F::Signed {
+    let s = value.to_signed_bits();
+    s ^ ((s >> (F::TOTAL_BITS - 1)) & !F::SIGN_MASK_SIGNED)
 }
 
 impl<F: FloatBits> PartialEq for FlintOrd<F> {

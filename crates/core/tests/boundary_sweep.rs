@@ -3,7 +3,8 @@
 //! covering all normal/denormal/zero/infinity boundaries, validated
 //! against the paper's order.
 
-use flint_core::{flint_eq, flint_ge, PreparedThreshold};
+use flint_core::half::Half;
+use flint_core::{flint_eq, flint_ge, order_key, FloatBits, PreparedThreshold};
 
 /// All exponent fields 0..=254 (255 = NaN/inf band handled separately)
 /// with mantissa in {0, 1, max} and both signs, plus infinities.
@@ -68,6 +69,45 @@ fn prepared_thresholds_on_all_boundary_pairs() {
                 x <= split,
                 "le({x:e}) vs split {split:e} [{:#010x}]",
                 split.to_bits()
+            );
+        }
+    }
+}
+
+/// The keyed compare of the binary16 FLInt walks against Theorem 2's
+/// `le_bits`: every feature pattern (NaN included) against every 64th
+/// threshold pattern plus the format's boundaries — ±0, ±min and ±max
+/// subnormal, ±min normal, ±max, ±inf.
+#[test]
+fn binary16_keyed_compare_equals_le_bits_for_every_feature_pattern() {
+    let boundaries = [
+        0x0000u16, 0x8000, 0x0001, 0x8001, 0x03ff, 0x83ff, 0x0400, 0x8400, 0x7bff, 0xfbff, 0x7c00,
+        0xfc00,
+    ];
+    let thresholds = (0..=u16::MAX)
+        .step_by(64)
+        .chain(boundaries)
+        .map(Half::from_bits)
+        .filter(|t| !t.is_nan_value());
+    for t in thresholds {
+        let prepared = PreparedThreshold::new(t).expect("non-NaN split");
+        let node_key = prepared.order_key();
+        assert_eq!(
+            node_key,
+            order_key(prepared.split_value()),
+            "t={:#06x}",
+            t.to_bits()
+        );
+        if prepared.flips_sign() {
+            assert_eq!(node_key, !prepared.key(), "t={:#06x}", t.to_bits());
+        }
+        for xb in 0..=u16::MAX {
+            let x = Half::from_bits(xb);
+            assert_eq!(
+                order_key(x) <= node_key,
+                prepared.le_bits(x.to_signed_bits()),
+                "x={xb:#06x} t={:#06x}",
+                t.to_bits()
             );
         }
     }

@@ -82,6 +82,14 @@ fn theorem2_ge8(xb: u8, yb: u8) -> bool {
     }
 }
 
+/// The FLInt order key for the 8-bit instance: `s ^ ((s >> 7) & i8::MAX)`
+/// with an arithmetic shift, the bit-level map of
+/// `flint_core::order_key`.
+fn key8(b: u8) -> i8 {
+    let s = si(b);
+    s ^ ((s >> 7) & i8::MAX)
+}
+
 fn all_non_nan() -> Vec<u8> {
     (0u8..=255).filter(|&b| fp(b).is_some()).collect()
 }
@@ -174,6 +182,43 @@ fn corollary1_theorem1_theorem2_exhaustive() {
             assert_eq!(flint_ge8(xb, yb), want, "T1 xb={xb:#04x} yb={yb:#04x}");
             assert_eq!(corollary1_ge8(xb, yb), want, "C1 xb={xb:#04x} yb={yb:#04x}");
             assert_eq!(theorem2_ge8(xb, yb), want, "T2 xb={xb:#04x} yb={yb:#04x}");
+        }
+    }
+}
+
+#[test]
+fn keyed_compare_equals_theorem2_on_every_pattern_nan_included() {
+    // A data-driven FLInt walk decides `x <= t` as key(x) <= key(t).
+    // Theorem 2's decision for the same test is `t >= x` with the sign
+    // flip folded for negative `t`. Both are bit-level maps, so they
+    // must agree on all 65 536 pairs, NaN patterns included.
+    for xb in 0u8..=255 {
+        for tb in 0u8..=255 {
+            assert_eq!(
+                key8(xb) <= key8(tb),
+                theorem2_ge8(tb, xb),
+                "xb={xb:#04x} tb={tb:#04x}"
+            );
+        }
+    }
+    for tb in 0u8..=255 {
+        // Node-key identity: a negative split stores the inverted
+        // Listing 4 immediate, `!SI(-t)`.
+        if si(tb) < 0 {
+            assert_eq!(key8(tb), !si(tb ^ 0x80), "tb={tb:#04x}");
+        } else {
+            assert_eq!(key8(tb), si(tb), "tb={tb:#04x}");
+        }
+    }
+    // NaN routing against every non-NaN split: positive NaN patterns go
+    // right, negative ones go left.
+    for &tb in &all_non_nan() {
+        for xb in (0u8..=255).filter(|&b| fp(b).is_none()) {
+            assert_eq!(
+                key8(xb) <= key8(tb),
+                xb & 0x80 != 0,
+                "xb={xb:#04x} tb={tb:#04x}"
+            );
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use flint_core::compare::{ge_bits, ge_bits_cases, ge_bits_sign_flip};
 use flint_core::{flint_eq, flint_ge, flint_gt, flint_le, flint_lt};
-use flint_core::{FlintOrd, FloatBits, PreparedThreshold};
+use flint_core::{order_key, FlintOrd, FloatBits, PreparedThreshold};
 use proptest::prelude::*;
 
 /// Arbitrary non-NaN f32 drawn uniformly over *bit patterns*, so
@@ -108,6 +108,31 @@ proptest! {
             prop_assert!(t.flips_sign());
         } else {
             prop_assert!(!t.flips_sign());
+        }
+    }
+
+    /// The keyed compare of the data-driven FLInt walks decides exactly
+    /// as Theorem 2's `le_bits` for arbitrary feature bit patterns, NaN
+    /// kept (a quarter of the draws are forced to NaN patterns of either
+    /// sign), and the node key is the split's own order key.
+    #[test]
+    fn keyed_compare_equals_le_bits_f32(
+        bits in any::<u32>(),
+        force_nan in 0u32..4,
+        split in non_nan_f32(),
+    ) {
+        let bits = if force_nan == 0 {
+            (bits & 0x8000_0000) | 0x7f80_0000 | (bits & 0x007f_ffff).max(1)
+        } else {
+            bits
+        };
+        let x = f32::from_bits(bits);
+        let t = PreparedThreshold::new(split).expect("non-NaN split");
+        prop_assert_eq!(order_key(x) <= t.order_key(), t.le_bits(x.to_signed_bits()));
+        prop_assert_eq!(t.order_key(), order_key(t.split_value()));
+        if x.is_nan() {
+            // Positive NaN goes right, negative NaN goes left.
+            prop_assert_eq!(t.le(x), x.is_sign_negative());
         }
     }
 

@@ -2,6 +2,7 @@
 //! evaluation (Section V-A), plus the software float baseline.
 
 use crate::compile::{CompileTreeError, FloatTree, IntTree};
+use flint_core::order_key;
 use flint_data::Dataset;
 use flint_forest::RandomForest;
 use flint_layout::{LayoutStrategy, TreeLayout, TreeProfile};
@@ -227,8 +228,10 @@ impl CompiledForest {
                 }
             }
             Trees::Int(trees) => {
+                // Key the row once; each node is then one signed compare.
+                let keys: Vec<i32> = features.iter().map(|&x| order_key(x)).collect();
                 for t in trees {
-                    votes[t.predict(features) as usize] += 1;
+                    votes[t.predict_keys(&keys) as usize] += 1;
                 }
             }
         }

@@ -43,8 +43,8 @@
 //! ```
 
 use crate::backend::{CompiledForest, Trees};
-use crate::compile::{FloatNode, IntNode, FLIP_BIT, LEAF_MARKER};
-use flint_core::FloatBits;
+use crate::compile::{FloatNode, IntNode, LEAF_MARKER};
+use flint_core::order_key;
 use flint_data::{Dataset, FeatureMatrix};
 
 /// Tuning knobs for the batch engine. All values are clamped to at
@@ -94,13 +94,17 @@ impl BatchOptions {
     }
 }
 
-/// Per-worker scratch: one transposed sample block, one flat vote
-/// accumulator and the interleaved-traversal cursors, allocated once
-/// and reused for every block the worker scores.
+/// Per-worker scratch: one transposed sample block (plus its order
+/// keys for FLInt forests), one flat vote accumulator and the
+/// interleaved-traversal cursors, allocated once and reused for every
+/// block the worker scores.
 #[derive(Debug)]
 struct BlockScratch {
     /// Row-major block: `block_samples * n_features`.
     rows: Vec<f32>,
+    /// The block's FLInt order keys, the shape of `rows`; empty unless
+    /// the forest compares keys.
+    keys: Vec<i32>,
     /// Flat votes: `block_samples * n_classes`.
     votes: Vec<u32>,
     /// Current node position per in-flight sample.
@@ -110,9 +114,11 @@ struct BlockScratch {
 }
 
 impl BlockScratch {
-    fn new(block_samples: usize, n_features: usize, n_classes: usize) -> Self {
+    fn new(block_samples: usize, n_features: usize, n_classes: usize, keyed: bool) -> Self {
+        let cells = block_samples * n_features;
         Self {
-            rows: vec![0.0; block_samples * n_features],
+            rows: vec![0.0; cells],
+            keys: vec![0; if keyed { cells } else { 0 }],
             votes: vec![0; block_samples * n_classes],
             cursor: vec![0; block_samples],
             active: Vec::with_capacity(block_samples),
@@ -166,7 +172,8 @@ impl<'f> BatchEngine<'f> {
         let block = self.opts.block_samples.max(1);
         let n_features = self.forest.n_features();
         let n_classes = self.forest.n_classes();
-        let mut scratch = BlockScratch::new(block.min(out.len()), n_features, n_classes);
+        let keyed = matches!(self.forest.trees(), Trees::Int(_));
+        let mut scratch = BlockScratch::new(block.min(out.len()), n_features, n_classes, keyed);
         let mut offset = 0;
         while offset < out.len() {
             let len = block.min(out.len() - offset);
@@ -201,18 +208,21 @@ impl<'f> BatchEngine<'f> {
         // while it traverses all `len` resident samples, and the
         // interleaved walk below keeps `len` independent load chains in
         // flight instead of one.
+        let (cursor, active) = (&mut scratch.cursor, &mut scratch.active);
+        let float = |n: &FloatNode| (n.feature, n.threshold, n.left, n.right);
         match self.forest.trees() {
             Trees::Float(trees) => {
                 for group in trees.chunks(block_trees) {
                     for tree in group {
-                        walk_float_interleaved(
+                        walk_interleaved(
                             tree.nodes(),
+                            float,
                             rows,
                             n_features,
                             n_classes,
                             votes,
-                            &mut scratch.cursor,
-                            &mut scratch.active,
+                            cursor,
+                            active,
                             |x, threshold| x <= threshold,
                         );
                     }
@@ -221,30 +231,38 @@ impl<'f> BatchEngine<'f> {
             Trees::Soft(trees) => {
                 for group in trees.chunks(block_trees) {
                     for tree in group {
-                        walk_float_interleaved(
+                        walk_interleaved(
                             tree.nodes(),
+                            float,
                             rows,
                             n_features,
                             n_classes,
                             votes,
-                            &mut scratch.cursor,
-                            &mut scratch.active,
+                            cursor,
+                            active,
                             flint_softfloat::soft_le,
                         );
                     }
                 }
             }
             Trees::Int(trees) => {
+                // Key the block once; every node is then one signed compare.
+                let keys = &mut scratch.keys[..rows.len()];
+                for (key, &x) in keys.iter_mut().zip(rows.iter()) {
+                    *key = order_key(x);
+                }
                 for group in trees.chunks(block_trees) {
                     for tree in group {
-                        walk_int_interleaved(
+                        walk_interleaved(
                             tree.nodes(),
-                            rows,
+                            |n: &IntNode| (n.feature, n.key, n.left, n.right),
+                            keys,
                             n_features,
                             n_classes,
                             votes,
-                            &mut scratch.cursor,
-                            &mut scratch.active,
+                            cursor,
+                            active,
+                            |x, key| x <= key,
                         );
                     }
                 }
@@ -290,24 +308,32 @@ pub(crate) fn score_spans(
     }
 }
 
-/// Walks every sample of the block down one float-comparison tree
-/// simultaneously: each round advances all still-traversing samples one
-/// level, so up to `block` independent node loads are in flight at
-/// once (memory-level parallelism the one-sample-at-a-time loop cannot
-/// express). Samples that reach a leaf vote and drop out of the active
-/// list. Identical decisions to [`crate::compile::FloatTree::predict`],
-/// so vote counts — and therefore predictions — cannot diverge.
+/// Walks every sample of the block down one tree simultaneously: each
+/// round advances all still-traversing samples one level, so up to
+/// `block` independent node loads are in flight at once (memory-level
+/// parallelism the one-sample-at-a-time loop cannot express). Samples
+/// that reach a leaf vote and drop out of the active list.
+///
+/// One walk serves every node format: `split` reads a node's
+/// `(feature, threshold, left, right)`, `rows` holds the block in the
+/// threshold's domain — features for float nodes, order keys for FLInt
+/// nodes — and `le` is the compare family's `x <= threshold`. The
+/// decisions are those of the format's scalar walk
+/// ([`crate::compile::FloatTree::predict`],
+/// [`crate::compile::IntTree::predict_keys`]), so vote counts — and
+/// therefore predictions — cannot diverge.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn walk_float_interleaved(
-    nodes: &[FloatNode],
-    rows: &[f32],
+fn walk_interleaved<N, X: Copy>(
+    nodes: &[N],
+    split: impl Fn(&N) -> (u32, X, u32, u32),
+    rows: &[X],
     n_features: usize,
     n_classes: usize,
     votes: &mut [u32],
     cursor: &mut [u32],
     active: &mut Vec<u32>,
-    le: impl Fn(f32, f32) -> bool,
+    le: impl Fn(X, X) -> bool,
 ) {
     let len = votes.len() / n_classes.max(1);
     active.clear();
@@ -319,60 +345,12 @@ fn walk_float_interleaved(
         let mut kept = 0;
         for r in 0..active.len() {
             let k = active[r] as usize;
-            let node = &nodes[cursor[k] as usize];
-            if node.feature == LEAF_MARKER {
-                votes[k * n_classes + node.left as usize] += 1;
+            let (feature, threshold, left, right) = split(&nodes[cursor[k] as usize]);
+            if feature == LEAF_MARKER {
+                votes[k * n_classes + left as usize] += 1;
             } else {
-                let x = rows[k * n_features + node.feature as usize];
-                cursor[k] = if le(x, node.threshold) {
-                    node.left
-                } else {
-                    node.right
-                };
-                active[kept] = k as u32;
-                kept += 1;
-            }
-        }
-        active.truncate(kept);
-    }
-}
-
-/// The FLInt counterpart of [`walk_float_interleaved`]: the per-node
-/// test is the offline-resolved integer comparison of
-/// [`crate::compile::IntTree::predict`] (optional sign-bit XOR plus one
-/// signed compare), applied to a whole block of in-flight samples.
-#[inline]
-fn walk_int_interleaved(
-    nodes: &[IntNode],
-    rows: &[f32],
-    n_features: usize,
-    n_classes: usize,
-    votes: &mut [u32],
-    cursor: &mut [u32],
-    active: &mut Vec<u32>,
-) {
-    let len = votes.len() / n_classes.max(1);
-    active.clear();
-    active.extend(0..len as u32);
-    for slot in cursor[..len].iter_mut() {
-        *slot = 0;
-    }
-    while !active.is_empty() {
-        let mut kept = 0;
-        for r in 0..active.len() {
-            let k = active[r] as usize;
-            let node = &nodes[cursor[k] as usize];
-            if node.feature_and_flip == LEAF_MARKER {
-                votes[k * n_classes + node.left as usize] += 1;
-            } else {
-                let feature = (node.feature_and_flip & !FLIP_BIT) as usize;
-                let bits = rows[k * n_features + feature].to_signed_bits();
-                let go_left = if node.feature_and_flip & FLIP_BIT != 0 {
-                    node.key <= (bits ^ i32::MIN)
-                } else {
-                    bits <= node.key
-                };
-                cursor[k] = if go_left { node.left } else { node.right };
+                let x = rows[k * n_features + feature as usize];
+                cursor[k] = if le(x, threshold) { left } else { right };
                 active[kept] = k as u32;
                 kept += 1;
             }

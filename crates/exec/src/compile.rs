@@ -9,22 +9,20 @@
 //! * [`FloatNode`] — the split value as `f32`; the runtime test is the
 //!   native float `<=` (the paper's naive/CAGS configurations);
 //! * [`IntNode`] — the split value preprocessed by
-//!   [`flint_core::PreparedThreshold`] into an integer key plus a
-//!   sign-flip bit (Theorem 2 resolved offline); the runtime test is a
-//!   signed integer comparison, optionally preceded by one XOR (the
-//!   paper's FLInt configurations).
+//!   [`flint_core::PreparedThreshold`] into its FLInt order key
+//!   ([`PreparedThreshold::order_key`]: Theorem 2's negative-split case
+//!   folded into the key offline); the runtime test is one signed
+//!   integer comparison of the feature's order key
+//!   ([`flint_core::order_key`]) against it, the shape of the float
+//!   node (the paper's FLInt configurations). Walks that visit many
+//!   nodes per row key the row once, up front.
 
-use flint_core::{FloatBits, PreparedThreshold};
+use flint_core::{order_key, PreparedThreshold};
 use flint_forest::{DecisionTree, Node, NodeId};
 use flint_layout::TreeLayout;
 
 /// Marker stored in the `feature` word of leaf nodes.
 pub const LEAF_MARKER: u32 = u32::MAX;
-
-/// Bit flagging "flip the feature's sign bit before comparing" in
-/// [`IntNode::feature_and_flip`]. Real feature indices must stay below
-/// this bit, which any practical model satisfies.
-pub const FLIP_BIT: u32 = 1 << 31;
 
 /// A flat node with a native float threshold (naive configurations).
 ///
@@ -44,17 +42,17 @@ pub struct FloatNode {
     pub right: u32,
 }
 
-/// A flat node with the FLInt-prepared integer threshold.
+/// A flat node with the split's FLInt order key: a row goes left iff
+/// its feature's order key is `<= key`, one signed compare.
 ///
 /// `repr(C)` for the same reason as [`FloatNode`]: the SIMD engine
-/// gathers `feature_and_flip`/`key`/`left`/`right` by word offset.
+/// gathers `feature`/`key`/`left`/`right` by word offset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub struct IntNode {
-    /// Feature index with [`FLIP_BIT`] possibly set, or [`LEAF_MARKER`]
-    /// for leaves.
-    pub feature_and_flip: u32,
-    /// The prepared integer immediate ([`PreparedThreshold::key`]).
+    /// Feature index, or [`LEAF_MARKER`] for leaves.
+    pub feature: u32,
+    /// The split's order key ([`PreparedThreshold::order_key`]).
     pub key: i32,
     /// Flat position of the left child; for leaves, the class.
     pub left: u32,
@@ -84,7 +82,7 @@ pub enum CompileTreeError {
         /// The offending node.
         node: NodeId,
     },
-    /// A feature index collides with the flip bit encoding.
+    /// A feature index collides with the leaf marker.
     FeatureTooLarge {
         /// The offending node.
         node: NodeId,
@@ -105,7 +103,7 @@ impl core::fmt::Display for CompileTreeError {
             Self::FeatureTooLarge { node } => {
                 write!(
                     f,
-                    "node {node} has a feature index colliding with the flip bit"
+                    "node {node} has a feature index colliding with the leaf marker"
                 )
             }
             Self::IndexOverflow { node } => {
@@ -198,13 +196,13 @@ impl FloatTree {
 
 impl IntTree {
     /// Compiles `tree` in the order given by `layout`, resolving every
-    /// threshold offline per Theorem 2.
+    /// threshold offline per Theorem 2 into its order key.
     ///
     /// # Errors
     ///
     /// [`CompileTreeError::NanThreshold`] for NaN split values,
-    /// [`CompileTreeError::FeatureTooLarge`] if a feature index would
-    /// collide with the flip-bit encoding.
+    /// [`CompileTreeError::FeatureTooLarge`] if a feature index
+    /// collides with the leaf marker.
     ///
     /// # Panics
     ///
@@ -216,7 +214,7 @@ impl IntTree {
             let id = layout.node_at(k);
             let node = match &tree.nodes()[id.index()] {
                 Node::Leaf { class, .. } => IntNode {
-                    feature_and_flip: LEAF_MARKER,
+                    feature: LEAF_MARKER,
                     key: 0,
                     left: *class,
                     right: 0,
@@ -227,15 +225,14 @@ impl IntTree {
                     left,
                     right,
                 } => {
-                    if feature & FLIP_BIT != 0 {
+                    if *feature == LEAF_MARKER {
                         return Err(CompileTreeError::FeatureTooLarge { node: id });
                     }
                     let prepared = PreparedThreshold::new(*threshold)
                         .map_err(|_| CompileTreeError::NanThreshold { node: id })?;
-                    let flip = if prepared.flips_sign() { FLIP_BIT } else { 0 };
                     IntNode {
-                        feature_and_flip: feature | flip,
-                        key: prepared.key(),
+                        feature: *feature,
+                        key: prepared.order_key(),
                         left: layout.position_of(*left),
                         right: layout.position_of(*right),
                     }
@@ -246,27 +243,36 @@ impl IntTree {
         Ok(Self { nodes })
     }
 
-    /// Predicts the class of `features` using integer comparisons only.
-    ///
-    /// Per node: one leaf check, one bit-pattern load, at most one XOR
-    /// and exactly one signed integer comparison — the runtime shape of
-    /// Listings 2 and 4.
+    /// Predicts the class of `features` using integer operations only:
+    /// per visited node, the feature's order key and one signed
+    /// comparison. The per-tree oracle of
+    /// [`predict_keys`](Self::predict_keys), which forest walks use.
     #[inline]
     pub fn predict(&self, features: &[f32]) -> u32 {
+        self.walk(|feature| order_key(features[feature]))
+    }
+
+    /// [`predict`](Self::predict) over a row keyed once up front
+    /// (`keys[f] == order_key(features[f])`): one signed compare per
+    /// node, the shape of [`FloatTree::predict`].
+    #[inline]
+    pub fn predict_keys(&self, keys: &[i32]) -> u32 {
+        self.walk(|feature| keys[feature])
+    }
+
+    #[inline]
+    fn walk(&self, key: impl Fn(usize) -> i32) -> u32 {
         let mut idx = 0u32;
         loop {
             let node = &self.nodes[idx as usize];
-            if node.feature_and_flip == LEAF_MARKER {
+            if node.feature == LEAF_MARKER {
                 return node.left;
             }
-            let feature = (node.feature_and_flip & !FLIP_BIT) as usize;
-            let bits = features[feature].to_signed_bits();
-            let go_left = if node.feature_and_flip & FLIP_BIT != 0 {
-                node.key <= (bits ^ i32::MIN)
+            idx = if key(node.feature as usize) <= node.key {
+                node.left
             } else {
-                bits <= node.key
+                node.right
             };
-            idx = if go_left { node.left } else { node.right };
         }
     }
 
@@ -334,18 +340,26 @@ mod tests {
     }
 
     #[test]
-    fn negative_thresholds_set_flip_bit() {
+    fn negative_thresholds_store_inverted_key() {
         let tree = example_tree(); // has threshold -1.25
         let profile = TreeProfile::uniform(&tree);
         let layout = TreeLayout::compute(&tree, &profile, LayoutStrategy::ArenaOrder);
         let compiled = IntTree::compile(&tree, &layout).expect("compilable");
-        let flips: Vec<bool> = compiled
+        let keys: Vec<i32> = compiled
             .nodes()
             .iter()
-            .filter(|n| n.feature_and_flip != LEAF_MARKER)
-            .map(|n| n.feature_and_flip & FLIP_BIT != 0)
+            .filter(|n| n.feature != LEAF_MARKER)
+            .map(|n| n.key)
             .collect();
-        assert_eq!(flips, vec![false, true]); // 0.5 direct, -1.25 flipped
+        let (pos, neg) = (
+            PreparedThreshold::new(0.5f32).expect("non-NaN"),
+            PreparedThreshold::new(-1.25f32).expect("non-NaN"),
+        );
+        assert!(!pos.flips_sign() && neg.flips_sign());
+        // 0.5 keeps its Listing 2 immediate; -1.25 stores the inverted
+        // Listing 4 immediate, which is the split's own order key.
+        assert_eq!(keys, vec![pos.key(), !neg.key()]);
+        assert_eq!(keys, vec![order_key(0.5f32), order_key(-1.25f32)]);
     }
 
     #[test]

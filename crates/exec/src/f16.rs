@@ -21,10 +21,10 @@
 //! indices, so a traversal level costs two gathers (node word +
 //! feature) against the f32 kernels' five. The decision is made once
 //! per forest: one deeper tree keeps the whole forest on 8-byte nodes.
-//! Both layouts store the same threshold bits and prepared keys, only
+//! Both layouts store the same threshold bits and order keys, only
 //! addressed differently. Either way the engine is the one lane walker
 //! of [`crate::simd`]; this module supplies the node formats, their
-//! `u16` slab fill and their per-path steps.
+//! 16-bit slab fills and their per-path steps.
 //!
 //! **f16 engines are their own comparison family.** Quantizing
 //! thresholds and features to binary16 legitimately changes decisions
@@ -42,9 +42,12 @@
 //!
 //! Both compare modes exist, mirroring the paper's split:
 //! [`HalfCompare::Flint`] prepares each binary16 threshold offline
-//! into an `i16` key + flip bit ([`flint_core::PreparedThreshold`] is
-//! generic over the float width — Theorem 2 applies unchanged) and
-//! compares feature *bit patterns* with 16-bit integer order;
+//! into its `i16` order key ([`flint_core::PreparedThreshold`] is
+//! generic over the float width — Theorem 2 applies unchanged, its
+//! negative-split case folded into the key), keys each quantized
+//! feature once per row or lane group ([`flint_core::order_key`] at
+//! 16 bits, `i16` slabs), and compares keys with one signed 16-bit
+//! integer compare per node;
 //! [`HalfCompare::Float`] widens both sides to `f32` and uses IEEE
 //! `<=` (on AVX2 via F16C `vcvtph2ps`, so that path additionally
 //! requires the `f16c` CPU capability — [`f16_policy`] encodes this).
@@ -74,17 +77,13 @@ use crate::compile::CompileTreeError;
 use crate::dispatch::{KernelPath, KernelPolicy};
 use crate::simd::{step_portable, walk_wave, F32x8, Lane, LaneTree, U32x8};
 use flint_core::half::Half;
-use flint_core::PreparedThreshold;
+use flint_core::{order_key, PreparedThreshold};
 use flint_data::FeatureMatrix;
 use flint_forest::{DecisionTree, Node, NodeId, RandomForest};
 use flint_layout::{LayoutStrategy, TreeLayout, TreeProfile};
 
 /// Marker stored in the feature field of half-precision leaf nodes.
 pub const LEAF_MARKER_F16: u16 = u16::MAX;
-
-/// Flip bit in [`HalfIntNode::feature_and_flip`] ("XOR the feature's
-/// sign bit before comparing"). Feature indices must stay below it.
-pub const FLIP_BIT_F16: u16 = 1 << 15;
 
 // The AVX2 kernels fetch whole nodes with cursor-indexed 64-bit
 // gathers and split them into two 32-bit words, which is only sound
@@ -111,19 +110,19 @@ pub struct HalfFloatNode {
     pub right: u16,
 }
 
-/// An 8-byte node with the FLInt-prepared binary16 threshold.
+/// An 8-byte node with the binary16 threshold's FLInt order key: a row
+/// goes left iff its quantized feature's order key is `<= key`.
 ///
 /// `repr(C)` for the same word-gather reason as [`HalfFloatNode`];
-/// word 0 is `feature_and_flip | (key as u16) << 16`, so an
-/// arithmetic right shift by 16 recovers the sign-extended key.
+/// word 0 is `feature | (key as u16) << 16`, so an arithmetic right
+/// shift by 16 recovers the sign-extended key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub struct HalfIntNode {
-    /// Feature index with [`FLIP_BIT_F16`] possibly set, or
-    /// [`LEAF_MARKER_F16`] for leaves.
-    pub feature_and_flip: u16,
-    /// The prepared 16-bit integer immediate
-    /// ([`PreparedThreshold::key`] over [`Half`]).
+    /// Feature index, or [`LEAF_MARKER_F16`] for leaves.
+    pub feature: u16,
+    /// The split's 16-bit order key ([`PreparedThreshold::order_key`]
+    /// over [`Half`]).
     pub key: i16,
     /// Flat position of the left child; for leaves, the class.
     pub left: u16,
@@ -135,7 +134,7 @@ pub struct HalfIntNode {
 /// [`crate::SimdCompare`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HalfCompare {
-    /// FLInt 16-bit integer compares on prepared keys (registry name
+    /// FLInt 16-bit integer compares on order keys (registry name
     /// `simd-f16`).
     Flint,
     /// IEEE compares after widening both sides to `f32` (registry name
@@ -261,13 +260,13 @@ impl HalfFloatTree {
 impl HalfIntTree {
     /// Compiles `tree` in layout order: thresholds quantize to
     /// binary16, then [`PreparedThreshold`] resolves each one offline
-    /// into an `i16` key + flip bit (Theorem 2 at 16-bit width).
+    /// into its `i16` order key (Theorem 2 at 16-bit width).
     ///
     /// # Errors
     ///
     /// [`CompileTreeError::NanThreshold`] for NaN split values,
     /// [`CompileTreeError::FeatureTooLarge`] if a feature index
-    /// collides with the flip bit,
+    /// collides with the leaf marker,
     /// [`CompileTreeError::IndexOverflow`] if a node position or class
     /// exceeds 16 bits.
     pub fn compile(tree: &DecisionTree, layout: &TreeLayout) -> Result<Self, CompileTreeError> {
@@ -277,7 +276,7 @@ impl HalfIntTree {
             let id = layout.node_at(k);
             let node = match &tree.nodes()[id.index()] {
                 Node::Leaf { class, .. } => HalfIntNode {
-                    feature_and_flip: LEAF_MARKER_F16,
+                    feature: LEAF_MARKER_F16,
                     key: 0,
                     left: pos16(*class, id)?,
                     right: 0,
@@ -288,19 +287,14 @@ impl HalfIntTree {
                     left,
                     right,
                 } => {
-                    if *feature >= u32::from(FLIP_BIT_F16) {
+                    if *feature >= u32::from(LEAF_MARKER_F16) {
                         return Err(CompileTreeError::FeatureTooLarge { node: id });
                     }
                     let prepared = PreparedThreshold::new(Half::from_f32(*threshold))
                         .map_err(|_| CompileTreeError::NanThreshold { node: id })?;
-                    let flip = if prepared.flips_sign() {
-                        FLIP_BIT_F16
-                    } else {
-                        0
-                    };
                     HalfIntNode {
-                        feature_and_flip: *feature as u16 | flip,
-                        key: prepared.key(),
+                        feature: *feature as u16,
+                        key: prepared.order_key(),
                         left: pos16(layout.position_of(*left), id)?,
                         right: pos16(layout.position_of(*right), id)?,
                     }
@@ -311,39 +305,35 @@ impl HalfIntTree {
         Ok(Self { nodes })
     }
 
-    /// The scalar f16 reference walk: the feature's binary16 bit
-    /// pattern against the prepared key — one optional sign-bit XOR
-    /// plus one signed 16-bit compare, exactly
-    /// [`PreparedThreshold::le_bits`]. Quantizes at every visited
-    /// node; the oracle of [`predict_bits`](Self::predict_bits).
+    /// The scalar f16 reference walk: the feature's binary16 order key
+    /// against the node's — one signed 16-bit compare, the decision of
+    /// [`PreparedThreshold::le_bits`]. Quantizes and keys at every
+    /// visited node; the oracle of [`predict_keys`](Self::predict_keys).
     #[inline]
     pub fn predict(&self, features: &[f32]) -> u32 {
-        self.walk(|feature| Half::from_f32(features[feature]).to_bits())
+        self.walk(|feature| order_key(Half::from_f32(features[feature])))
     }
 
-    /// [`predict`](Self::predict) over a row already quantized to
-    /// binary16 bits (`bits[f] == Half::from_f32(features[f]).to_bits()`).
+    /// [`predict`](Self::predict) over a row quantized and keyed once
+    /// (`keys[f] == order_key(Half::from_f32(features[f]))`).
     #[inline]
-    pub fn predict_bits(&self, bits: &[u16]) -> u32 {
-        self.walk(|feature| bits[feature])
+    pub fn predict_keys(&self, keys: &[i16]) -> u32 {
+        self.walk(|feature| keys[feature])
     }
 
     #[inline]
-    fn walk(&self, feature_bits: impl Fn(usize) -> u16) -> u32 {
+    fn walk(&self, key: impl Fn(usize) -> i16) -> u32 {
         let mut idx = 0u16;
         loop {
             let node = &self.nodes[idx as usize];
-            if node.feature_and_flip == LEAF_MARKER_F16 {
+            if node.feature == LEAF_MARKER_F16 {
                 return u32::from(node.left);
             }
-            let feature = (node.feature_and_flip & !FLIP_BIT_F16) as usize;
-            let bits = feature_bits(feature) as i16;
-            let go_left = if node.feature_and_flip & FLIP_BIT_F16 != 0 {
-                node.key <= (bits ^ i16::MIN)
+            idx = if key(node.feature as usize) <= node.key {
+                node.left
             } else {
-                bits <= node.key
+                node.right
             };
-            idx = if go_left { node.left } else { node.right };
         }
     }
 
@@ -437,28 +427,28 @@ impl HalfForest {
     /// [`predict`](Self::predict) — the partial a forest shard of the
     /// f16 family reports for distributed merge. Shard histograms sum
     /// to the full-forest f16 histogram because quantization is
-    /// per-tree. The row is quantized once, then every tree walks its
-    /// bits ([`HalfIntTree::predict_bits`]).
+    /// per-tree. The row is quantized (and, for FLInt, keyed) once,
+    /// then every tree walks it ([`HalfFloatTree::predict_bits`],
+    /// [`HalfIntTree::predict_keys`]).
     ///
     /// # Panics
     ///
     /// Panics if `features.len() != n_features()`.
     pub fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
         assert_eq!(features.len(), self.n_features, "feature vector length");
-        let bits: Vec<u16> = features
-            .iter()
-            .map(|&x| Half::from_f32(x).to_bits())
-            .collect();
+        let halves = features.iter().map(|&x| Half::from_f32(x));
         let mut votes = vec![0u32; self.n_classes];
         match &self.trees {
             HalfTrees::Float(trees) => {
+                let bits: Vec<u16> = halves.map(Half::to_bits).collect();
                 for tree in trees {
                     votes[tree.predict_bits(&bits) as usize] += 1;
                 }
             }
             HalfTrees::Int(trees) => {
+                let keys: Vec<i16> = halves.map(order_key).collect();
                 for tree in trees {
-                    votes[tree.predict_bits(&bits) as usize] += 1;
+                    votes[tree.predict_keys(&keys) as usize] += 1;
                 }
             }
         }
@@ -526,7 +516,7 @@ fn heapify<N>(nodes: &[N], fields: impl Fn(&N) -> [u16; 4]) -> Option<Vec<u32>> 
 pub(crate) struct FloatHeap(Vec<u32>);
 
 /// An FLInt-comparison tree heapified by [`heapify`]: word payloads are
-/// prepared `i16` keys.
+/// `i16` order keys.
 #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
 #[derive(Debug, Clone)]
 pub(crate) struct IntHeap(Vec<u32>);
@@ -564,10 +554,8 @@ impl HalfLayout {
                 HalfTrees::Int(trees) => trees
                     .iter()
                     .map(|t| {
-                        heapify(&t.nodes, |n| {
-                            [n.feature_and_flip, n.key as u16, n.left, n.right]
-                        })
-                        .map(IntHeap)
+                        heapify(&t.nodes, |n| [n.feature, n.key as u16, n.left, n.right])
+                            .map(IntHeap)
                     })
                     .collect::<Option<_>>()
                     .map(HalfLayout::IntHeap),
@@ -614,6 +602,39 @@ impl Lane for u16 {
     }
 }
 
+/// The FLInt binary16 slab: each lane's feature quantized and keyed
+/// ([`order_key`] at 16 bits) once per group, so every node the group
+/// visits is one signed compare.
+impl Lane for i16 {
+    /// The same 4-byte reads at 2-byte granularity as the `u16` slab.
+    const OVERHANG: usize = 1;
+
+    /// Gathers the group's f32 lanes, then quantizes and keys them —
+    /// via `VCVTPS2PH` plus a vector key on the AVX2 path with F16C,
+    /// via [`Half::from_f32`] and [`order_key`] otherwise; the routes
+    /// are bit-identical, as for the `u16` slab.
+    #[inline]
+    fn fill(
+        matrix: &FeatureMatrix,
+        first: usize,
+        slab: &mut [i16],
+        scratch: &mut [f32],
+        path: KernelPath,
+    ) {
+        matrix.gather_lanes(first, scratch);
+        #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+        if path == KernelPath::Avx2 && crate::dispatch::KernelCaps::get().f16c {
+            avx2::convert_keys(scratch, slab);
+            return;
+        }
+        #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
+        let _ = path;
+        for (key, &x) in slab.iter_mut().zip(scratch.iter()) {
+            *key = order_key(Half::from_f32(x));
+        }
+    }
+}
+
 impl LaneTree for HalfFloatTree {
     type Lane = u16;
 
@@ -632,8 +653,7 @@ impl LaneTree for HalfFloatTree {
                     cursor,
                     |n| fields(n).map(u32::from),
                     leaf,
-                    u32::MAX,
-                    |_, t, x| {
+                    |t, x| {
                         // Widen both sides binary16 -> f32 (exact), then
                         // IEEE `<=`, like the scalar reference walk.
                         F32x8(x.map(|b| widen(u32::from(b)))).le(F32x8(t.0.map(widen)))
@@ -650,45 +670,31 @@ impl LaneTree for HalfFloatTree {
 }
 
 impl LaneTree for HalfIntTree {
-    type Lane = u16;
+    type Lane = i16;
 
     #[inline]
-    fn walk(&self, slabs: &[&[u16]], cursors: &mut [U32x8], path: KernelPath) {
+    fn walk(&self, slabs: &[&[i16]], cursors: &mut [U32x8], path: KernelPath) {
         match path {
             #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
             KernelPath::Avx2 => avx2::walk_int(&self.nodes, slabs, cursors),
             _ => walk_wave(slabs, cursors, |slab, cursor| {
-                // The key sign-extends to 32 bits, which preserves i16 order.
+                // Keys sign-extend to 32 bits, which preserves i16 order.
+                let wide = |k: i16| i32::from(k) as u32;
                 let fields = |n: &HalfIntNode| {
                     [
-                        u32::from(n.feature_and_flip),
-                        n.key as i32 as u32,
+                        u32::from(n.feature),
+                        wide(n.key),
                         u32::from(n.left),
                         u32::from(n.right),
                     ]
                 };
                 let leaf = u32::from(LEAF_MARKER_F16);
-                let mask = u32::from(!FLIP_BIT_F16);
-                step_portable(
-                    &self.nodes,
-                    slab,
-                    cursor,
-                    fields,
-                    leaf,
-                    mask,
-                    |ff, key, x| {
-                        // XOR the flip bit in the 16-bit domain *before*
-                        // sign-extending — exactly PreparedThreshold::le_bits
-                        // at 16-bit width; go right where
-                        // flip ? key > bx : bx > key (signed).
-                        let flip = U32x8(ff.0.map(|w| ((w << 16) as i32 >> 31) as u32));
-                        let bx = U32x8(core::array::from_fn(|i| {
-                            (x[i] ^ (flip.0[i] as u16 & FLIP_BIT_F16)) as i16 as i32 as u32
-                        }));
-                        let go_right = U32x8::blend(flip, key.gt_signed(bx), bx.gt_signed(key));
-                        go_right.xor(U32x8::splat(u32::MAX))
-                    },
-                )
+                step_portable(&self.nodes, slab, cursor, fields, leaf, |key, x| {
+                    // Left where key(x) <= node key: one signed compare.
+                    U32x8(x.map(wide))
+                        .gt_signed(key)
+                        .xor(U32x8::splat(u32::MAX))
+                })
             }),
         }
     }
@@ -719,10 +725,10 @@ impl LaneTree for FloatHeap {
 
 #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
 impl LaneTree for IntHeap {
-    type Lane = u16;
+    type Lane = i16;
 
     #[inline]
-    fn walk(&self, slabs: &[&[u16]], cursors: &mut [U32x8], _: KernelPath) {
+    fn walk(&self, slabs: &[&[i16]], cursors: &mut [U32x8], _: KernelPath) {
         avx2::walk_int_heap(&self.0, slabs, cursors);
     }
 
@@ -761,18 +767,20 @@ impl LaneTree for IntHeap {
 ///   a child slot of a split node at depth `< depth`), and a split
 ///   node's children `2p + 1`/`2p + 2` always fit because
 ///   [`super::heapify`] sizes the vector for the full depth;
-/// * feature gathers use scale 2 over u16 elements at index
+/// * feature gathers use scale 2 over 2-byte elements (binary16 bits
+///   or their `i16` order keys) at index
 ///   `feature * 8 + lane < group_stride`; each 4-byte read therefore
 ///   ends at byte `2 * (group_stride - 1) + 4` at most, which the
 ///   one-element overhang every group's slab is carved with (the
-///   `u16` `Lane::OVERHANG`, applied by the shared span scorer) keeps
-///   in bounds;
-/// * the F16C slab converter walks equal-length exact chunks of its
-///   two slices.
+///   `u16`/`i16` `Lane::OVERHANG`, applied by the shared span scorer)
+///   keeps in bounds;
+/// * the F16C slab converters walk equal-length exact chunks of their
+///   two slices, whose destination elements are 2 bytes (asserted at
+///   compile time).
 #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{walk_wave, HalfFloatNode, HalfIntNode, U32x8, FLIP_BIT_F16, LEAF_MARKER_F16};
+    use super::{walk_wave, HalfFloatNode, HalfIntNode, U32x8, LEAF_MARKER_F16};
     use core::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_andnot_si256, _mm256_blendv_epi8,
         _mm256_castps_si256, _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmp_ps,
@@ -780,9 +788,9 @@ mod avx2 {
         _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_i32gather_epi64,
         _mm256_load_si256, _mm256_loadu_ps, _mm256_movemask_epi8, _mm256_permute4x64_epi64,
         _mm256_set1_epi32, _mm256_setr_epi32, _mm256_shuffle_ps, _mm256_slli_epi32,
-        _mm256_srai_epi32, _mm256_srli_epi32, _mm256_store_si256, _mm256_sub_epi32,
-        _mm256_xor_si256, _mm_packus_epi32, _mm_storeu_si128, _CMP_LE_OQ,
-        _MM_FROUND_TO_NEAREST_INT,
+        _mm256_srai_epi32, _mm256_srli_epi32, _mm256_store_si256, _mm256_sub_epi32, _mm_and_si128,
+        _mm_packus_epi32, _mm_set1_epi16, _mm_srai_epi16, _mm_storeu_si128, _mm_xor_si128,
+        _CMP_LE_OQ, _MM_FROUND_TO_NEAREST_INT,
     };
 
     /// Dispatch-checked entry for the f16 float wave walk (needs AVX2
@@ -802,10 +810,10 @@ mod avx2 {
         unsafe { walk_float_avx2(nodes, slabs, cursors) }
     }
 
-    /// Dispatch-checked entry for the f16 FLInt wave walk (integer
-    /// compares only — AVX2 suffices, no F16C needed).
+    /// Dispatch-checked entry for the f16 FLInt wave walk over order
+    /// keys (integer compares only — AVX2 suffices, no F16C needed).
     #[inline]
-    pub fn walk_int(nodes: &[HalfIntNode], slabs: &[&[u16]], cursors: &mut [U32x8]) {
+    pub fn walk_int(nodes: &[HalfIntNode], slabs: &[&[i16]], cursors: &mut [U32x8]) {
         assert!(
             std::arch::is_x86_feature_detected!("avx2"),
             "f16 AVX2 kernel entered without AVX2 support"
@@ -837,7 +845,7 @@ mod avx2 {
     /// implicit-child heap slab (integer compares only — AVX2
     /// suffices).
     #[inline]
-    pub fn walk_int_heap(heap: &[u32], slabs: &[&[u16]], cursors: &mut [U32x8]) {
+    pub fn walk_int_heap(heap: &[u32], slabs: &[&[i16]], cursors: &mut [U32x8]) {
         assert!(
             std::arch::is_x86_feature_detected!("avx2"),
             "f16 AVX2 heap kernel entered without AVX2 support"
@@ -861,6 +869,24 @@ mod avx2 {
     /// length, or the length is not a multiple of the lane width.
     #[inline]
     pub fn convert_lanes(src: &[f32], dst: &mut [u16]) {
+        convert::<false, u16>(src, dst);
+    }
+
+    /// [`convert_lanes`], then each lane's 16-bit FLInt order key
+    /// (`h ^ ((h >> 15) & 0x7fff)`, arithmetic shift) — bit-identical to
+    /// [`order_key`](flint_core::order_key) over
+    /// [`Half::from_f32`](flint_core::half::Half::from_f32).
+    ///
+    /// # Panics
+    ///
+    /// As [`convert_lanes`].
+    #[inline]
+    pub fn convert_keys(src: &[f32], dst: &mut [i16]) {
+        convert::<true, i16>(src, dst);
+    }
+
+    #[inline]
+    fn convert<const KEY: bool, T>(src: &[f32], dst: &mut [T]) {
         assert!(
             std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("f16c"),
@@ -873,18 +899,26 @@ mod avx2 {
             "lane slabs are a multiple of the lane width"
         );
         // SAFETY: AVX2+F16C verified above.
-        unsafe { convert_lanes_f16c(src, dst) }
+        unsafe { convert_f16c::<KEY, T>(src, dst) }
     }
 
     #[target_feature(enable = "avx2,f16c")]
-    fn convert_lanes_f16c(src: &[f32], dst: &mut [u16]) {
+    fn convert_f16c<const KEY: bool, T>(src: &[f32], dst: &mut [T]) {
+        const { assert!(core::mem::size_of::<T>() == 2) };
         const RNE: i32 = _MM_FROUND_TO_NEAREST_INT;
         for (s, d) in src.chunks_exact(8).zip(dst.chunks_exact_mut(8)) {
-            // SAFETY: each exact chunk is eight elements, so the
-            // 32-byte load and 16-byte store stay inside them.
+            // SAFETY: each exact chunk is eight elements (4-byte
+            // sources, 2-byte destinations), so the 32-byte load and
+            // 16-byte store stay inside them.
             unsafe {
-                let v = _mm256_loadu_ps(s.as_ptr());
-                _mm_storeu_si128(d.as_mut_ptr().cast(), _mm256_cvtps_ph::<RNE>(v));
+                let h = _mm256_cvtps_ph::<RNE>(_mm256_loadu_ps(s.as_ptr()));
+                let h = if KEY {
+                    let below_sign = _mm_and_si128(_mm_srai_epi16::<15>(h), _mm_set1_epi16(0x7fff));
+                    _mm_xor_si128(h, below_sign)
+                } else {
+                    h
+                };
+                _mm_storeu_si128(d.as_mut_ptr().cast(), h);
             }
         }
     }
@@ -928,25 +962,56 @@ mod avx2 {
         )
     }
 
-    /// The binary16 feature bits of each lane: a 2-byte-scaled gather
-    /// at `feature * 8 + lane`, masked to the low half.
+    /// Each lane's 4-byte slab read at element `feature * 8 + lane` (a
+    /// 2-byte-scaled gather): the lane's 2-byte element in the low
+    /// half.
     ///
     /// # Safety
     ///
     /// Every `feature` lane must be a valid feature index of the
     /// group's slab (leaf lanes clamped to 0), and the slab must run
-    /// one element past its last lane value.
+    /// one element past its last lane value. Slab elements are 2 bytes
+    /// (asserted at compile time).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn gather_x16(slab: &[u16], feature: __m256i) -> __m256i {
+    unsafe fn gather16<T>(slab: &[T], feature: __m256i) -> __m256i {
+        const { assert!(core::mem::size_of::<T>() == 2) };
         let lane_off = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(feature), lane_off);
-        // SAFETY: xidx = feature*8 + lane < group_stride over u16
+        // SAFETY: xidx = feature*8 + lane < group_stride over 2-byte
         // elements (scale 2); the 4-byte read at the maximal index ends
         // inside the slab's one-element overhang (per the module
         // soundness argument and the caller's guarantee).
-        let xg = unsafe { _mm256_i32gather_epi32::<2>(slab.as_ptr().cast(), xidx) };
-        _mm256_and_si256(xg, _mm256_set1_epi32(0xffff))
+        unsafe { _mm256_i32gather_epi32::<2>(slab.as_ptr().cast(), xidx) }
+    }
+
+    /// The binary16 feature bits of each lane, zero-extended.
+    ///
+    /// # Safety
+    ///
+    /// As [`gather16`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gather_x16(slab: &[u16], feature: __m256i) -> __m256i {
+        // SAFETY: forwarded from the caller.
+        _mm256_and_si256(
+            unsafe { gather16(slab, feature) },
+            _mm256_set1_epi32(0xffff),
+        )
+    }
+
+    /// The `i16` order key of each lane, sign-extended (which preserves
+    /// its order) for the 32-bit signed compare.
+    ///
+    /// # Safety
+    ///
+    /// As [`gather16`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gather_key16(slab: &[i16], feature: __m256i) -> __m256i {
+        // SAFETY: forwarded from the caller.
+        let word = unsafe { gather16(slab, feature) };
+        _mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(word))
     }
 
     /// The float family's compare: widen both sides binary16 -> f32
@@ -958,27 +1023,6 @@ mod avx2 {
         let xs = _mm256_cvtph_ps(pack_u16(x16));
         let ts = _mm256_cvtph_ps(pack_u16(t16));
         _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(xs, ts))
-    }
-
-    /// The FLInt family's compare on a node's `feature_and_flip` lanes
-    /// `ff`, sign-extended prepared `key` and feature bits `x16`: XOR
-    /// in the 16-bit domain, then sign-extend — exactly the portable
-    /// step's order of operations — and go right where
-    /// `flip ? key > bx : bx > key`, the negation of
-    /// PreparedThreshold::le_bits, lane-wise. All-ones lanes go right.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn gt_flint16(ff: __m256i, key: __m256i, x16: __m256i) -> __m256i {
-        // Flip mask: broadcast bit 15 of feature_and_flip.
-        let flip = _mm256_srai_epi32::<31>(_mm256_slli_epi32::<16>(ff));
-        let sign16 = _mm256_set1_epi32(i32::from(FLIP_BIT_F16));
-        let bx16 = _mm256_xor_si256(x16, _mm256_and_si256(flip, sign16));
-        let bx = _mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(bx16));
-        _mm256_blendv_epi8(
-            _mm256_cmpgt_epi32(bx, key),
-            _mm256_cmpgt_epi32(key, bx),
-            flip,
-        )
     }
 
     #[target_feature(enable = "avx2,f16c")]
@@ -1016,11 +1060,10 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn walk_int_avx2(nodes: &[HalfIntNode], slabs: &[&[u16]], cursors: &mut [U32x8]) {
+    unsafe fn walk_int_avx2(nodes: &[HalfIntNode], slabs: &[&[i16]], cursors: &mut [U32x8]) {
         let base = nodes.as_ptr().cast::<i64>();
         let low16 = _mm256_set1_epi32(0xffff);
         let leaf = _mm256_set1_epi32(i32::from(LEAF_MARKER_F16));
-        let feat_mask = _mm256_set1_epi32(i32::from(!FLIP_BIT_F16));
         walk_wave(slabs, cursors, |slab, slot| {
             // SAFETY: U32x8 is #[repr(align(32))], so the cursor slot
             // is a valid aligned 32-byte load source.
@@ -1028,19 +1071,19 @@ mod avx2 {
             // SAFETY: every cursor lane is root (0) or an in-tree child
             // index (per the module soundness argument).
             let (w0, w1) = unsafe { gather_nodes(base, cursor) };
-            let ff = _mm256_and_si256(w0, low16);
-            let is_leaf = _mm256_cmpeq_epi32(ff, leaf);
+            let feature = _mm256_and_si256(w0, low16);
+            let is_leaf = _mm256_cmpeq_epi32(feature, leaf);
             if _mm256_movemask_epi8(is_leaf) == -1 {
                 return false;
             }
-            let fsafe = _mm256_andnot_si256(is_leaf, _mm256_and_si256(ff, feat_mask));
-            // SAFETY: split lanes hold valid feature indices (flip bit
-            // masked off), leaf lanes are clamped to 0, and the span
-            // scorer carves every u16 slab with its overhang.
-            let x16 = unsafe { gather_x16(slab, fsafe) };
+            // Leaf lanes gather lane slot 0 (feature clamped by andnot).
+            // SAFETY: split lanes hold valid feature indices, and the
+            // span scorer carves every i16 slab with its overhang.
+            let x = unsafe { gather_key16(slab, _mm256_andnot_si256(is_leaf, feature)) };
             // word 0 high half, arithmetic shift: the sign-extended i16
-            // prepared key.
-            let go_right = gt_flint16(ff, _mm256_srai_epi32::<16>(w0), x16);
+            // order key. Right where key(x) > node key: one signed
+            // compare.
+            let go_right = _mm256_cmpgt_epi32(x, _mm256_srai_epi32::<16>(w0));
             let left = _mm256_and_si256(w1, low16);
             let right = _mm256_srli_epi32::<16>(w1);
             let next = _mm256_blendv_epi8(left, right, go_right);
@@ -1091,11 +1134,10 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn walk_int_heap_avx2(heap: &[u32], slabs: &[&[u16]], cursors: &mut [U32x8]) {
+    unsafe fn walk_int_heap_avx2(heap: &[u32], slabs: &[&[i16]], cursors: &mut [U32x8]) {
         let base = heap.as_ptr().cast::<i32>();
         let low16 = _mm256_set1_epi32(0xffff);
         let leaf = _mm256_set1_epi32(i32::from(LEAF_MARKER_F16));
-        let feat_mask = _mm256_set1_epi32(i32::from(!FLIP_BIT_F16));
         let one = _mm256_set1_epi32(1);
         walk_wave(slabs, cursors, |slab, slot| {
             // SAFETY: U32x8 is #[repr(align(32))], so the cursor slot
@@ -1107,19 +1149,19 @@ mod avx2 {
             // (per the module soundness argument) — so each 4-byte
             // gather at scale 4 stays in bounds.
             let w0 = unsafe { _mm256_i32gather_epi32::<4>(base, cursor) };
-            let ff = _mm256_and_si256(w0, low16);
-            let is_leaf = _mm256_cmpeq_epi32(ff, leaf);
+            let feature = _mm256_and_si256(w0, low16);
+            let is_leaf = _mm256_cmpeq_epi32(feature, leaf);
             if _mm256_movemask_epi8(is_leaf) == -1 {
                 return false;
             }
-            let fsafe = _mm256_andnot_si256(is_leaf, _mm256_and_si256(ff, feat_mask));
-            // SAFETY: split lanes hold valid feature indices (flip bit
-            // masked off), leaf lanes are clamped to 0, and the span
-            // scorer carves every u16 slab with its overhang.
-            let x16 = unsafe { gather_x16(slab, fsafe) };
+            // Leaf lanes gather lane slot 0 (feature clamped by andnot).
+            // SAFETY: split lanes hold valid feature indices, and the
+            // span scorer carves every i16 slab with its overhang.
+            let x = unsafe { gather_key16(slab, _mm256_andnot_si256(is_leaf, feature)) };
             // High half of the node word, arithmetic shift: the
-            // sign-extended i16 prepared key.
-            let go_right = gt_flint16(ff, _mm256_srai_epi32::<16>(w0), x16);
+            // sign-extended i16 order key. Right where key(x) > node
+            // key: one signed compare.
+            let go_right = _mm256_cmpgt_epi32(x, _mm256_srai_epi32::<16>(w0));
             // Implicit children: left at 2c+1; subtracting the all-ones
             // go-right mask lands on 2c+2.
             let lchild = _mm256_add_epi32(_mm256_slli_epi32::<1>(cursor), one);
@@ -1313,16 +1355,22 @@ mod tests {
     /// Every tree's quantize-once walk against its quantize-per-node
     /// oracle on `row`, plus the forest histogram built from them.
     fn assert_walks_agree(half: &HalfForest, row: &[f32]) {
-        let bits: Vec<u16> = row.iter().map(|&x| Half::from_f32(x).to_bits()).collect();
+        let halves = row.iter().map(|&x| Half::from_f32(x));
         let (per_node, once): (Vec<u32>, Vec<u32>) = match &half.trees {
-            HalfTrees::Float(trees) => trees
-                .iter()
-                .map(|t| (t.predict(row), t.predict_bits(&bits)))
-                .unzip(),
-            HalfTrees::Int(trees) => trees
-                .iter()
-                .map(|t| (t.predict(row), t.predict_bits(&bits)))
-                .unzip(),
+            HalfTrees::Float(trees) => {
+                let bits: Vec<u16> = halves.map(Half::to_bits).collect();
+                trees
+                    .iter()
+                    .map(|t| (t.predict(row), t.predict_bits(&bits)))
+                    .unzip()
+            }
+            HalfTrees::Int(trees) => {
+                let keys: Vec<i16> = halves.map(order_key).collect();
+                trees
+                    .iter()
+                    .map(|t| (t.predict(row), t.predict_keys(&keys)))
+                    .unzip()
+            }
         };
         assert_eq!(per_node, once, "{:?} row {row:?}", half.compare());
         let mut votes = vec![0u32; half.n_classes()];

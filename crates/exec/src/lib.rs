@@ -7,7 +7,8 @@
 //! for each configuration and executes them:
 //!
 //! * [`compile::FloatTree`] / [`compile::IntNode`] — the 16-byte node
-//!   formats (float threshold vs FLInt-prepared integer key + flip bit);
+//!   formats (float threshold vs the threshold's FLInt order key, one
+//!   signed compare against a row keyed once);
 //! * [`backend::CompiledForest`] — the forest-level backends with
 //!   majority-vote aggregation, identical across configurations so the
 //!   "accuracy unchanged" claim is testable bit-for-bit;

@@ -45,9 +45,11 @@
 //!
 //! Traversal decisions are bit-identical to the scalar backends for
 //! every input: the float kernel uses the same IEEE `<=` (NaN compares
-//! false, `-0.0 <= 0.0` true) and the FLInt kernel evaluates exactly
-//! [`flint_core::PreparedThreshold::le_bits`] — one optional sign-bit
-//! XOR plus one signed compare — lane-wise. The differential suites
+//! false, `-0.0 <= 0.0` true) and the FLInt kernel reads `i32` slabs
+//! keyed once per lane group ([`flint_core::order_key`]), so each node
+//! is one signed compare against the node's order key — the decision
+//! of [`flint_core::PreparedThreshold::le_bits`] for every bit pattern,
+//! NaN included — lane-wise. The differential suites
 //! (`tests/engine_equivalence.rs`, `flint-serve/tests/differential.rs`)
 //! assert this across adversarial bit patterns and every tail shape.
 //!
@@ -72,12 +74,11 @@
 
 use crate::backend::{BackendKind, CompiledForest, Trees};
 use crate::batch::{score_spans, BatchOptions};
-use crate::compile::{
-    CompileTreeError, FloatNode, FloatTree, IntNode, IntTree, FLIP_BIT, LEAF_MARKER,
-};
+use crate::compile::{CompileTreeError, FloatNode, FloatTree, IntNode, IntTree, LEAF_MARKER};
 use crate::dispatch::{KernelPath, KernelPolicy};
 use crate::engine::EngineKind;
 use crate::f16::{f16_policy, HalfForest, HalfLayout, HalfTrees};
+use flint_core::order_key;
 use flint_data::FeatureMatrix;
 pub use flint_data::LANES;
 use flint_forest::metrics::majority_vote;
@@ -104,16 +105,6 @@ pub struct F32x8(pub [f32; LANES]);
 pub struct U32x8(pub [u32; LANES]);
 
 impl F32x8 {
-    /// Lane-wise bit reinterpretation.
-    #[inline]
-    pub fn to_bits(self) -> U32x8 {
-        let mut out = [0u32; LANES];
-        for (slot, v) in out.iter_mut().zip(self.0) {
-            *slot = v.to_bits();
-        }
-        U32x8(out)
-    }
-
     /// Lane-wise IEEE `<=` mask (NaN lanes compare false, exactly like
     /// the scalar operator and AVX2's `_CMP_LE_OQ`).
     #[inline]
@@ -157,33 +148,12 @@ impl U32x8 {
         U32x8(out)
     }
 
-    /// Lane-wise AND.
-    #[inline]
-    pub fn and(self, rhs: Self) -> U32x8 {
-        let mut out = [0u32; LANES];
-        for (slot, (a, b)) in out.iter_mut().zip(self.0.into_iter().zip(rhs.0)) {
-            *slot = a & b;
-        }
-        U32x8(out)
-    }
-
     /// Lane-wise XOR.
     #[inline]
     pub fn xor(self, rhs: Self) -> U32x8 {
         let mut out = [0u32; LANES];
         for (slot, (a, b)) in out.iter_mut().zip(self.0.into_iter().zip(rhs.0)) {
             *slot = a ^ b;
-        }
-        U32x8(out)
-    }
-
-    /// Per-lane sign mask: all-ones where the lane is negative as a
-    /// signed value, else zero (AVX2's `_mm256_srai_epi32::<31>`).
-    #[inline]
-    pub fn sign_mask(self) -> U32x8 {
-        let mut out = [0u32; LANES];
-        for (slot, a) in out.iter_mut().zip(self.0) {
-            *slot = ((a as i32) >> 31) as u32;
         }
         U32x8(out)
     }
@@ -221,7 +191,7 @@ pub fn lane_policy() -> KernelPolicy {
 /// paper's FLInt/float backend split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdCompare {
-    /// FLInt integer compares: one optional sign-bit XOR plus one
+    /// FLInt integer compares: lanes keyed once per group, then one
     /// signed lane compare per node (registry name `simd`).
     Flint,
     /// Native IEEE float compares (registry name `simd-float`).
@@ -249,8 +219,9 @@ impl SimdCompare {
 pub(crate) const WAVE: usize = 8;
 
 /// A lane slab element: what a node format's lane groups read their
-/// feature values from — `f32` features for the 16-byte nodes, binary16
-/// bits for the binary16 formats.
+/// feature values from — `f32` features for the 16-byte float nodes,
+/// `i32` order keys for the 16-byte FLInt nodes, binary16 bits or their
+/// `i16` order keys for the binary16 formats.
 pub(crate) trait Lane: Copy + Default + Send + Sync {
     /// Elements past a group's last lane value that its kernels may
     /// read: each group's slab is carved this much longer.
@@ -275,6 +246,26 @@ impl Lane for f32 {
     #[inline]
     fn fill(matrix: &FeatureMatrix, first: usize, slab: &mut [f32], _: &mut [f32], _: KernelPath) {
         matrix.gather_lanes(first, slab);
+    }
+}
+
+/// The FLInt slab: each lane's feature order key, computed once per
+/// group so every node the group visits is one signed compare.
+impl Lane for i32 {
+    const OVERHANG: usize = 0;
+
+    #[inline]
+    fn fill(
+        matrix: &FeatureMatrix,
+        first: usize,
+        slab: &mut [i32],
+        scratch: &mut [f32],
+        _: KernelPath,
+    ) {
+        matrix.gather_lanes(first, scratch);
+        for (key, &x) in slab.iter_mut().zip(scratch.iter()) {
+            *key = order_key(x);
+        }
     }
 }
 
@@ -556,18 +547,10 @@ impl LaneTree for FloatTree {
             KernelPath::Neon => neon::walk_float(nodes, slabs, cursors),
             _ => walk_wave(slabs, cursors, |slab, cursor| {
                 let fields = |n: &FloatNode| [n.feature, n.threshold.to_bits(), n.left, n.right];
-                step_portable(
-                    nodes,
-                    slab,
-                    cursor,
-                    fields,
-                    LEAF_MARKER,
-                    u32::MAX,
-                    |_, t, x| {
-                        // IEEE `<=`: NaN lanes compare false, like the scalar walk.
-                        F32x8(x).le(F32x8(t.0.map(f32::from_bits)))
-                    },
-                )
+                step_portable(nodes, slab, cursor, fields, LEAF_MARKER, |t, x| {
+                    // IEEE `<=`: NaN lanes compare false, like the scalar walk.
+                    F32x8(x).le(F32x8(t.0.map(f32::from_bits)))
+                })
             }),
         }
     }
@@ -579,10 +562,10 @@ impl LaneTree for FloatTree {
 }
 
 impl LaneTree for IntTree {
-    type Lane = f32;
+    type Lane = i32;
 
     #[inline]
-    fn walk(&self, slabs: &[&[f32]], cursors: &mut [U32x8], path: KernelPath) {
+    fn walk(&self, slabs: &[&[i32]], cursors: &mut [U32x8], path: KernelPath) {
         let nodes = self.nodes();
         match path {
             #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
@@ -590,24 +573,12 @@ impl LaneTree for IntTree {
             #[cfg(target_arch = "aarch64")]
             KernelPath::Neon => neon::walk_int(nodes, slabs, cursors),
             _ => walk_wave(slabs, cursors, |slab, cursor| {
-                let fields = |n: &IntNode| [n.feature_and_flip, n.key as u32, n.left, n.right];
-                step_portable(
-                    nodes,
-                    slab,
-                    cursor,
-                    fields,
-                    LEAF_MARKER,
-                    !FLIP_BIT,
-                    |ff, key, x| {
-                        // The flip bit is the sign bit of `feature_and_flip`:
-                        // XOR it into the feature bits where set, then the
-                        // signed compare of PreparedThreshold::le_bits.
-                        let flip = ff.sign_mask();
-                        let bx = F32x8(x).to_bits().xor(flip.and(U32x8::splat(FLIP_BIT)));
-                        let go_right = U32x8::blend(flip, key.gt_signed(bx), bx.gt_signed(key));
-                        go_right.xor(U32x8::splat(u32::MAX))
-                    },
-                )
+                let fields = |n: &IntNode| [n.feature, n.key as u32, n.left, n.right];
+                step_portable(nodes, slab, cursor, fields, LEAF_MARKER, |key, x| {
+                    // Left where key(x) <= node key: one signed compare.
+                    let go_right = U32x8(x.map(|k| k as u32)).gt_signed(key);
+                    go_right.xor(U32x8::splat(u32::MAX))
+                })
             }),
         }
     }
@@ -619,12 +590,12 @@ impl LaneTree for IntTree {
 }
 
 /// The portable step every node format shares: gathers the group's 8
-/// current nodes as `[feature word, payload, left, right]` lanes
-/// (`fields`), masks leaves (feature word `leaf`), reads each split
-/// lane's slab value at feature index `word & feature_mask` (leaf lanes
-/// read slot 0; their step is blended away) and blends child indices by
-/// `go_left(word, payload, x)` — the compare family's decision, the one
-/// part FLInt and float steps do not share.
+/// current nodes as `[feature, payload, left, right]` lanes (`fields`),
+/// masks leaves (feature `leaf`), reads each split lane's slab value at
+/// its feature index (leaf lanes read slot 0; their step is blended
+/// away) and blends child indices by `go_left(payload, x)` — the
+/// compare family's decision, the one part FLInt and float steps do
+/// not share.
 #[inline(always)]
 pub(crate) fn step_portable<N, L: Copy>(
     nodes: &[N],
@@ -632,8 +603,7 @@ pub(crate) fn step_portable<N, L: Copy>(
     cursor: &mut U32x8,
     fields: impl Fn(&N) -> [u32; 4],
     leaf: u32,
-    feature_mask: u32,
-    go_left: impl Fn(U32x8, U32x8, [L; LANES]) -> U32x8,
+    go_left: impl Fn(U32x8, [L; LANES]) -> U32x8,
 ) -> bool {
     let mut lanes = [[0u32; LANES]; 4];
     for i in 0..LANES {
@@ -642,23 +612,23 @@ pub(crate) fn step_portable<N, L: Copy>(
             lane[i] = word;
         }
     }
-    let [word, payload, left, right] = lanes.map(U32x8);
-    let is_leaf = word.eq_mask(U32x8::splat(leaf));
+    let [feature, payload, left, right] = lanes.map(U32x8);
+    let is_leaf = feature.eq_mask(U32x8::splat(leaf));
     if is_leaf.all_set() {
         return false;
     }
-    let feature = word.and(U32x8::splat(feature_mask));
     let fsafe = U32x8::blend(is_leaf, U32x8::ZERO, feature);
     let x = core::array::from_fn(|i| slab[fsafe.0[i] as usize * LANES + i]);
-    let next = U32x8::blend(go_left(word, payload, x), left, right);
+    let next = U32x8::blend(go_left(payload, x), left, right);
     *cursor = U32x8::blend(is_leaf, *cursor, next);
     true
 }
 
-/// The `std::arch` AVX2 kernels: the same two steps with hardware
-/// gathers (`vpgatherdd`/`vgatherdps`) for the node fields and lane
-/// values, `vpcmpgtd`/`vcmpps` compares and `vpblendvb` selects, run by
-/// the shared [`walk_wave`] loop.
+/// The `std::arch` AVX2 kernels: one step for both 16-byte node formats
+/// with hardware gathers (`vpgatherdd`) for the node fields and lane
+/// values, the compare family's one go-right compare (`vcmpps` for
+/// float thresholds, `vpcmpgtd` for FLInt order keys) and `vpblendvb`
+/// selects, run by the shared [`walk_wave`] loop.
 ///
 /// This is the one `unsafe` island of the crate. Soundness argument:
 ///
@@ -670,18 +640,18 @@ pub(crate) fn step_portable<N, L: Copy>(
 ///   exactly four words — statically asserted above);
 /// * lane gathers index `feature * 8 + lane` with `feature` either a
 ///   valid feature index or clamped to 0 for leaf lanes, always inside
-///   the `n_features * LANES` slab.
+///   the `n_features * LANES` slab of 4-byte elements (`f32` features
+///   or `i32` order keys).
 #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod avx2 {
     use super::{walk_wave, U32x8};
-    use crate::compile::{FloatNode, IntNode, FLIP_BIT, LEAF_MARKER};
+    use crate::compile::{FloatNode, IntNode, LEAF_MARKER};
     use core::arch::x86_64::{
-        _mm256_add_epi32, _mm256_and_si256, _mm256_andnot_si256, _mm256_blendv_epi8,
-        _mm256_castps_si256, _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32,
-        _mm256_i32gather_epi32, _mm256_i32gather_ps, _mm256_load_si256, _mm256_movemask_epi8,
-        _mm256_set1_epi32, _mm256_setr_epi32, _mm256_slli_epi32, _mm256_srai_epi32,
-        _mm256_store_si256, _mm256_xor_si256, _CMP_LE_OQ,
+        __m256i, _mm256_add_epi32, _mm256_andnot_si256, _mm256_blendv_epi8, _mm256_castps_si256,
+        _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32,
+        _mm256_i32gather_epi32, _mm256_load_si256, _mm256_movemask_epi8, _mm256_set1_epi32,
+        _mm256_setr_epi32, _mm256_slli_epi32, _mm256_store_si256, _CMP_NLE_UQ,
     };
 
     /// Dispatch-checked entry for the float wave walk.
@@ -697,9 +667,9 @@ mod avx2 {
         unsafe { walk_float_avx2(nodes, slabs, cursors) }
     }
 
-    /// Dispatch-checked entry for the FLInt wave walk.
+    /// Dispatch-checked entry for the FLInt wave walk over order keys.
     #[inline]
-    pub fn walk_int(nodes: &[IntNode], slabs: &[&[f32]], cursors: &mut [U32x8]) {
+    pub fn walk_int(nodes: &[IntNode], slabs: &[&[i32]], cursors: &mut [U32x8]) {
         assert!(
             std::arch::is_x86_feature_detected!("avx2"),
             "AVX2 kernel entered without CPUID support"
@@ -712,7 +682,46 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     unsafe fn walk_float_avx2(nodes: &[FloatNode], slabs: &[&[f32]], cursors: &mut [U32x8]) {
-        let base = nodes.as_ptr().cast::<i32>();
+        // NLE_UQ: true where !(x <= t), NaN included — the negation of
+        // the scalar `<=`, so NaN goes right.
+        let go_right = |x, t| {
+            _mm256_castps_si256(_mm256_cmp_ps::<_CMP_NLE_UQ>(
+                _mm256_castsi256_ps(x),
+                _mm256_castsi256_ps(t),
+            ))
+        };
+        // SAFETY: the caller's node slice and lane slabs satisfy the
+        // module soundness argument.
+        unsafe { walk_nodes(nodes.as_ptr().cast(), slabs, cursors, go_right) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn walk_int_avx2(nodes: &[IntNode], slabs: &[&[i32]], cursors: &mut [U32x8]) {
+        // Right where key(x) > node key: one signed compare.
+        let go_right = |x, key| _mm256_cmpgt_epi32(x, key);
+        // SAFETY: the caller's node slice and lane slabs satisfy the
+        // module soundness argument.
+        unsafe { walk_nodes(nodes.as_ptr().cast(), slabs, cursors, go_right) }
+    }
+
+    /// The wave walk over four-word nodes at `base`: gather each lane's
+    /// node words and slab value, then blend children by
+    /// `go_right(x, payload)`.
+    ///
+    /// # Safety
+    ///
+    /// `base` must point at the node slice every cursor lane indexes,
+    /// per the module soundness argument. Slab elements are 4 bytes
+    /// (asserted at compile time).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn walk_nodes<L>(
+        base: *const i32,
+        slabs: &[&[L]],
+        cursors: &mut [U32x8],
+        go_right: impl Fn(__m256i, __m256i) -> __m256i,
+    ) {
+        const { assert!(core::mem::size_of::<L>() == 4) };
         let leaf = _mm256_set1_epi32(LEAF_MARKER as i32);
         let lane_off = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         walk_wave(slabs, cursors, |slab, slot| {
@@ -729,10 +738,10 @@ mod avx2 {
             if _mm256_movemask_epi8(is_leaf) == -1 {
                 return false;
             }
-            // SAFETY: word+1..word+3 index the threshold/left/right
+            // SAFETY: word+1..word+3 index the threshold-or-key/left/right
             // words of the same in-bounds node.
-            let threshold = unsafe {
-                _mm256_i32gather_ps::<4>(base.cast(), _mm256_add_epi32(word, _mm256_set1_epi32(1)))
+            let payload = unsafe {
+                _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(1)))
             };
             // SAFETY: as above (word+2 of an in-bounds node).
             let left = unsafe {
@@ -747,70 +756,9 @@ mod avx2 {
             let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(fsafe), lane_off);
             // SAFETY: xidx = feature*8 + lane with feature a valid index
             // (or clamped to 0 for leaf lanes), inside the
-            // n_features*LANES slab.
-            let x = unsafe { _mm256_i32gather_ps::<4>(slab.as_ptr(), xidx) };
-            // LE_OQ: false on NaN — identical to scalar `<=`.
-            let go_left = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(x, threshold));
-            let next = _mm256_blendv_epi8(right, left, go_left);
-            let next = _mm256_blendv_epi8(next, cursor, is_leaf);
-            // SAFETY: same aligned cursor slot as the load above,
-            // borrowed mutably — a valid 32-byte store target.
-            unsafe { _mm256_store_si256(slot.0.as_mut_ptr().cast(), next) };
-            true
-        });
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn walk_int_avx2(nodes: &[IntNode], slabs: &[&[f32]], cursors: &mut [U32x8]) {
-        let base = nodes.as_ptr().cast::<i32>();
-        let leaf = _mm256_set1_epi32(LEAF_MARKER as i32);
-        let sign = _mm256_set1_epi32(FLIP_BIT as i32);
-        let feat_mask = _mm256_set1_epi32(!FLIP_BIT as i32);
-        let lane_off = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        walk_wave(slabs, cursors, |slab, slot| {
-            // SAFETY: U32x8 is #[repr(align(32))], so the cursor slot
-            // is a valid aligned 32-byte load source.
-            let cursor = unsafe { _mm256_load_si256(slot.0.as_ptr().cast()) };
-            let word = _mm256_slli_epi32::<2>(cursor);
-            // SAFETY: every cursor lane is root (0) or an in-tree child
-            // index, so word+0 indexes inside the four-word node slice
-            // (per the module soundness argument).
-            let ff = unsafe { _mm256_i32gather_epi32::<4>(base, word) };
-            let is_leaf = _mm256_cmpeq_epi32(ff, leaf);
-            if _mm256_movemask_epi8(is_leaf) == -1 {
-                return false;
-            }
-            // SAFETY: word+1..word+3 index the key/left/right words of
-            // the same in-bounds node.
-            let key = unsafe {
-                _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(1)))
-            };
-            // SAFETY: as above (word+2 of an in-bounds node).
-            let left = unsafe {
-                _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(2)))
-            };
-            // SAFETY: as above (word+3 of an in-bounds node).
-            let right = unsafe {
-                _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(word, _mm256_set1_epi32(3)))
-            };
-            // The flip bit is the sign bit of feature_and_flip; leaf
-            // lanes also read as flipped but are blended back below.
-            let flip = _mm256_srai_epi32::<31>(ff);
-            let fsafe = _mm256_andnot_si256(is_leaf, _mm256_and_si256(ff, feat_mask));
-            let xidx = _mm256_add_epi32(_mm256_slli_epi32::<3>(fsafe), lane_off);
-            // SAFETY: xidx = feature*8 + lane with feature masked to a
-            // valid index (or clamped to 0 for leaf lanes), inside the
-            // n_features*LANES slab.
-            let bits = unsafe { _mm256_i32gather_epi32::<4>(slab.as_ptr().cast(), xidx) };
-            let bx = _mm256_xor_si256(bits, _mm256_and_si256(flip, sign));
-            // go right: flip ? key > bx : bx > key — the negation of
-            // PreparedThreshold::le_bits, lane-wise.
-            let go_right = _mm256_blendv_epi8(
-                _mm256_cmpgt_epi32(bx, key),
-                _mm256_cmpgt_epi32(key, bx),
-                flip,
-            );
-            let next = _mm256_blendv_epi8(left, right, go_right);
+            // n_features*LANES slab of 4-byte elements.
+            let x = unsafe { _mm256_i32gather_epi32::<4>(slab.as_ptr().cast(), xidx) };
+            let next = _mm256_blendv_epi8(left, right, go_right(x, payload));
             let next = _mm256_blendv_epi8(next, cursor, is_leaf);
             // SAFETY: same aligned cursor slot as the load above,
             // borrowed mutably — a valid 32-byte store target.
@@ -823,9 +771,9 @@ mod avx2 {
 /// The `std::arch` NEON kernels for aarch64: the node-field and lane
 /// gathers stay scalar (AdvSIMD has no hardware gather), but the
 /// per-level compare + child-select — the work the walk repeats at
-/// every node — runs on explicit 128-bit vectors (`vcleq_f32` /
-/// `vcgtq_s32` compares, `vbslq_u32` selects) over the group's two
-/// 4-lane halves.
+/// every node — runs on explicit 128-bit vectors (`vcleq_f32` on
+/// features / `vcgtq_s32` on order keys, `vbslq_u32` selects) over the
+/// group's two 4-lane halves.
 ///
 /// This island is only reachable through [`KernelPath::Neon`], which
 /// [`lane_policy`] hands out solely on aarch64 hosts; the entry
@@ -837,10 +785,10 @@ mod avx2 {
 #[allow(unsafe_code)]
 mod neon {
     use super::{U32x8, LANES, WAVE};
-    use crate::compile::{FloatNode, IntNode, FLIP_BIT, LEAF_MARKER};
+    use crate::compile::{FloatNode, IntNode, LEAF_MARKER};
     use core::arch::aarch64::{
-        vandq_u32, vbslq_u32, vcgtq_s32, vcleq_f32, vdupq_n_u32, veorq_u32, vld1q_f32, vld1q_u32,
-        vreinterpretq_s32_u32, vreinterpretq_u32_s32, vshrq_n_s32, vst1q_u32,
+        vbslq_u32, vcgtq_s32, vcleq_f32, vdupq_n_u32, vld1q_f32, vld1q_u32, vreinterpretq_s32_u32,
+        vst1q_u32,
     };
 
     /// Dispatch-checked entry for the float wave walk.
@@ -857,9 +805,9 @@ mod neon {
         unsafe { walk_float_neon(nodes, slabs, cursors) }
     }
 
-    /// Dispatch-checked entry for the FLInt wave walk.
+    /// Dispatch-checked entry for the FLInt wave walk over order keys.
     #[inline]
-    pub fn walk_int(nodes: &[IntNode], slabs: &[&[f32]], cursors: &mut [U32x8]) {
+    pub fn walk_int(nodes: &[IntNode], slabs: &[&[i32]], cursors: &mut [U32x8]) {
         assert!(
             std::arch::is_aarch64_feature_detected!("neon"),
             "NEON kernel entered without AdvSIMD support"
@@ -937,7 +885,7 @@ mod neon {
     }
 
     #[target_feature(enable = "neon")]
-    unsafe fn walk_int_neon(nodes: &[IntNode], slabs: &[&[f32]], cursors: &mut [U32x8]) {
+    unsafe fn walk_int_neon(nodes: &[IntNode], slabs: &[&[i32]], cursors: &mut [U32x8]) {
         let mut done = [false; WAVE];
         loop {
             let mut remaining = false;
@@ -946,26 +894,23 @@ mod neon {
                     continue;
                 }
                 let cursor = cursors[gi];
-                let mut ff = [0u32; LANES];
+                let mut feature = [0u32; LANES];
                 let mut key = [0u32; LANES];
                 let mut left = [0u32; LANES];
                 let mut right = [0u32; LANES];
-                let mut bits = [0u32; LANES];
+                let mut x = [0u32; LANES];
                 let mut all_leaves = true;
                 for i in 0..LANES {
                     let node = &nodes[cursor.0[i] as usize];
-                    ff[i] = node.feature_and_flip;
+                    feature[i] = node.feature;
                     key[i] = node.key as u32;
                     left[i] = node.left;
                     right[i] = node.right;
-                    let is_leaf = node.feature_and_flip == LEAF_MARKER;
+                    let is_leaf = node.feature == LEAF_MARKER;
                     all_leaves &= is_leaf;
-                    let f = if is_leaf {
-                        0
-                    } else {
-                        (node.feature_and_flip & !FLIP_BIT) as usize
-                    };
-                    bits[i] = slab[f * LANES + i].to_bits();
+                    // Leaf lanes read slot 0; the result is blended away.
+                    let f = if is_leaf { 0 } else { node.feature as usize };
+                    x[i] = slab[f * LANES + i] as u32;
                 }
                 if all_leaves {
                     done[gi] = true;
@@ -973,27 +918,19 @@ mod neon {
                 }
                 remaining = true;
                 let leaf = vdupq_n_u32(LEAF_MARKER);
-                let sign = vdupq_n_u32(FLIP_BIT);
                 let mut next = [0u32; LANES];
                 for h in [0usize, 4] {
                     // SAFETY: every load reads 4 lanes of an 8-lane
                     // local array at offset 0 or 4; the store writes
                     // the same shape. vld1q/vst1q are unaligned.
                     unsafe {
-                        let ff_v = vld1q_u32(ff.as_ptr().add(h));
-                        let is_leaf = core::arch::aarch64::vceqq_u32(ff_v, leaf);
-                        // The flip bit is the sign bit of
-                        // feature_and_flip (arithmetic-shift mask).
-                        let flip =
-                            vreinterpretq_u32_s32(vshrq_n_s32::<31>(vreinterpretq_s32_u32(ff_v)));
-                        let bx = veorq_u32(vld1q_u32(bits.as_ptr().add(h)), vandq_u32(flip, sign));
-                        let key_v = vld1q_u32(key.as_ptr().add(h));
-                        // go right: flip ? key > bx : bx > key (signed)
-                        // — the negation of PreparedThreshold::le_bits.
-                        let go_right = vbslq_u32(
-                            flip,
-                            vcgtq_s32(vreinterpretq_s32_u32(key_v), vreinterpretq_s32_u32(bx)),
-                            vcgtq_s32(vreinterpretq_s32_u32(bx), vreinterpretq_s32_u32(key_v)),
+                        let f_v = vld1q_u32(feature.as_ptr().add(h));
+                        let is_leaf = core::arch::aarch64::vceqq_u32(f_v, leaf);
+                        // Right where key(x) > node key: one signed
+                        // compare on the order keys.
+                        let go_right = vcgtq_s32(
+                            vreinterpretq_s32_u32(vld1q_u32(x.as_ptr().add(h))),
+                            vreinterpretq_s32_u32(vld1q_u32(key.as_ptr().add(h))),
                         );
                         let stepped = vbslq_u32(
                             go_right,

@@ -31,6 +31,7 @@ use flint_exec::{
     SimdCompare,
 };
 use flint_forest::{ForestConfig, RandomForest};
+use flint_qscorer::QsCompare;
 use proptest::prelude::*;
 
 /// The scalar reference of `kind`'s comparison family over explicit
@@ -213,17 +214,17 @@ fn engines_agree_on_non_nan_adversarial_columns() {
 /// strategy agrees with the scalar walk of its own comparison family —
 /// exactly the property a lane kernel with subtly different compare
 /// semantics (`_CMP_LE_OQ` vs `_CMP_LE_OS` vs `!(>)`) would break.
-/// QuickScorer maps to `None` because its NaN contract has a single
-/// implementation, so there is nothing to diff against: its per-feature
-/// `threshold < x` scan treats unordered compares as "stop scanning"
-/// (and its FLInt mode debug-asserts NaN away entirely). `vm-float`
-/// faithfully models the hardware `fcmp; b.gt` idiom of the paper's
-/// assembly backend, whose GT flag is false on unordered operands — NaN
-/// falls through to the *left* child, unlike the IEEE `<=`-is-false
-/// walk; `jit-float`'s `ucomiss; ja` encodes exactly the same contract
-/// (`ja` is never taken on unordered operands), so those two check each
-/// other. The JIT integer family executes the same FLInt order-key
-/// compare as every other FLInt engine. The binary16 engines map to
+/// Every FLInt engine, QuickScorer's FLInt mode included, compares
+/// NaN-total order keys, which rank positive NaN patterns above `+inf`
+/// and negative ones below `-inf`: its reference is scalar `flint`.
+/// `vm-float` faithfully models the hardware `fcmp; b.gt` idiom of the
+/// paper's assembly backend, whose GT flag is false on unordered
+/// operands — NaN falls through to the *left* child, unlike the IEEE
+/// `<=`-is-false walk; `jit-float`'s `ucomiss; ja` encodes exactly the
+/// same contract (`ja` is never taken on unordered operands), and
+/// `quickscorer-float`'s per-feature `threshold < x` scan stops at the
+/// first unordered compare, leaving every node true, so all three
+/// send NaN left at every node. The binary16 engines map to
 /// `None` here because their family reference is not a registered
 /// scalar engine but the [`HalfForest`] walk — the dedicated
 /// `f16_engines_match_their_scalar_walk_on_adversarial_and_nan_columns`
@@ -237,9 +238,9 @@ fn nan_reference(kind: EngineKind) -> Option<EngineKind> {
         EngineKind::Vm(VmVariant::SoftFloat) => Some(EngineKind::Scalar(BackendKind::SoftFloat)),
         EngineKind::Jit(JitCompare::Flint) => Some(EngineKind::Scalar(BackendKind::Flint)),
         EngineKind::Jit(JitCompare::Float) => Some(EngineKind::Vm(VmVariant::NativeFloat)),
-        EngineKind::Vm(VmVariant::NativeFloat)
-        | EngineKind::QuickScorer(_)
-        | EngineKind::SimdF16(_) => None,
+        EngineKind::QuickScorer(QsCompare::Flint) => Some(EngineKind::Scalar(BackendKind::Flint)),
+        EngineKind::QuickScorer(QsCompare::Float) => Some(EngineKind::Vm(VmVariant::NativeFloat)),
+        EngineKind::Vm(VmVariant::NativeFloat) | EngineKind::SimdF16(_) => None,
     }
 }
 

@@ -3,10 +3,12 @@
 //! re-laying out nodes with CAGS) changes **no prediction**, on any
 //! input, including adversarial bit patterns.
 
+use flint_core::half::Half;
+use flint_core::{FloatBits, PreparedThreshold};
 use flint_data::synth::SynthSpec;
 use flint_data::uci::{Scale, UciDataset};
 use flint_exec::{BackendKind, CompiledForest, EngineBuilder, EngineKind};
-use flint_forest::{ForestConfig, RandomForest};
+use flint_forest::{DecisionTree, ForestConfig, Node, NodeId, RandomForest};
 use proptest::prelude::*;
 
 #[test]
@@ -63,8 +65,76 @@ fn bit_level_features(n: usize) -> impl Strategy<Value = Vec<f32>> {
     )
 }
 
+/// Feature vectors over raw bit patterns with NaN kept: about a quarter
+/// of the values are forced to NaN patterns of either sign.
+fn bit_level_features_with_nan(n: usize) -> impl Strategy<Value = Vec<f32>> {
+    let value = (any::<u32>(), 0u32..4).prop_map(|(bits, force_nan)| {
+        if force_nan == 0 {
+            f32::from_bits((bits & 0x8000_0000) | 0x7f80_0000 | (bits & 0x007f_ffff).max(1))
+        } else {
+            f32::from_bits(bits)
+        }
+    });
+    proptest::collection::vec(value, n)
+}
+
+/// The arena walk that decides every node with Theorem 2 itself,
+/// [`PreparedThreshold::le`], at float width `F`: `quantize` maps the
+/// tree's f32 thresholds into `F` (identity for f32, binary16 rounding
+/// for `Half`), and `features` are already in `F`.
+fn arena_le<F: FloatBits>(tree: &DecisionTree, features: &[F], quantize: fn(f32) -> F) -> u32 {
+    let mut id = NodeId::ROOT;
+    loop {
+        match &tree.nodes()[id.index()] {
+            Node::Leaf { class, .. } => return *class,
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => {
+                let t = PreparedThreshold::new(quantize(*threshold)).expect("non-NaN split");
+                id = if t.le(features[*feature as usize]) {
+                    *left
+                } else {
+                    *right
+                };
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The key-compare trees decide as Theorem 2 on every feature bit
+    /// pattern, NaN included: `IntTree::predict` against the f32 arena
+    /// walk, `HalfIntTree::predict` against the binary16 one.
+    #[test]
+    fn key_trees_match_theorem2_arena_walk_nan_included(
+        seed in 0u64..16,
+        features in bit_level_features_with_nan(3),
+    ) {
+        use flint_exec::f16::HalfIntTree;
+        use flint_exec::IntTree;
+        use flint_layout::{LayoutStrategy, TreeLayout, TreeProfile};
+        let data = SynthSpec::new(90, 3, 2)
+            .negative_fraction(0.5)
+            .seed(seed)
+            .generate();
+        let forest = RandomForest::fit(&data, &ForestConfig::grid(2, 10)).expect("trainable");
+        let halves: Vec<Half> = features.iter().map(|&x| Half::from_f32(x)).collect();
+        for tree in forest.trees() {
+            let profile = TreeProfile::collect(tree, &data);
+            for strategy in [LayoutStrategy::ArenaOrder, LayoutStrategy::Cags { block_nodes: 4 }] {
+                let layout = TreeLayout::compute(tree, &profile, strategy);
+                let it = IntTree::compile(tree, &layout).expect("compilable");
+                prop_assert_eq!(it.predict(&features), arena_le(tree, &features, |t| t));
+                let ht = HalfIntTree::compile(tree, &layout).expect("compilable");
+                prop_assert_eq!(ht.predict(&features), arena_le(tree, &halves, Half::from_f32));
+            }
+        }
+    }
 
     #[test]
     fn backends_agree_on_adversarial_bit_patterns(

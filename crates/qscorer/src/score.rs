@@ -2,7 +2,7 @@
 
 use crate::bitset::LeafBitset;
 use crate::build::QsTree;
-use flint_core::FlintOrd;
+use flint_core::order_key;
 use flint_data::FeatureMatrix;
 use flint_forest::RandomForest;
 
@@ -23,11 +23,15 @@ impl QsTree {
     /// left-leaf range of each *false* node (`threshold < x`), then
     /// reads the lowest surviving leaf.
     ///
+    /// In [`QsCompare::Flint`] mode features are keyed with the
+    /// NaN-total [`order_key`], so a NaN feature routes as in every
+    /// FLInt engine: a positive NaN pattern goes right at every node, a
+    /// negative one left.
+    ///
     /// # Panics
     ///
     /// Panics if `features.len()` is smaller than the tree's feature
-    /// count, or if a feature value is NaN in [`QsCompare::Flint`] mode
-    /// (debug builds).
+    /// count.
     pub fn score(&self, features: &[f32], compare: QsCompare, scratch: &mut LeafBitset) -> u32 {
         debug_assert_eq!(scratch.len(), self.n_leaves(), "scratch bitset size");
         scratch.reset_all_set();
@@ -46,7 +50,7 @@ impl QsTree {
             }
             QsCompare::Flint => {
                 for (f, conditions) in self.by_feature.iter().enumerate() {
-                    let x_key = FlintOrd::new(features[f]).order_key();
+                    let x_key = order_key(features[f]);
                     for c in conditions {
                         if c.threshold_key < x_key {
                             scratch.clear_range(c.leaf_start as usize, c.leaf_end as usize);
