@@ -374,10 +374,11 @@ case-insensitive): the five if-else configurations
 (naive|cags|flint|cags-flint|softfloat), their blocked batch
 counterparts (*-blocked), quickscorer[-float], the instruction-level
 VM variants (vm-flint|vm-float|vm-softfloat), the 8-wide SIMD lane
-engines (simd|simd-float; build with --features simd-avx2 for the
-AVX2 kernels), and their half-precision node-slab counterparts
-(simd-f16|simd-f16-float). Set FLINT_KERNEL=portable|avx2|neon to
-override the auto-dispatched kernel path.
+engines (simd|simd-float; AVX2 kernels on x86-64 CPUs that report
+AVX2, NEON on aarch64, portable lane loops elsewhere), and their
+half-precision node-slab counterparts (simd-f16|simd-f16-float). The
+kernel path is picked at run time; set FLINT_KERNEL=portable|avx2|neon
+to override it.
 
 `flint bench --shape` generates a named synthetic workload instead of
 reading a CSV: magic (24 trees x depth 10), ranking (600 x 6,

@@ -15,7 +15,7 @@
 //!   [`Predictor::describe`](crate::engine::Predictor::describe), so
 //!   logs always show what actually executed;
 //! * [`KernelPolicy`] — a per-engine-family selection policy combining
-//!   what is *compiled in* (feature gates and `cfg(target_arch)`),
+//!   what is *compiled in* (`cfg(target_arch)`),
 //!   what the *CPU reports* ([`KernelCaps`]), and what the *user
 //!   requests* via the [`KERNEL_ENV`] (`FLINT_KERNEL`) environment
 //!   variable.
@@ -135,7 +135,7 @@ pub enum KernelPath {
     /// family has this path and every differential suite pins it to
     /// the scalar references).
     Portable,
-    /// `std::arch` AVX2 intrinsics (x86-64, `simd-avx2` feature).
+    /// `std::arch` AVX2 intrinsics (x86-64).
     Avx2,
     /// `std::arch` NEON intrinsics (aarch64).
     Neon,
@@ -172,8 +172,8 @@ impl fmt::Display for KernelPath {
 /// and the environment override through [`KernelPolicy::select`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelPolicy {
-    /// The family has an AVX2 kernel built in (feature + arch gates
-    /// already folded in via `cfg!`).
+    /// The family has an AVX2 kernel built in (the arch gate already
+    /// folded in via `cfg!`).
     pub avx2: bool,
     /// The family's AVX2 kernel additionally requires F16C (the
     /// half→single widening conversion).
@@ -359,6 +359,17 @@ mod tests {
             FULL_POLICY.select_with(ALL_X86, Some("")),
             KernelPath::Portable
         );
+    }
+
+    /// Every x86-64 build carries the AVX2 lane kernels, f32 and
+    /// binary16 alike: run-time dispatch is the only switch.
+    #[test]
+    fn lane_families_carry_avx2_on_every_x86_64_build() {
+        let x86_64 = cfg!(target_arch = "x86_64");
+        assert_eq!(crate::simd::lane_policy().avx2, x86_64);
+        for compare in [crate::HalfCompare::Flint, crate::HalfCompare::Float] {
+            assert_eq!(crate::f16::f16_policy(compare).avx2, x86_64, "{compare:?}");
+        }
     }
 
     #[test]

@@ -178,13 +178,13 @@ pub enum EngineKind {
     Vm(VmVariant),
     /// The 8-wide lane-parallel SIMD traversal ([`crate::simd`]): lane
     /// groups of samples descend each tree through branchless
-    /// compare/blend steps, with optional AVX2 kernels behind the
-    /// `simd-avx2` feature.
+    /// compare/blend steps, with AVX2 kernels on x86-64 picked at run
+    /// time.
     Simd(SimdCompare),
     /// The tiered template JIT ([`TieredJit`]): tree programs emitted
-    /// as x86-64 machine code in executable pages (`jit-x86` feature,
-    /// x86-64 Linux), interpreting cold forests and falling back to
-    /// the interpreter bit-identically where emitted code cannot run.
+    /// as x86-64 machine code in executable pages (x86-64 Linux),
+    /// interpreting cold forests and falling back to the interpreter
+    /// bit-identically where emitted code cannot run.
     Jit(JitCompare),
     /// The half-precision lane engine ([`crate::f16`]): the same
     /// wave-interleaved branchless walk over 8-byte binary16 nodes and

@@ -142,13 +142,13 @@ pub enum HalfCompare {
     Float,
 }
 
-/// The f16 families' dispatch policy: AVX2 kernels behind the
-/// `simd-avx2` feature on x86-64 (the float family additionally needs
-/// F16C for `vcvtph2ps`); portable elsewhere — including aarch64,
-/// where the autovectorized walk is the NEON story for now.
+/// The f16 families' dispatch policy: AVX2 kernels on every x86-64
+/// build (the float family additionally needs F16C for `vcvtph2ps`);
+/// portable elsewhere — including aarch64, where the autovectorized
+/// walk is the NEON story for now.
 pub fn f16_policy(compare: HalfCompare) -> KernelPolicy {
     KernelPolicy {
-        avx2: cfg!(all(feature = "simd-avx2", target_arch = "x86_64")),
+        avx2: cfg!(target_arch = "x86_64"),
         f16c_required: matches!(compare, HalfCompare::Float),
         neon: false,
     }
@@ -460,13 +460,13 @@ impl HalfForest {
 /// depth 15 is `2^16 - 1` words (256 KiB), past which the padding
 /// overwhelms the gather savings and the engine stays on the 8-byte
 /// explicit-child walk.
-#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 const HEAP_MAX_DEPTH: u32 = 15;
 
 /// Max heap depth of `nodes` rooted at flat position 0, or `None` if
 /// it exceeds [`HEAP_MAX_DEPTH`]. `fields` maps a node to its
 /// `[feature, payload, left, right]` words.
-#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn heap_depth<N>(nodes: &[N], fields: impl Fn(&N) -> [u16; 4]) -> Option<u32> {
     let mut depth = 0;
     let mut stack = vec![(0u16, 0u32)];
@@ -491,7 +491,7 @@ fn heap_depth<N>(nodes: &[N], fields: impl Fn(&N) -> [u16; 4]) -> Option<u32> {
 /// hold a class-0 leaf word and are never gathered (cursors only ever
 /// advance out of real split nodes). Returns `None` for trees deeper
 /// than [`HEAP_MAX_DEPTH`].
-#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn heapify<N>(nodes: &[N], fields: impl Fn(&N) -> [u16; 4]) -> Option<Vec<u32>> {
     let depth = heap_depth(nodes, &fields)?;
     let mut heap = vec![u32::from(LEAF_MARKER_F16); (1usize << (depth + 1)) - 1];
@@ -511,13 +511,13 @@ fn heapify<N>(nodes: &[N], fields: impl Fn(&N) -> [u16; 4]) -> Option<Vec<u32>> 
 
 /// A float-comparison tree heapified by [`heapify`]: word payloads are
 /// binary16 threshold bits.
-#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone)]
 pub(crate) struct FloatHeap(Vec<u32>);
 
 /// An FLInt-comparison tree heapified by [`heapify`]: word payloads are
 /// `i16` order keys.
-#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone)]
 pub(crate) struct IntHeap(Vec<u32>);
 
@@ -528,10 +528,10 @@ pub(crate) enum HalfLayout {
     /// The forest's own 8-byte explicit-child nodes.
     Nodes,
     /// Every float-comparison tree as a 4-byte heap slab.
-    #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     FloatHeap(Vec<FloatHeap>),
     /// Every FLInt-comparison tree as a 4-byte heap slab.
-    #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     IntHeap(Vec<IntHeap>),
 }
 
@@ -540,7 +540,7 @@ impl HalfLayout {
     /// and every tree fits the heap layout; otherwise — one tree deeper
     /// than `HEAP_MAX_DEPTH` is enough — the 8-byte nodes.
     pub(crate) fn select(forest: &HalfForest, path: KernelPath) -> Self {
-        #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if path == KernelPath::Avx2 {
             let heaps = match &forest.trees {
                 HalfTrees::Float(trees) => trees
@@ -564,7 +564,7 @@ impl HalfLayout {
                 return heaps;
             }
         }
-        #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         let _ = (forest, path);
         HalfLayout::Nodes
     }
@@ -590,13 +590,13 @@ impl Lane for u16 {
         scratch: &mut [f32],
         path: KernelPath,
     ) {
-        #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if path == KernelPath::Avx2 && crate::dispatch::KernelCaps::get().f16c {
             matrix.gather_lanes(first, scratch);
             avx2::convert_lanes(scratch, slab);
             return;
         }
-        #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         let _ = (scratch, path);
         matrix.gather_lanes_f16(first, slab);
     }
@@ -622,12 +622,12 @@ impl Lane for i16 {
         path: KernelPath,
     ) {
         matrix.gather_lanes(first, scratch);
-        #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if path == KernelPath::Avx2 && crate::dispatch::KernelCaps::get().f16c {
             avx2::convert_keys(scratch, slab);
             return;
         }
-        #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         let _ = path;
         for (key, &x) in slab.iter_mut().zip(scratch.iter()) {
             *key = order_key(Half::from_f32(x));
@@ -641,7 +641,7 @@ impl LaneTree for HalfFloatTree {
     #[inline]
     fn walk(&self, slabs: &[&[u16]], cursors: &mut [U32x8], path: KernelPath) {
         match path {
-            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => avx2::walk_float(&self.nodes, slabs, cursors),
             _ => walk_wave(slabs, cursors, |slab, cursor| {
                 let fields = |n: &HalfFloatNode| [n.feature, n.threshold, n.left, n.right];
@@ -675,7 +675,7 @@ impl LaneTree for HalfIntTree {
     #[inline]
     fn walk(&self, slabs: &[&[i16]], cursors: &mut [U32x8], path: KernelPath) {
         match path {
-            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => avx2::walk_int(&self.nodes, slabs, cursors),
             _ => walk_wave(slabs, cursors, |slab, cursor| {
                 // Keys sign-extend to 32 bits, which preserves i16 order.
@@ -708,7 +708,7 @@ impl LaneTree for HalfIntTree {
 /// Heap slabs exist only on the AVX2 path ([`HalfLayout::select`]), so
 /// they have no other kernel; a leaf word carries its class in the high
 /// half.
-#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 impl LaneTree for FloatHeap {
     type Lane = u16;
 
@@ -723,7 +723,7 @@ impl LaneTree for FloatHeap {
     }
 }
 
-#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 impl LaneTree for IntHeap {
     type Lane = i16;
 
@@ -777,7 +777,7 @@ impl LaneTree for IntHeap {
 /// * the F16C slab converters walk equal-length exact chunks of their
 ///   two slices, whose destination elements are 2 bytes (asserted at
 ///   compile time).
-#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
     use super::{walk_wave, HalfFloatNode, HalfIntNode, U32x8, LEAF_MARKER_F16};
@@ -1244,7 +1244,7 @@ mod tests {
     #[test]
     fn avx2_and_portable_f16_paths_agree() {
         for compare in [HalfCompare::Flint, HalfCompare::Float] {
-            // Feature off, CPU without AVX2, or (float) without F16C.
+            // Not x86-64, CPU without AVX2, or (float) without F16C.
             if f16_policy(compare).select_with(KernelCaps::get(), None) != KernelPath::Avx2 {
                 continue;
             }

@@ -19,19 +19,19 @@
 //!   branch / return-leaf), stitched sequentially with branch targets
 //!   patched as `rel32` offsets after emission. Every tree of a forest
 //!   lands in one contiguous code buffer with per-tree entry offsets.
-//! * `CodeBuf` (behind `jit-x86` on x86-64 Linux) — the executable
-//!   memory island: `mmap(PROT_READ|PROT_WRITE)` → copy code →
+//! * `CodeBuf` (x86-64 Linux only) — the executable memory island:
+//!   `mmap(PROT_READ|PROT_WRITE)` → copy code →
 //!   `mprotect(PROT_READ|PROT_EXEC)`, so no page is ever writable and
 //!   executable at once (W^X). Raw `extern "C"` declarations — std
 //!   already links libc; no new dependency.
 //! * [`TieredJit`] — the compile-tier policy. Trees start **cold** and
 //!   are interpreted by the bytecode VM; once a forest has scored
 //!   [`DEFAULT_HOT_AFTER`] samples it is compiled (once, thread-safe)
-//!   and subsequent predictions run native. If the platform lacks the
-//!   feature, the architecture is wrong, or the mapping fails (also
-//!   forced by the [`FORCE_FALLBACK_ENV`] test knob), the tier degrades
-//!   to a permanent interpreter **fallback** — bit-identical answers,
-//!   just slower. [`TieredJit::describe`] reports which tier serves.
+//!   and subsequent predictions run native. If the target is not
+//!   x86-64 Linux or the mapping fails (also forced by the
+//!   [`FORCE_FALLBACK_ENV`] test knob), the tier degrades to a
+//!   permanent interpreter **fallback** — bit-identical answers, just
+//!   slower. [`TieredJit::describe`] reports which tier serves.
 //!
 //! ## Emitted code shape
 //!
@@ -90,24 +90,19 @@ pub const DEFAULT_HOT_AFTER: u64 = 64;
 /// triggers the failure.
 pub const FORCE_FALLBACK_ENV: &str = "FLINT_JIT_FORCE_FALLBACK";
 
-/// `true` when this build can execute emitted code: the `jit-x86`
-/// feature is on and the target is x86-64 Linux. When `false`, the
-/// `jit`/`jit-float` engines still build and answer — permanently on
-/// the interpreter fallback tier.
+/// `true` when this build can execute emitted code: the target is
+/// x86-64 Linux. When `false`, the `jit`/`jit-float` engines still
+/// build and answer — permanently on the interpreter fallback tier.
 pub fn jit_supported() -> bool {
-    cfg!(all(
-        feature = "jit-x86",
-        target_arch = "x86_64",
-        target_os = "linux"
-    ))
+    cfg!(all(target_arch = "x86_64", target_os = "linux"))
 }
 
 /// Error lowering or mapping a JIT program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum JitError {
-    /// This build cannot execute emitted code (feature off or wrong
-    /// platform); callers fall back to the interpreter.
+    /// This build cannot execute emitted code (not x86-64 Linux);
+    /// callers fall back to the interpreter.
     UnsupportedPlatform,
     /// The [`FORCE_FALLBACK_ENV`] knob is set (test-only failure
     /// injection).
@@ -439,7 +434,7 @@ fn emit_program(
 /// * only caller-saved registers (`eax`, `esi`, `edx`, `xmm0`, `xmm1`)
 ///   are written and the stack is untouched, so the `extern "C"` call
 ///   contract holds trivially.
-#[cfg(all(feature = "jit-x86", target_arch = "x86_64", target_os = "linux"))]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[allow(unsafe_code)]
 mod native {
     use super::JitError;
@@ -586,7 +581,7 @@ mod native {
 /// A forest compiled to native x86-64 code: one executable mapping, one
 /// entry per tree, majority-vote aggregation identical to every other
 /// engine.
-#[cfg(all(feature = "jit-x86", target_arch = "x86_64", target_os = "linux"))]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[derive(Debug)]
 pub struct JitForest {
     buf: native::CodeBuf,
@@ -595,7 +590,7 @@ pub struct JitForest {
     n_classes: usize,
 }
 
-#[cfg(all(feature = "jit-x86", target_arch = "x86_64", target_os = "linux"))]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 impl JitForest {
     /// Lowers and maps every tree of `forest` under `compare`.
     ///
@@ -673,13 +668,13 @@ impl JitForest {
 
 /// Fallback stand-in where emitted code cannot run: carries no code and
 /// cannot be constructed — [`TieredJit`] stays on the interpreter tier.
-#[cfg(not(all(feature = "jit-x86", target_arch = "x86_64", target_os = "linux")))]
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 #[derive(Debug)]
 pub struct JitForest {
     never: core::convert::Infallible,
 }
 
-#[cfg(not(all(feature = "jit-x86", target_arch = "x86_64", target_os = "linux")))]
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 impl JitForest {
     /// Always [`JitError::UnsupportedPlatform`] on this build.
     ///
@@ -732,8 +727,8 @@ pub enum JitTier {
     Cold,
     /// Compiled: executing native x86-64 code.
     Native,
-    /// Compilation was attempted and failed (feature off, wrong
-    /// platform, mapping refused): interpreting permanently.
+    /// Compilation was attempted and failed (wrong platform, mapping
+    /// refused): interpreting permanently.
     Fallback,
 }
 
@@ -974,7 +969,7 @@ mod tests {
         assert!(tiered.describe().contains("cold tier"));
     }
 
-    #[cfg(all(feature = "jit-x86", target_arch = "x86_64", target_os = "linux"))]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     mod native_exec {
         use super::*;
 

@@ -22,8 +22,8 @@
 //!   `simd`/`simd-float` and `simd-f16`/`simd-f16-float` engines:
 //!   samples descend each tree in lane groups through branchless
 //!   compare/blend steps (portable lane loops, plus `std::arch` AVX2
-//!   kernels behind the `simd-avx2` feature and NEON kernels on
-//!   aarch64). One wave loop and one span scorer serve every node
+//!   kernels on x86-64 and NEON kernels on aarch64, picked at run
+//!   time). One wave loop and one span scorer serve every node
 //!   format; ragged tails read zero-padded lanes from
 //!   [`flint_data::FeatureMatrix::gather_lanes`] instead of branching;
 //! * [`dispatch`] — the unified kernel-dispatch layer: host
@@ -43,7 +43,7 @@
 //!   vote;
 //! * [`jit::TieredJit`] — the in-process template JIT: the same tree
 //!   programs the VM interprets, emitted as x86-64 machine code into
-//!   `mmap`'d W^X pages (`jit-x86` feature, x86-64 Linux) and called
+//!   `mmap`'d W^X pages (x86-64 Linux) and called
 //!   directly. Cold forests interpret; a forest compiles on first hot
 //!   use; unsupported platforms fall back to the interpreter
 //!   bit-identically;

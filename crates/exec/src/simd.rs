@@ -11,8 +11,8 @@
 //! * [`F32x8`] / [`U32x8`] — fixed 8-lane vectors over `[f32; 8]` /
 //!   `[u32; 8]`, written as plain lane loops that stable Rust
 //!   autovectorizes reliably (no nightly `std::simd`), plus `std::arch`
-//!   AVX2 kernels behind the `simd-avx2` feature gate and NEON kernels
-//!   on aarch64, selected once per engine through [`lane_policy`];
+//!   AVX2 kernels on x86-64 and NEON kernels on aarch64, selected once
+//!   per engine at run time through [`lane_policy`];
 //! * **branchless select** — a lane group of 8 samples descends one
 //!   tree together; each level gathers the 8 current nodes, compares
 //!   all lanes at once and blends left/right child indices by mask.
@@ -176,12 +176,12 @@ impl U32x8 {
     }
 }
 
-/// The f32 lane family's dispatch policy: AVX2 kernels exist behind
-/// the `simd-avx2` feature on x86-64, NEON kernels on aarch64, and the
-/// portable autovectorized walk everywhere.
+/// The f32 lane family's dispatch policy: AVX2 kernels exist on every
+/// x86-64 build, NEON kernels on aarch64, and the portable
+/// autovectorized walk everywhere.
 pub fn lane_policy() -> KernelPolicy {
     KernelPolicy {
-        avx2: cfg!(all(feature = "simd-avx2", target_arch = "x86_64")),
+        avx2: cfg!(target_arch = "x86_64"),
         f16c_required: false,
         neon: cfg!(target_arch = "aarch64"),
     }
@@ -450,11 +450,11 @@ impl LaneEngine {
                 HalfTrees::Float(trees) => self.score_span(trees, matrix, start, span, block),
                 HalfTrees::Int(trees) => self.score_span(trees, matrix, start, span, block),
             },
-            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             LaneForest::F16(_, HalfLayout::FloatHeap(trees)) => {
                 self.score_span(trees, matrix, start, span, block)
             }
-            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             LaneForest::F16(_, HalfLayout::IntHeap(trees)) => {
                 self.score_span(trees, matrix, start, span, block)
             }
@@ -541,7 +541,7 @@ impl LaneTree for FloatTree {
     fn walk(&self, slabs: &[&[f32]], cursors: &mut [U32x8], path: KernelPath) {
         let nodes = self.nodes();
         match path {
-            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => avx2::walk_float(nodes, slabs, cursors),
             #[cfg(target_arch = "aarch64")]
             KernelPath::Neon => neon::walk_float(nodes, slabs, cursors),
@@ -568,7 +568,7 @@ impl LaneTree for IntTree {
     fn walk(&self, slabs: &[&[i32]], cursors: &mut [U32x8], path: KernelPath) {
         let nodes = self.nodes();
         match path {
-            #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => avx2::walk_int(nodes, slabs, cursors),
             #[cfg(target_arch = "aarch64")]
             KernelPath::Neon => neon::walk_int(nodes, slabs, cursors),
@@ -642,7 +642,7 @@ pub(crate) fn step_portable<N, L: Copy>(
 ///   valid feature index or clamped to 0 for leaf lanes, always inside
 ///   the `n_features * LANES` slab of 4-byte elements (`f32` features
 ///   or `i32` order keys).
-#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
     use super::{walk_wave, U32x8};
@@ -1062,14 +1062,13 @@ mod tests {
         let _ = engine(&forest, SimdCompare::Flint, opts).predict(&bad, &opts);
     }
 
-    /// When the AVX2 kernels are compiled in and the CPU has them, the
-    /// portable and intrinsic paths must agree bit-for-bit (the
-    /// portable path is the reference the differential suites pin to
-    /// the scalar engines).
+    /// On an x86-64 CPU with AVX2, the portable and intrinsic paths
+    /// must agree bit-for-bit (the portable path is the reference the
+    /// differential suites pin to the scalar engines).
     #[test]
     fn avx2_and_portable_paths_agree() {
         if lane_policy().select_with(KernelCaps::get(), None) != KernelPath::Avx2 {
-            return; // feature off or CPU without AVX2: nothing to cross-check
+            return; // not x86-64, or a CPU without AVX2: nothing to cross-check
         }
         let (data, forest) = setup();
         let matrix = FeatureMatrix::from_dataset(&data);

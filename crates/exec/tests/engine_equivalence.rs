@@ -28,7 +28,7 @@ use flint_data::uci::{Scale, UciDataset};
 use flint_data::{Dataset, FeatureMatrix};
 use flint_exec::{
     BackendKind, BatchOptions, EngineBuilder, EngineKind, HalfCompare, HalfForest, JitCompare,
-    SimdCompare,
+    SimdCompare, FORCE_FALLBACK_ENV,
 };
 use flint_forest::{ForestConfig, RandomForest};
 use flint_qscorer::QsCompare;
@@ -421,10 +421,11 @@ fn deep_model(seed: u64) -> (Dataset, RandomForest) {
 
 /// Deep unbalanced programs, scored twice: the first pass starts on the
 /// cold interpreter tier and crosses the hot threshold mid-batch; the
-/// second pass runs entirely hot (native code under `jit-x86` on
-/// x86-64, interpreter fallback elsewhere). Both passes must be
-/// bit-identical to the forest's majority vote, and the engine must
-/// report it left the cold tier.
+/// second pass runs entirely hot (native code on x86-64 Linux,
+/// interpreter fallback elsewhere or under [`FORCE_FALLBACK_ENV`]).
+/// Both passes must be bit-identical to the forest's majority vote, and
+/// the engine must report it left the cold tier for the tier this build
+/// and environment call for.
 #[test]
 fn jit_kinds_agree_on_deep_programs_cold_and_hot() {
     let (data, forest) = deep_model(51);
@@ -436,6 +437,12 @@ fn jit_kinds_agree_on_deep_programs_cold_and_hot() {
     let matrix = FeatureMatrix::from_dataset(&data);
     let reference = forest.predict_dataset_majority(&data);
     let builder = EngineBuilder::new(&forest).profile_data(&data);
+    let forced = std::env::var_os(FORCE_FALLBACK_ENV).is_some_and(|v| !v.is_empty());
+    let hot_tier = if forced {
+        "fallback tier"
+    } else {
+        "native tier"
+    };
     for kind in JIT_KINDS {
         let engine = builder.build(kind).expect("builds");
         assert!(
@@ -452,6 +459,14 @@ fn jit_kinds_agree_on_deep_programs_cold_and_hot() {
             engine.name(),
             engine.describe()
         );
+        if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+            assert!(
+                engine.describe().contains(hot_tier),
+                "{} should serve the {hot_tier}: {}",
+                engine.name(),
+                engine.describe()
+            );
+        }
         let hot_pass = engine.predict_matrix(&matrix);
         assert_eq!(hot_pass, reference, "{} hot pass", engine.name());
     }
