@@ -29,15 +29,15 @@ pub enum Command {
         data: String,
         /// Number of classes in the CSV's label column.
         classes: usize,
-        /// Backend name (`naive`, `flint`, `cags`, `cags-flint`,
-        /// `quickscorer`).
+        /// Engine registry name (any name `flint bench --list`
+        /// prints, e.g. `flint`, `flint-blocked`, `simd`, `jit`).
         backend: String,
         /// Also print accuracy against the CSV labels.
         accuracy: bool,
-        /// Sample block size for the batch engine (`None` = scalar
-        /// one-sample-at-a-time loop, unless `threads > 1`).
+        /// Sample block size of the engine's batch options (`None` =
+        /// the default of 64).
         batch_size: Option<usize>,
-        /// Worker threads for the batch engine.
+        /// Worker threads of the engine's batch options.
         threads: usize,
     },
     /// Measure every registered engine's throughput over a CSV
@@ -375,10 +375,12 @@ case-insensitive): the five if-else configurations
 counterparts (*-blocked), quickscorer[-float], the instruction-level
 VM variants (vm-flint|vm-float|vm-softfloat), the 8-wide SIMD lane
 engines (simd|simd-float; AVX2 kernels on x86-64 CPUs that report
-AVX2, NEON on aarch64, portable lane loops elsewhere), and their
-half-precision node-slab counterparts (simd-f16|simd-f16-float). The
-kernel path is picked at run time; set FLINT_KERNEL=portable|avx2|neon
-to override it.
+AVX2, NEON on aarch64, portable lane loops elsewhere), their
+half-precision node-slab counterparts (simd-f16|simd-f16-float), and
+the template JIT (jit|jit-float; native x86-64 code compiled when the
+engine is built on x86-64 Linux, the VM interpreter elsewhere or with
+FLINT_JIT_FORCE_FALLBACK=1). The kernel path is picked at run time;
+set FLINT_KERNEL=portable|avx2|neon to override it.
 
 `flint bench --shape` generates a named synthetic workload instead of
 reading a CSV: magic (24 trees x depth 10), ranking (600 x 6,

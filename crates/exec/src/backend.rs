@@ -60,7 +60,7 @@ impl BackendKind {
         match self {
             BackendKind::Naive | BackendKind::Cags => CompareMode::NativeFloat,
             BackendKind::Flint | BackendKind::CagsFlint => CompareMode::Flint,
-            BackendKind::SoftFloat => CompareMode::NativeFloat,
+            BackendKind::SoftFloat => CompareMode::SoftFloat,
         }
     }
 
@@ -155,10 +155,10 @@ impl CompiledForest {
                 }
             }
         }
-        let trees = match kind {
-            BackendKind::Flint | BackendKind::CagsFlint => Trees::Int(int_trees),
-            BackendKind::SoftFloat => Trees::Soft(float_trees),
-            BackendKind::Naive | BackendKind::Cags => Trees::Float(float_trees),
+        let trees = match kind.compare_mode() {
+            CompareMode::NativeFloat => Trees::Float(float_trees),
+            CompareMode::SoftFloat => Trees::Soft(float_trees),
+            CompareMode::Flint => Trees::Int(int_trees),
         };
         Ok(Self {
             kind,
@@ -191,8 +191,7 @@ impl CompiledForest {
         }
     }
 
-    /// The compiled per-tree arrays, for the batch engine's
-    /// tree-blocked traversal.
+    /// The compiled per-tree arrays, for the batch and lane walks.
     pub(crate) fn trees(&self) -> &Trees {
         &self.trees
     }
@@ -299,6 +298,19 @@ mod tests {
         assert_eq!(b.n_trees(), 7);
         assert_eq!(b.n_classes(), 3);
         assert_eq!(b.n_features(), 5);
+    }
+
+    #[test]
+    fn every_backend_reports_its_compare_mode() {
+        for (kind, mode) in [
+            (BackendKind::Naive, CompareMode::NativeFloat),
+            (BackendKind::Cags, CompareMode::NativeFloat),
+            (BackendKind::Flint, CompareMode::Flint),
+            (BackendKind::CagsFlint, CompareMode::Flint),
+            (BackendKind::SoftFloat, CompareMode::SoftFloat),
+        ] {
+            assert_eq!(kind.compare_mode(), mode, "{}", kind.name());
+        }
     }
 
     #[test]

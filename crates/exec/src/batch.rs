@@ -9,9 +9,10 @@
 //!   64); a block is transposed out of the structure-of-arrays
 //!   [`FeatureMatrix`] into a row-major scratch that stays resident in
 //!   L1/L2 while every tree traverses it;
-//! * **tree blocking** — trees are visited in small groups per sample
-//!   block, so each tree's flat node array is loaded once per block of
-//!   samples instead of once per sample;
+//! * **tree-major walks** — every tree traverses the whole resident
+//!   sample block before the next tree starts, so each tree's flat node
+//!   array is loaded once per block of samples instead of once per
+//!   sample;
 //! * **scratch reuse** — the per-block row buffer and the vote
 //!   accumulator are allocated once per worker and reused across
 //!   blocks, removing every per-sample allocation;
@@ -54,18 +55,15 @@ pub struct BatchOptions {
     /// Samples per block (the unit of cache blocking and of thread
     /// work distribution).
     pub block_samples: usize,
-    /// Trees per inner block.
-    pub block_trees: usize,
     /// Worker threads. `1` runs inline on the calling thread.
     pub threads: usize,
 }
 
 impl Default for BatchOptions {
-    /// 64-sample × 8-tree blocks, single-threaded.
+    /// 64-sample blocks, single-threaded.
     fn default() -> Self {
         Self {
             block_samples: 64,
-            block_trees: 8,
             threads: 1,
         }
     }
@@ -76,13 +74,6 @@ impl BatchOptions {
     #[must_use]
     pub fn block_samples(mut self, n: usize) -> Self {
         self.block_samples = n;
-        self
-    }
-
-    /// Sets the tree block size.
-    #[must_use]
-    pub fn block_trees(mut self, n: usize) -> Self {
-        self.block_trees = n;
         self
     }
 
@@ -199,7 +190,6 @@ impl<'f> BatchEngine<'f> {
     ) {
         let n_features = self.forest.n_features();
         let n_classes = self.forest.n_classes();
-        let block_trees = self.opts.block_trees.max(1);
         let rows = &mut scratch.rows[..len * n_features];
         matrix.gather_block(start, len, rows);
         let votes = &mut scratch.votes[..len * n_classes];
@@ -212,37 +202,33 @@ impl<'f> BatchEngine<'f> {
         let float = |n: &FloatNode| (n.feature, n.threshold, n.left, n.right);
         match self.forest.trees() {
             Trees::Float(trees) => {
-                for group in trees.chunks(block_trees) {
-                    for tree in group {
-                        walk_interleaved(
-                            tree.nodes(),
-                            float,
-                            rows,
-                            n_features,
-                            n_classes,
-                            votes,
-                            cursor,
-                            active,
-                            |x, threshold| x <= threshold,
-                        );
-                    }
+                for tree in trees {
+                    walk_interleaved(
+                        tree.nodes(),
+                        float,
+                        rows,
+                        n_features,
+                        n_classes,
+                        votes,
+                        cursor,
+                        active,
+                        |x, threshold| x <= threshold,
+                    );
                 }
             }
             Trees::Soft(trees) => {
-                for group in trees.chunks(block_trees) {
-                    for tree in group {
-                        walk_interleaved(
-                            tree.nodes(),
-                            float,
-                            rows,
-                            n_features,
-                            n_classes,
-                            votes,
-                            cursor,
-                            active,
-                            flint_softfloat::soft_le,
-                        );
-                    }
+                for tree in trees {
+                    walk_interleaved(
+                        tree.nodes(),
+                        float,
+                        rows,
+                        n_features,
+                        n_classes,
+                        votes,
+                        cursor,
+                        active,
+                        flint_softfloat::soft_le,
+                    );
                 }
             }
             Trees::Int(trees) => {
@@ -251,20 +237,18 @@ impl<'f> BatchEngine<'f> {
                 for (key, &x) in keys.iter_mut().zip(rows.iter()) {
                     *key = order_key(x);
                 }
-                for group in trees.chunks(block_trees) {
-                    for tree in group {
-                        walk_interleaved(
-                            tree.nodes(),
-                            |n: &IntNode| (n.feature, n.key, n.left, n.right),
-                            keys,
-                            n_features,
-                            n_classes,
-                            votes,
-                            cursor,
-                            active,
-                            |x, key| x <= key,
-                        );
-                    }
+                for tree in trees {
+                    walk_interleaved(
+                        tree.nodes(),
+                        |n: &IntNode| (n.feature, n.key, n.left, n.right),
+                        keys,
+                        n_features,
+                        n_classes,
+                        votes,
+                        cursor,
+                        active,
+                        |x, key| x <= key,
+                    );
                 }
             }
         }
@@ -425,10 +409,7 @@ mod tests {
     fn zero_and_degenerate_options_are_clamped() {
         let (data, backend) = setup();
         let want = backend.predict_dataset(&data);
-        let opts = BatchOptions::default()
-            .block_samples(0)
-            .block_trees(0)
-            .threads(0);
+        let opts = BatchOptions::default().block_samples(0).threads(0);
         assert_eq!(backend.predict_dataset_batched(&data, opts), want);
     }
 

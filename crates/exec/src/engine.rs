@@ -11,9 +11,10 @@
 //! benches, examples, equivalence tests — re-implemented the wiring.
 //! Here they are all one thing:
 //!
-//! * [`Predictor`] — `predict_one` / `predict_batch` plus `name` /
-//!   `describe` metadata; every engine aggregates by the same majority
-//!   vote ([`flint_forest::RandomForest::predict_majority`]), so all
+//! * [`Predictor`] — `predict_votes`, the one scoring method an engine
+//!   writes, plus `name` / `describe` metadata; every engine answers by
+//!   the same majority vote over those votes
+//!   ([`flint_forest::RandomForest::predict_majority`]), so all
 //!   registered engines are interchangeable prediction-for-prediction;
 //! * [`EngineKind`] — the engine space: the five [`BackendKind`]
 //!   if-else configurations × {scalar, blocked}, QuickScorer in both
@@ -26,12 +27,12 @@
 //! * [`EngineBuilder`] — turns `(RandomForest, EngineKind,
 //!   BatchOptions)` into a boxed engine, owning its compiled artifacts.
 //!
-//! This is the seam future work plugs into: an async micro-batch front
-//! end queues rows into a [`FeatureMatrix`] and calls any `Predictor`
-//! (the `flint-serve` front end does exactly that); the SIMD lane
-//! kernels arrived as the `simd`/`simd-float` `EngineKind`s with zero
-//! consumer changes; sharding partitions the `BatchOptions` spans
-//! across engines on different nodes.
+//! This is the seam consumers plug into: `flint serve` scores each
+//! chunk of arrived rows as one [`FeatureMatrix`] through any
+//! `Predictor`; the SIMD lane kernels arrived as the
+//! `simd`/`simd-float` `EngineKind`s with zero consumer changes; a
+//! `flint route` shard builds any engine on a tree span and answers
+//! with its `predict_votes` histogram.
 //!
 //! ```
 //! use flint_data::{synth::SynthSpec, FeatureMatrix};
@@ -83,10 +84,9 @@ use flint_qscorer::{QsCompare, QsForest};
 /// ([`EngineKind::is_exact`] is false) answer for their own f16
 /// comparison family instead: bit-identical to [`HalfForest::predict`].
 ///
-/// `Send + Sync` are explicit supertraits: a boxed engine is shared
-/// across scoring workers by the `flint-serve` micro-batching front
-/// end (as `Arc<dyn Predictor>`), so thread-unsafe engines are ruled
-/// out at the trait boundary, not discovered at a spawn site.
+/// `Send + Sync` are explicit supertraits: `predict_batch` shares one
+/// engine across its scoring workers, so thread-unsafe engines are
+/// ruled out at the trait boundary, not discovered at a spawn site.
 pub trait Predictor: core::fmt::Debug + Send + Sync {
     /// Which registry entry this engine is.
     fn kind(&self) -> EngineKind;
@@ -101,39 +101,57 @@ pub trait Predictor: core::fmt::Debug + Send + Sync {
     /// [`predict_matrix`](Self::predict_matrix)).
     fn options(&self) -> BatchOptions;
 
-    /// Scores one feature vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len() != n_features()`.
-    fn predict_one(&self, features: &[f32]) -> u32;
-
-    /// The per-class vote histogram behind
-    /// [`predict_one`](Self::predict_one): `votes[c]` trees voted for
-    /// class `c`, summing to the engine's tree count.
+    /// The per-class vote histogram of one feature vector: `votes[c]`
+    /// trees voted for class `c`, summing to the engine's tree count.
+    /// The one scoring method every engine writes.
     ///
     /// This is the sharding seam of distributed inference: an engine
     /// built on a tree span reports its histogram, disjoint spans merge
     /// by element-wise addition, and the canonical
     /// `flint_forest::metrics::majority_vote` tie-break over the merged
-    /// histogram is bit-identical to the single-node answer. Every
-    /// engine must satisfy
-    /// `majority_vote(predict_votes(x)) == predict_one(x)`.
+    /// histogram is bit-identical to the single-node answer.
     ///
     /// # Panics
     ///
     /// Panics if `features.len() != n_features()`.
     fn predict_votes(&self, features: &[f32]) -> Vec<u32>;
 
+    /// Scores one feature vector: the majority vote of
+    /// [`predict_votes`](Self::predict_votes), so the two agree by
+    /// construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len() != n_features()`.
+    fn predict_one(&self, features: &[f32]) -> u32 {
+        flint_forest::metrics::majority_vote(&self.predict_votes(features))
+    }
+
     /// Scores every sample of `matrix` under explicit batch options,
-    /// returning one class per sample. Options the engine cannot use
-    /// are ignored (e.g. `block_trees` outside the blocked engines);
-    /// `threads` is honored by every engine.
+    /// returning one class per sample: by default row by row through
+    /// [`predict_one`](Self::predict_one), over the worker spans that
+    /// `threads` and `block_samples` define. Only the engines with a
+    /// batch kernel (blocked, lane, QuickScorer) override it.
     ///
     /// # Panics
     ///
     /// Panics if `matrix.n_features()` differs from the model's.
-    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32>;
+    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
+        assert_eq!(
+            matrix.n_features(),
+            self.n_features(),
+            "feature matrix width"
+        );
+        let mut out = vec![0u32; matrix.n_samples()];
+        score_spans(opts, &mut out, |start, span| {
+            let mut row = vec![0.0f32; matrix.n_features()];
+            for (k, slot) in span.iter_mut().enumerate() {
+                matrix.gather_row(start + k, &mut row);
+                *slot = self.predict_one(&row);
+            }
+        });
+        out
+    }
 
     /// The engine's registry name (stable, CLI-addressable).
     fn name(&self) -> &'static str {
@@ -181,10 +199,10 @@ pub enum EngineKind {
     /// compare/blend steps, with AVX2 kernels on x86-64 picked at run
     /// time.
     Simd(SimdCompare),
-    /// The tiered template JIT ([`TieredJit`]): tree programs emitted
-    /// as x86-64 machine code in executable pages (x86-64 Linux),
-    /// interpreting cold forests and falling back to the interpreter
-    /// bit-identically where emitted code cannot run.
+    /// The template JIT ([`TieredJit`]): tree programs emitted as
+    /// x86-64 machine code in executable pages when the engine is built
+    /// (x86-64 Linux), falling back to the interpreter bit-identically
+    /// where emitted code cannot run.
     Jit(JitCompare),
     /// The half-precision lane engine ([`crate::f16`]): the same
     /// wave-interleaved branchless walk over 8-byte binary16 nodes and
@@ -527,25 +545,6 @@ impl<'f> EngineBuilder<'f> {
     }
 }
 
-/// Row-at-a-time scoring over a matrix span through a per-worker row
-/// gather buffer — the shared batch shape of the scalar, QuickScorer
-/// and VM engines (the blocked engine has its own interleaved walk).
-fn score_rows(
-    matrix: &FeatureMatrix,
-    n_features: usize,
-    opts: &BatchOptions,
-    out: &mut [u32],
-    predict: impl Fn(&[f32]) -> u32 + Sync,
-) {
-    score_spans(opts, out, |start, span| {
-        let mut row = vec![0.0f32; n_features];
-        for (k, slot) in span.iter_mut().enumerate() {
-            matrix.gather_row(start + k, &mut row);
-            *slot = predict(&row);
-        }
-    });
-}
-
 /// [`EngineKind::Scalar`]: the paper's measured shape — one sample at a
 /// time through the flat if-else node arrays.
 #[derive(Debug)]
@@ -571,25 +570,8 @@ impl Predictor for ScalarEngine {
         self.opts
     }
 
-    fn predict_one(&self, features: &[f32]) -> u32 {
-        self.forest.predict(features)
-    }
-
     fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
         self.forest.predict_votes(features)
-    }
-
-    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        assert_eq!(
-            matrix.n_features(),
-            self.forest.n_features(),
-            "feature matrix width"
-        );
-        let mut out = vec![0u32; matrix.n_samples()];
-        score_rows(matrix, self.forest.n_features(), opts, &mut out, |row| {
-            self.forest.predict(row)
-        });
-        out
     }
 }
 
@@ -616,10 +598,6 @@ impl Predictor for BlockedEngine {
 
     fn options(&self) -> BatchOptions {
         self.opts
-    }
-
-    fn predict_one(&self, features: &[f32]) -> u32 {
-        self.forest.predict(features)
     }
 
     fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
@@ -655,10 +633,6 @@ impl Predictor for QuickScorerEngine {
 
     fn options(&self) -> BatchOptions {
         self.opts
-    }
-
-    fn predict_one(&self, features: &[f32]) -> u32 {
-        self.qs.predict(features, self.compare)
     }
 
     fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
@@ -719,45 +693,24 @@ impl Predictor for VmEngine {
         self.opts
     }
 
-    fn predict_one(&self, features: &[f32]) -> u32 {
+    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
         assert_eq!(features.len(), self.n_features, "feature vector length");
         // Programs compiled from validated trees never fault on a
         // correctly sized feature vector.
         self.vm
-            .run(features)
-            .expect("compiled VM programs run to a return")
-            .0
-    }
-
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        assert_eq!(features.len(), self.n_features, "feature vector length");
-        self.vm
             .run_votes(features)
             .expect("compiled VM programs run to a return")
             .0
-    }
-
-    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        assert_eq!(matrix.n_features(), self.n_features, "feature matrix width");
-        let mut out = vec![0u32; matrix.n_samples()];
-        score_rows(matrix, self.n_features, opts, &mut out, |row| {
-            self.vm
-                .run(row)
-                .expect("compiled VM programs run to a return")
-                .0
-        });
-        out
     }
 }
 
 /// [`EngineKind::Simd`] and [`EngineKind::SimdF16`]: the lane engine of
 /// [`crate::simd`] — lane groups of samples walk each tree through
 /// branchless compare/blend steps over 16-byte f32, 8-byte binary16 or
-/// 4-byte heap nodes. `predict_one` and `predict_votes` run the
-/// family's scalar reference, so single-row and batched answers are
-/// bit-identical by construction; [`describe`](Predictor::describe)
-/// reports the kernel path dispatched at build time. The other methods
-/// answer through `LaneEngine`'s inherent methods of the same name.
+/// 4-byte heap nodes. `predict_votes` runs the family's scalar
+/// reference; [`describe`](Predictor::describe) reports the kernel path
+/// dispatched at build time. The other methods answer through
+/// `LaneEngine`'s inherent methods of the same name.
 impl Predictor for LaneEngine {
     fn kind(&self) -> EngineKind {
         LaneEngine::kind(self)
@@ -777,10 +730,6 @@ impl Predictor for LaneEngine {
 
     fn describe(&self) -> &'static str {
         lane_describe(LaneEngine::kind(self), self.kernel_path())
-    }
-
-    fn predict_one(&self, features: &[f32]) -> u32 {
-        flint_forest::metrics::majority_vote(&LaneEngine::predict_votes(self, features))
     }
 
     fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
@@ -826,12 +775,12 @@ fn lane_describe(kind: EngineKind, path: KernelPath) -> &'static str {
     }
 }
 
-/// [`EngineKind::Jit`]: the tiered template JIT — interprets cold,
-/// compiles the forest to native x86-64 code on first hot use, degrades
-/// to the interpreter where emitted code cannot run. Unlike the other
-/// engines, [`describe`](Predictor::describe) is overridden to report
-/// the tier currently serving, so callers (and the fallback tests) can
-/// see whether answers come from native code or the interpreter.
+/// [`EngineKind::Jit`]: the template JIT — the forest is compiled to
+/// native x86-64 code when the engine is built, or served by the
+/// interpreter where emitted code cannot run. Like the lane engines,
+/// [`describe`](Predictor::describe) reports the path fixed at build:
+/// the tier, so callers (and the fallback tests) can see whether
+/// answers come from native code or the interpreter.
 #[derive(Debug)]
 struct JitEngine {
     tiered: TieredJit,
@@ -859,25 +808,8 @@ impl Predictor for JitEngine {
         self.tiered.describe()
     }
 
-    fn predict_one(&self, features: &[f32]) -> u32 {
-        self.tiered.predict(features)
-    }
-
     fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
         self.tiered.predict_votes(features)
-    }
-
-    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        assert_eq!(
-            matrix.n_features(),
-            self.tiered.n_features(),
-            "feature matrix width"
-        );
-        let mut out = vec![0u32; matrix.n_samples()];
-        score_rows(matrix, self.tiered.n_features(), opts, &mut out, |row| {
-            self.tiered.predict(row)
-        });
-        out
     }
 }
 

@@ -24,14 +24,14 @@
 //!   `mprotect(PROT_READ|PROT_EXEC)`, so no page is ever writable and
 //!   executable at once (W^X). Raw `extern "C"` declarations — std
 //!   already links libc; no new dependency.
-//! * [`TieredJit`] — the compile-tier policy. Trees start **cold** and
-//!   are interpreted by the bytecode VM; once a forest has scored
-//!   [`DEFAULT_HOT_AFTER`] samples it is compiled (once, thread-safe)
-//!   and subsequent predictions run native. If the target is not
-//!   x86-64 Linux or the mapping fails (also forced by the
-//!   [`FORCE_FALLBACK_ENV`] test knob), the tier degrades to a
-//!   permanent interpreter **fallback** — bit-identical answers, just
-//!   slower. [`TieredJit::describe`] reports which tier serves.
+//! * [`TieredJit`] — the tier, fixed when the engine is built: the
+//!   forest is compiled to the **native** tier up front, so the emit
+//!   and map cost is paid at startup and every row runs emitted code.
+//!   If the target is not x86-64 Linux or the mapping fails (also
+//!   forced by the [`FORCE_FALLBACK_ENV`] test knob), it serves the
+//!   bytecode interpreter as the **fallback** tier instead —
+//!   bit-identical answers, just slower. [`TieredJit::describe`]
+//!   reports which tier serves.
 //!
 //! ## Emitted code shape
 //!
@@ -50,9 +50,6 @@
 //!   `x > y` with no unordered operand, so a NaN feature falls to the
 //!   left child — exactly the interpreter's `flag_gt = x > y` (false
 //!   for NaN).
-
-use core::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use flint_codegen::{Instr, TreeProgram, VmForest, VmVariant};
 use flint_forest::RandomForest;
@@ -78,16 +75,10 @@ impl JitCompare {
     }
 }
 
-/// Samples a [`TieredJit`] interprets before compiling to native code —
-/// keeps the (sub-millisecond, but nonzero) emit+mmap cost off the
-/// build and serve-startup paths while letting any real batch reach the
-/// native tier almost immediately.
-pub const DEFAULT_HOT_AFTER: u64 = 64;
-
 /// Environment knob forcing executable-memory allocation to fail, so
 /// the interpreter-fallback path is testable on machines where `mmap`
-/// works. Checked once per compile attempt; any non-empty value
-/// triggers the failure.
+/// works. Checked once per compile, when the engine is built; any
+/// non-empty value triggers the failure.
 pub const FORCE_FALLBACK_ENV: &str = "FLINT_JIT_FORCE_FALLBACK";
 
 /// `true` when this build can execute emitted code: the target is
@@ -592,33 +583,21 @@ pub struct JitForest {
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 impl JitForest {
-    /// Lowers and maps every tree of `forest` under `compare`.
+    /// Lowers every tree of `forest` under `compare` (the exact
+    /// programs the interpreter executes — shared lowering), then
+    /// emits and maps them.
     ///
     /// # Errors
     ///
     /// [`JitError`] if emission or the executable mapping fails.
     pub fn compile(forest: &RandomForest, compare: JitCompare) -> Result<Self, JitError> {
         let programs = TreeProgram::compile_forest(forest, compare.variant());
-        Self::from_programs(&programs, forest.n_features(), forest.n_classes())
-    }
-
-    /// Maps already-lowered tree programs (the exact programs the
-    /// interpreter executes — shared lowering).
-    ///
-    /// # Errors
-    ///
-    /// [`JitError`] if emission or the executable mapping fails.
-    pub fn from_programs(
-        programs: &[TreeProgram],
-        n_features: usize,
-        n_classes: usize,
-    ) -> Result<Self, JitError> {
-        let emitted = EmittedCode::emit(programs, n_features)?;
+        let emitted = EmittedCode::emit(&programs, forest.n_features())?;
         Ok(Self {
             buf: native::CodeBuf::map(emitted.code())?,
             entries: emitted.entries().to_vec(),
-            n_features,
-            n_classes,
+            n_features: forest.n_features(),
+            n_classes: forest.n_classes(),
         })
     }
 
@@ -685,19 +664,6 @@ impl JitForest {
         Err(JitError::UnsupportedPlatform)
     }
 
-    /// Always [`JitError::UnsupportedPlatform`] on this build.
-    ///
-    /// # Errors
-    ///
-    /// Always errs.
-    pub fn from_programs(
-        _programs: &[TreeProgram],
-        _n_features: usize,
-        _n_classes: usize,
-    ) -> Result<Self, JitError> {
-        Err(JitError::UnsupportedPlatform)
-    }
-
     /// Unreachable: the type is uninhabited on this build.
     pub fn n_features(&self) -> usize {
         match self.never {}
@@ -719,53 +685,50 @@ impl JitForest {
     }
 }
 
-/// Which tier a [`TieredJit`] is currently serving from.
+/// Which tier a [`TieredJit`] serves from, fixed when it is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JitTier {
-    /// Below the hot threshold: interpreting, compilation not yet
-    /// attempted.
-    Cold,
     /// Compiled: executing native x86-64 code.
     Native,
-    /// Compilation was attempted and failed (wrong platform, mapping
-    /// refused): interpreting permanently.
+    /// Compilation failed (wrong platform, mapping refused):
+    /// interpreting.
     Fallback,
 }
 
-/// The tiered execution policy: interpret cold forests through the
-/// bytecode VM, compile to native code on first hot use, degrade to a
-/// permanent interpreter fallback when the platform can't execute
-/// emitted code. Both tiers run the same shared [`TreeProgram`]
-/// lowering, so answers are bit-identical across tiers by construction.
+/// What a [`TieredJit`] runs: the compiled forest, or the interpreter
+/// when compilation failed. Both execute the same shared
+/// [`TreeProgram`] lowering, so answers are bit-identical across tiers
+/// by construction.
+#[derive(Debug)]
+enum Code {
+    Native(JitForest),
+    Fallback(VmForest),
+}
+
+/// The JIT engine's execution policy: compile the forest to native
+/// code when built, or interpret it where the platform can't execute
+/// emitted code. The tier never changes afterwards.
 #[derive(Debug)]
 pub struct TieredJit {
-    interp: VmForest,
+    code: Code,
     compare: JitCompare,
     n_features: usize,
-    hot_after: u64,
-    scored: AtomicU64,
-    compiled: OnceLock<Option<JitForest>>,
+    n_classes: usize,
 }
 
 impl TieredJit {
-    /// Binds `forest` with the default hot threshold
-    /// ([`DEFAULT_HOT_AFTER`]). Building is cheap: only the interpreter
-    /// programs are prepared; emission and mapping happen on first hot
-    /// use.
+    /// Compiles `forest` to native code, keeping the interpreter
+    /// programs only if compilation fails.
     pub fn new(forest: &RandomForest, compare: JitCompare) -> Self {
-        Self::with_hot_after(forest, compare, DEFAULT_HOT_AFTER)
-    }
-
-    /// Binds `forest` with an explicit hot threshold (`0` compiles on
-    /// the very first prediction — useful in tests and warmed servers).
-    pub fn with_hot_after(forest: &RandomForest, compare: JitCompare, hot_after: u64) -> Self {
+        let code = match JitForest::compile(forest, compare) {
+            Ok(native) => Code::Native(native),
+            Err(_) => Code::Fallback(VmForest::compile(forest, compare.variant())),
+        };
         Self {
-            interp: VmForest::compile(forest, compare.variant()),
+            code,
             compare,
             n_features: forest.n_features(),
-            hot_after,
-            scored: AtomicU64::new(0),
-            compiled: OnceLock::new(),
+            n_classes: forest.n_classes(),
         }
     }
 
@@ -781,25 +744,14 @@ impl TieredJit {
 
     /// Number of classes voted over.
     pub fn n_classes(&self) -> usize {
-        self.interp.n_classes()
+        self.n_classes
     }
 
-    /// Samples scored so far (across both tiers).
-    pub fn scored(&self) -> u64 {
-        self.scored.load(Ordering::Relaxed)
-    }
-
-    /// The configured hot threshold.
-    pub fn hot_after(&self) -> u64 {
-        self.hot_after
-    }
-
-    /// The tier currently serving predictions.
+    /// The tier serving predictions.
     pub fn tier(&self) -> JitTier {
-        match self.compiled.get() {
-            None => JitTier::Cold,
-            Some(Some(_)) => JitTier::Native,
-            Some(None) => JitTier::Fallback,
+        match self.code {
+            Code::Native(_) => JitTier::Native,
+            Code::Fallback(_) => JitTier::Fallback,
         }
     }
 
@@ -807,17 +759,11 @@ impl TieredJit {
     /// string, so engine `describe()` stays `&'static str`).
     pub fn describe(&self) -> &'static str {
         match (self.compare, self.tier()) {
-            (JitCompare::Flint, JitTier::Cold) => {
-                "template JIT to x86-64, FLInt integer compares — cold tier: interpreting until hot"
-            }
             (JitCompare::Flint, JitTier::Native) => {
                 "template JIT to x86-64, FLInt integer compares — native tier: emitted machine code"
             }
             (JitCompare::Flint, JitTier::Fallback) => {
                 "template JIT to x86-64, FLInt integer compares — fallback tier: interpreter (JIT unavailable)"
-            }
-            (JitCompare::Float, JitTier::Cold) => {
-                "template JIT to x86-64, float ucomiss compares — cold tier: interpreting until hot"
             }
             (JitCompare::Float, JitTier::Native) => {
                 "template JIT to x86-64, float ucomiss compares — native tier: emitted machine code"
@@ -828,60 +774,33 @@ impl TieredJit {
         }
     }
 
-    /// Advances the sample counter and returns the native forest if
-    /// this prediction should run natively — compiling it (once) when
-    /// the forest just crossed the hot threshold.
-    fn hot_forest(&self) -> Option<&JitForest> {
-        let seen = self.scored.fetch_add(1, Ordering::Relaxed);
-        if seen < self.hot_after {
-            return None;
-        }
-        self.compiled
-            .get_or_init(|| {
-                let programs: Vec<TreeProgram> = self
-                    .interp
-                    .programs()
-                    .iter()
-                    .map(|p| p.program().clone())
-                    .collect();
-                JitForest::from_programs(&programs, self.n_features, self.interp.n_classes()).ok()
-            })
-            .as_ref()
-    }
-
-    /// Majority-vote prediction through whichever tier serves.
+    /// Majority-vote prediction through the serving tier.
     ///
     /// # Panics
     ///
     /// Panics if `features.len() != n_features()`.
     pub fn predict(&self, features: &[f32]) -> u32 {
-        assert_eq!(features.len(), self.n_features, "feature vector length");
-        if let Some(native) = self.hot_forest() {
-            return native.predict(features);
-        }
-        // Cold or fallback: the interpreter executes the same programs.
-        self.interp
-            .run(features)
-            .expect("compiled VM programs run to a return")
-            .0
+        flint_forest::metrics::majority_vote(&self.predict_votes(features))
     }
 
-    /// Per-class vote histogram through whichever tier serves — both
-    /// tiers count one vote per tree over the same shared lowering, so
-    /// the histogram is tier-independent.
+    /// Per-class vote histogram through the serving tier — both tiers
+    /// count one vote per tree over the same shared lowering, so the
+    /// histogram is tier-independent.
     ///
     /// # Panics
     ///
     /// Panics if `features.len() != n_features()`.
     pub fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
         assert_eq!(features.len(), self.n_features, "feature vector length");
-        if let Some(native) = self.hot_forest() {
-            return native.predict_votes(features);
+        match &self.code {
+            Code::Native(native) => native.predict_votes(features),
+            Code::Fallback(interp) => {
+                interp
+                    .run_votes(features)
+                    .expect("compiled VM programs run to a return")
+                    .0
+            }
         }
-        self.interp
-            .run_votes(features)
-            .expect("compiled VM programs run to a return")
-            .0
     }
 }
 
@@ -956,19 +875,6 @@ mod tests {
         assert!(EmittedCode::emit(std::slice::from_ref(&wide), 2).is_err());
     }
 
-    #[test]
-    fn tier_starts_cold_and_interprets() {
-        let (data, forest) = forest();
-        let tiered = TieredJit::new(&forest, JitCompare::Flint);
-        assert_eq!(tiered.tier(), JitTier::Cold);
-        assert_eq!(tiered.hot_after(), DEFAULT_HOT_AFTER);
-        let class = tiered.predict(data.sample(0));
-        assert_eq!(class, forest.predict_majority(data.sample(0)));
-        assert_eq!(tiered.tier(), JitTier::Cold, "one sample stays cold");
-        assert_eq!(tiered.scored(), 1);
-        assert!(tiered.describe().contains("cold tier"));
-    }
-
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     mod native_exec {
         use super::*;
@@ -1014,48 +920,29 @@ mod tests {
         }
 
         #[test]
-        fn hot_threshold_zero_compiles_on_first_use() {
+        fn new_compiles_to_the_native_tier() {
             let (data, forest) = forest();
-            let tiered = TieredJit::with_hot_after(&forest, JitCompare::Flint, 0);
-            assert_eq!(tiered.tier(), JitTier::Cold);
-            let class = tiered.predict(data.sample(3));
-            assert_eq!(class, forest.predict_majority(data.sample(3)));
+            let tiered = TieredJit::new(&forest, JitCompare::Flint);
             assert_eq!(tiered.tier(), JitTier::Native);
             assert!(tiered.describe().contains("native tier"));
+            let class = tiered.predict(data.sample(3));
+            assert_eq!(class, forest.predict_majority(data.sample(3)));
         }
 
         #[test]
-        fn tier_transitions_exactly_at_the_hot_threshold() {
-            let (data, forest) = forest();
-            let tiered = TieredJit::with_hot_after(&forest, JitCompare::Float, 10);
-            let reference = forest.predict_dataset_majority(&data);
-            for (i, &want) in reference.iter().enumerate().take(30) {
-                assert_eq!(tiered.predict(data.sample(i)), want, "sample {i}");
-                let expected = if i < 10 {
-                    JitTier::Cold
-                } else {
-                    JitTier::Native
-                };
-                assert_eq!(tiered.tier(), expected, "after sample {i}");
-            }
-            assert_eq!(tiered.scored(), 30);
-        }
-
-        #[test]
-        fn native_and_cold_tiers_agree_on_every_sample() {
+        fn native_tier_agrees_with_the_interpreter_on_every_sample() {
             let (data, forest) = forest();
             for compare in [JitCompare::Flint, JitCompare::Float] {
-                let cold = TieredJit::with_hot_after(&forest, compare, u64::MAX);
-                let hot = TieredJit::with_hot_after(&forest, compare, 0);
+                let native = TieredJit::new(&forest, compare);
+                let interp = VmForest::compile(&forest, compare.variant());
+                assert_eq!(native.tier(), JitTier::Native);
                 for i in 0..data.n_samples() {
                     assert_eq!(
-                        cold.predict(data.sample(i)),
-                        hot.predict(data.sample(i)),
+                        native.predict_votes(data.sample(i)),
+                        interp.run_votes(data.sample(i)).expect("runs").0,
                         "{compare:?} sample {i}"
                     );
                 }
-                assert_eq!(cold.tier(), JitTier::Cold);
-                assert_eq!(hot.tier(), JitTier::Native);
             }
         }
     }

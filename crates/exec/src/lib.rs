@@ -43,10 +43,9 @@
 //!   vote;
 //! * [`jit::TieredJit`] — the in-process template JIT: the same tree
 //!   programs the VM interprets, emitted as x86-64 machine code into
-//!   `mmap`'d W^X pages (x86-64 Linux) and called
-//!   directly. Cold forests interpret; a forest compiles on first hot
-//!   use; unsupported platforms fall back to the interpreter
-//!   bit-identically;
+//!   `mmap`'d W^X pages (x86-64 Linux) when the engine is built and
+//!   called directly; where emitted code cannot run, the engine
+//!   interprets them instead, bit-identically;
 //! * [`engine`] — the unified engine layer: the [`Predictor`] trait
 //!   over **every** prediction path in the workspace (scalar and
 //!   blocked if-else backends, the SIMD lane engine, QuickScorer, the
@@ -111,6 +110,6 @@ pub use engine::{BuildEngineError, EngineBuilder, EngineKind, ParseEngineKindErr
 pub use f16::{f16_policy, HalfCompare, HalfForest};
 pub use jit::{
     jit_supported, EmittedCode, JitCompare, JitError, JitForest, JitTier, TieredJit,
-    DEFAULT_HOT_AFTER, FORCE_FALLBACK_ENV,
+    FORCE_FALLBACK_ENV,
 };
 pub use simd::{lane_policy, SimdCompare, LANES};

@@ -468,9 +468,7 @@ impl LaneEngine {
     ///
     /// Tree-major within the block, as in the blocked engine: each
     /// tree's nodes stay hot while every resident lane group descends
-    /// it, in waves of [`WAVE`] groups. `block_trees` is ignored: the
-    /// wave walk already amortizes each tree over every resident group,
-    /// so there is no inner tree-blocking level to tune.
+    /// it, in waves of [`WAVE`] groups.
     fn score_span<T: LaneTree>(
         &self,
         trees: &[T],
@@ -1034,10 +1032,7 @@ mod tests {
     #[test]
     fn dataset_wrapper_and_degenerate_options() {
         let (data, forest) = setup();
-        let opts = BatchOptions::default()
-            .block_samples(0)
-            .block_trees(0)
-            .threads(0);
+        let opts = BatchOptions::default().block_samples(0).threads(0);
         assert_eq!(
             engine(&forest, SimdCompare::Flint, opts).predict_dataset(&data),
             reference(&forest, SimdCompare::Flint, &data)

@@ -61,21 +61,6 @@ fn batched_equals_scalar_for_every_backend() {
 }
 
 #[test]
-fn tree_block_size_never_changes_predictions() {
-    let (data, forest) = trained(17, 150, 7);
-    let backend = CompiledForest::compile(&forest, BackendKind::Flint, None).expect("compilable");
-    let want = backend.predict_dataset(&data);
-    for block_trees in [1usize, 2, 5, 100] {
-        let opts = BatchOptions::default().block_trees(block_trees);
-        assert_eq!(
-            backend.predict_dataset_batched(&data, opts),
-            want,
-            "block_trees {block_trees}"
-        );
-    }
-}
-
-#[test]
 fn quickscorer_batch_equals_single_for_both_modes() {
     let (data, forest) = trained(23, 180, 8);
     let qs = QsForest::build(&forest);
@@ -104,7 +89,6 @@ proptest! {
         seed in 0u64..64,
         depth in 1usize..9,
         block in 1usize..300,
-        block_trees in 1usize..9,
         threads in 1usize..6,
     ) {
         let (data, forest) = trained(seed, 120, depth);
@@ -112,7 +96,6 @@ proptest! {
             .expect("compilable");
         let opts = BatchOptions {
             block_samples: block,
-            block_trees,
             threads,
         };
         prop_assert_eq!(

@@ -1,16 +1,16 @@
 //! The router differential suite: for **every** engine in the registry
 //! and shard counts {1, 2, 5} (ragged spans included — 5 trees split
 //! 3/2 and 1/1/1/1/1), the sharded fan-out answer must be
-//! bit-identical to the single-node answer. This is the tentpole
-//! guarantee: a router in front of N shards is indistinguishable from
-//! one server over the whole forest — except when a shard fails, in
-//! which case the answer is a *visible* busy/error, never a
-//! partial-quorum class.
+//! bit-identical to the engine family's reference and to the
+//! single-node answer. This is the tentpole guarantee: a router in
+//! front of N shards is indistinguishable from one server over the
+//! whole forest — except when a shard fails, in which case the answer
+//! is a *visible* busy/error, never a partial-quorum class.
 
 #![cfg(target_os = "linux")]
 
 use flint_data::synth::SynthSpec;
-use flint_exec::{EngineBuilder, EngineKind, Predictor};
+use flint_exec::{EngineBuilder, EngineKind, HalfForest, Predictor};
 use flint_forest::metrics::majority_vote;
 use flint_forest::{plan_spans, ForestConfig, RandomForest};
 use flint_router::RouterServer;
@@ -139,15 +139,24 @@ fn registry_is_fully_enumerated() {
 }
 
 /// The flagship matrix: every engine × shard counts {1, 2, 5}. The
-/// router's class and votes answers must equal the same engine's
-/// single-node answers on every row — bit-identical histograms, not
-/// just agreeing classes.
+/// router's class and votes answers must equal the engine family's
+/// reference histogram (`RandomForest::predict_votes` for exact
+/// engines, `HalfForest::predict_votes` for the f16 engines) and the
+/// same engine's single-node answer on every row — bit-identical
+/// histograms, not just agreeing classes. The family reference catches
+/// a fault the shards and the single-node engine share.
 #[test]
 fn every_engine_shards_identically_at_1_2_and_5_shards() {
     let (data, forest) = fixture();
     for kind in EngineKind::ALL {
         // Single-node reference: the full forest under this engine.
         let reference = build_engine(&forest, &data, kind);
+        let half = match kind {
+            EngineKind::SimdF16(compare) => {
+                Some(HalfForest::compile(&forest, compare).expect("compiles"))
+            }
+            _ => None,
+        };
         for n_shards in [1usize, 2, 5] {
             let spans = plan_spans(forest.n_trees(), n_shards);
             let shards: Vec<_> = spans
@@ -163,7 +172,10 @@ fn every_engine_shards_identically_at_1_2_and_5_shards() {
             for i in (0..48).step_by(6) {
                 let row = data.sample(i);
                 let text: Vec<String> = row.iter().map(f32::to_string).collect();
-                let votes = reference.predict_votes(row);
+                let votes = match &half {
+                    Some(half) => half.predict_votes(row),
+                    None => forest.predict_votes(row),
+                };
                 let class = majority_vote(&votes);
                 let got = client.roundtrip(&text.join(",")).to_owned();
                 assert!(
@@ -180,6 +192,12 @@ fn every_engine_shards_identically_at_1_2_and_5_shards() {
                         "{{\"votes\":{expected_votes},\"engine\":\"router\""
                     )),
                     "{} x{n_shards} row {i}: {got}",
+                    kind.name()
+                );
+                assert_eq!(
+                    reference.predict_votes(row),
+                    votes,
+                    "{} single node row {i}",
                     kind.name()
                 );
             }

@@ -1049,21 +1049,9 @@ mod tests {
         fn options(&self) -> flint_exec::BatchOptions {
             flint_exec::BatchOptions::default()
         }
-        fn predict_one(&self, features: &[f32]) -> u32 {
-            assert!(!features[0].is_nan(), "marked row");
-            0
-        }
         fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-            vec![self.predict_one(features)]
-        }
-        fn predict_batch(
-            &self,
-            matrix: &flint_data::FeatureMatrix,
-            _opts: &flint_exec::BatchOptions,
-        ) -> Vec<u32> {
-            (0..matrix.n_samples())
-                .map(|i| self.predict_one(&[matrix.get(i, 0)]))
-                .collect()
+            assert!(!features[0].is_nan(), "marked row");
+            vec![1]
         }
     }
 

@@ -187,10 +187,6 @@ impl Predictor for Stub {
         BatchOptions::default()
     }
 
-    fn predict_one(&self, features: &[f32]) -> u32 {
-        Self::class(features)
-    }
-
     fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
         let mut votes = vec![0; 2];
         votes[Self::class(features) as usize] = 3;
