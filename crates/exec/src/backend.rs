@@ -1,7 +1,7 @@
 //! The four measured forest inference configurations of the paper's
 //! evaluation (Section V-A), plus the software float baseline.
 
-use crate::compile::{CompileTreeError, FloatTree, IntTree};
+use crate::compile::{self, CompileTreeError, FlatNode, FloatNode, FloatTree, IntNode, IntTree};
 use flint_core::order_key;
 use flint_data::Dataset;
 use flint_forest::RandomForest;
@@ -75,23 +75,44 @@ impl BackendKind {
     }
 }
 
-pub(crate) enum Trees {
-    Float(Vec<FloatTree>),
-    Int(Vec<IntTree>),
-    Soft(Vec<FloatTree>),
+/// A compiled forest's nodes: every tree's flat array back to back, in
+/// forest order, with child positions forest-global (a tree laid at
+/// position `base` has its root there and every child index moved up by
+/// `base`). The compare family picks the variant.
+pub(crate) enum Nodes {
+    Float(Vec<FloatNode>),
+    Int(Vec<IntNode>),
+    Soft(Vec<FloatNode>),
 }
 
-impl core::fmt::Debug for Trees {
+impl core::fmt::Debug for Nodes {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            Trees::Float(ts) => write!(f, "Float({} trees)", ts.len()),
-            Trees::Int(ts) => write!(f, "Int({} trees)", ts.len()),
-            Trees::Soft(ts) => write!(f, "Soft({} trees)", ts.len()),
+            Nodes::Float(n) => write!(f, "Float({} nodes)", n.len()),
+            Nodes::Int(n) => write!(f, "Int({} nodes)", n.len()),
+            Nodes::Soft(n) => write!(f, "Soft({} nodes)", n.len()),
         }
     }
 }
 
+/// Appends `tree` to the forest-wide array `nodes`, child positions
+/// moved to where it lands, and returns its root. The forest's node
+/// count fits `u32` (checked by [`CompiledForest::compile`]).
+fn lay_out<N: FlatNode>(nodes: &mut Vec<N>, tree: &[N]) -> u32 {
+    let root = nodes.len() as u32;
+    nodes.extend(tree.iter().map(|n| n.rebased(root)));
+    root
+}
+
 /// A random forest compiled for one backend configuration.
+///
+/// The forest is one node array: each tree is compiled to its own flat
+/// array ([`FloatTree`] / [`IntTree`]) in its layout's order, then laid
+/// after the previous tree with forest-global child positions, and its
+/// root recorded. Every engine over a `CompiledForest` holds this one
+/// copy of the nodes: the scalar walk starts at each root in turn, the
+/// blocked walk ([`crate::BatchEngine`]) and the f32 lane engines index
+/// the same array from the roots.
 ///
 /// Prediction is a majority vote over per-tree leaf classes (ties break
 /// to the lower class index) — the aggregation an if-else-tree code
@@ -119,7 +140,9 @@ impl core::fmt::Debug for Trees {
 #[derive(Debug)]
 pub struct CompiledForest {
     kind: BackendKind,
-    trees: Trees,
+    nodes: Nodes,
+    /// Each tree's root position in `nodes`, in forest order.
+    roots: Vec<u32>,
     n_classes: usize,
     n_features: usize,
 }
@@ -133,36 +156,44 @@ impl CompiledForest {
     /// # Errors
     ///
     /// Propagates [`CompileTreeError`] from FLInt threshold
-    /// preparation.
+    /// preparation; [`CompileTreeError::TooManyNodes`] if the forest
+    /// has more nodes than `u32` positions index.
     pub fn compile(
         forest: &RandomForest,
         kind: BackendKind,
         profile_data: Option<&Dataset>,
     ) -> Result<Self, CompileTreeError> {
         let strategy = kind.layout_strategy();
-        let mut float_trees = Vec::new();
-        let mut int_trees = Vec::new();
+        let n_nodes = forest.n_nodes();
+        if u32::try_from(n_nodes).is_err() {
+            return Err(CompileTreeError::TooManyNodes {
+                nodes: n_nodes,
+                max: u32::MAX as usize,
+            });
+        }
+        let mut nodes = match kind.compare_mode() {
+            CompareMode::NativeFloat => Nodes::Float(Vec::with_capacity(n_nodes)),
+            CompareMode::SoftFloat => Nodes::Soft(Vec::with_capacity(n_nodes)),
+            CompareMode::Flint => Nodes::Int(Vec::with_capacity(n_nodes)),
+        };
+        let mut roots = Vec::with_capacity(forest.n_trees());
         for tree in forest.trees() {
             let profile = match profile_data {
                 Some(data) => TreeProfile::collect(tree, data),
                 None => TreeProfile::uniform(tree),
             };
             let layout = TreeLayout::compute(tree, &profile, strategy);
-            match kind.compare_mode() {
-                CompareMode::Flint => int_trees.push(IntTree::compile(tree, &layout)?),
-                CompareMode::NativeFloat | CompareMode::SoftFloat => {
-                    float_trees.push(FloatTree::compile(tree, &layout))
+            roots.push(match &mut nodes {
+                Nodes::Int(nodes) => lay_out(nodes, IntTree::compile(tree, &layout)?.nodes()),
+                Nodes::Float(nodes) | Nodes::Soft(nodes) => {
+                    lay_out(nodes, FloatTree::compile(tree, &layout).nodes())
                 }
-            }
+            });
         }
-        let trees = match kind.compare_mode() {
-            CompareMode::NativeFloat => Trees::Float(float_trees),
-            CompareMode::SoftFloat => Trees::Soft(float_trees),
-            CompareMode::Flint => Trees::Int(int_trees),
-        };
         Ok(Self {
             kind,
-            trees,
+            nodes,
+            roots,
             n_classes: forest.n_classes(),
             n_features: forest.n_features(),
         })
@@ -185,15 +216,27 @@ impl CompiledForest {
 
     /// Number of compiled trees.
     pub fn n_trees(&self) -> usize {
-        match &self.trees {
-            Trees::Float(t) | Trees::Soft(t) => t.len(),
-            Trees::Int(t) => t.len(),
+        self.roots.len()
+    }
+
+    /// Number of nodes over all trees: the length of the forest-wide
+    /// node array.
+    pub(crate) fn n_nodes(&self) -> usize {
+        match &self.nodes {
+            Nodes::Float(n) | Nodes::Soft(n) => n.len(),
+            Nodes::Int(n) => n.len(),
         }
     }
 
-    /// The compiled per-tree arrays, for the batch and lane walks.
-    pub(crate) fn trees(&self) -> &Trees {
-        &self.trees
+    /// The forest-wide node array, for the batch and lane walks.
+    pub(crate) fn nodes(&self) -> &Nodes {
+        &self.nodes
+    }
+
+    /// Each tree's root position in [`nodes`](Self::nodes), in forest
+    /// order.
+    pub(crate) fn roots(&self) -> &[u32] {
+        &self.roots
     }
 
     /// Predicts the majority-vote class of `features`.
@@ -207,7 +250,8 @@ impl CompiledForest {
 
     /// The per-class vote histogram behind [`predict`](Self::predict):
     /// one vote per compiled tree, the partial a forest shard reports
-    /// for distributed merge.
+    /// for distributed merge. Trees are walked one at a time, each from
+    /// its root: the paper's scalar shape.
     ///
     /// # Panics
     ///
@@ -215,22 +259,25 @@ impl CompiledForest {
     pub fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
         assert_eq!(features.len(), self.n_features, "feature vector length");
         let mut votes = vec![0u32; self.n_classes];
-        match &self.trees {
-            Trees::Float(trees) => {
-                for t in trees {
-                    votes[t.predict(features) as usize] += 1;
+        let mut tally = |class: u32| votes[class as usize] += 1;
+        match &self.nodes {
+            Nodes::Float(nodes) => {
+                for &root in &self.roots {
+                    tally(compile::walk(nodes, root, |f, t| features[f] <= t));
                 }
             }
-            Trees::Soft(trees) => {
-                for t in trees {
-                    votes[t.predict_softfloat(features) as usize] += 1;
+            Nodes::Soft(nodes) => {
+                for &root in &self.roots {
+                    tally(compile::walk(nodes, root, |f, t| {
+                        flint_softfloat::soft_le(features[f], t)
+                    }));
                 }
             }
-            Trees::Int(trees) => {
+            Nodes::Int(nodes) => {
                 // Key the row once; each node is then one signed compare.
                 let keys: Vec<i32> = features.iter().map(|&x| order_key(x)).collect();
-                for t in trees {
-                    votes[t.predict_keys(&keys) as usize] += 1;
+                for &root in &self.roots {
+                    tally(compile::walk(nodes, root, |f, key| keys[f] <= key));
                 }
             }
         }

@@ -9,22 +9,32 @@
 //!   64); a block is transposed out of the structure-of-arrays
 //!   [`FeatureMatrix`] into a row-major scratch that stays resident in
 //!   L1/L2 while every tree traverses it;
-//! * **tree-major walks** — every tree traverses the whole resident
-//!   sample block before the next tree starts, so each tree's flat node
-//!   array is loaded once per block of samples instead of once per
-//!   sample;
-//! * **scratch reuse** — the per-block row buffer and the vote
-//!   accumulator are allocated once per worker and reused across
-//!   blocks, removing every per-sample allocation;
+//! * **fill-aware interleaved walks** — every (tree, row) walk is
+//!   independent, so the walk advances a whole set of them one level
+//!   per round and keeps about [`IN_FLIGHT`] dependent node-load chains
+//!   in flight instead of one. A full block walks one tree at a time
+//!   (each tree's nodes are loaded once per block of samples instead of
+//!   once per sample); a block of a few rows walks a balanced group of
+//!   trees at once, so a one-row request hides the load chain too. The
+//!   forest's nodes are one array with forest-global child positions
+//!   ([`CompiledForest`]), so an in-flight walk is just a (row, node)
+//!   pair;
+//! * **scratch reuse** — the per-block row buffer, the vote
+//!   accumulator and the in-flight walk list are allocated once per
+//!   worker and reused across blocks, removing every per-sample
+//!   allocation;
 //! * **data parallelism** — sample blocks are distributed over
 //!   [`std::thread::scope`] workers (no runtime dependency, no unsafe
 //!   code); each worker writes a disjoint span of the output, so
 //!   results are deterministic regardless of scheduling.
 //!
-//! Votes, tie-breaking and traversal order per tree are byte-identical
-//! to the scalar path, so predictions are **bit-identical** for every
-//! [`BackendKind`](crate::BackendKind) — asserted by `tests/batch.rs`
-//! across block sizes and thread counts.
+//! Per (tree, row), the walk makes the scalar path's decisions, and
+//! votes and tie-breaking are the same, so predictions are
+//! **bit-identical** for every [`BackendKind`](crate::BackendKind) —
+//! asserted by `tests/batch.rs` across block sizes, thread counts and
+//! tree-group boundaries. [`BatchEngine::predict_votes`] runs the same
+//! walk over a one-row block, so the blocked engine answers classes and
+//! vote histograms through one kernel.
 //!
 //! ```
 //! use flint_data::{synth::SynthSpec, FeatureMatrix};
@@ -43,10 +53,20 @@
 //! # }
 //! ```
 
-use crate::backend::{CompiledForest, Trees};
-use crate::compile::{FloatNode, IntNode, LEAF_MARKER};
+use crate::backend::{CompiledForest, Nodes};
+use crate::compile::{FlatNode, LEAF_MARKER};
 use flint_core::order_key;
 use flint_data::{Dataset, FeatureMatrix};
+use std::ops::Range;
+
+/// The number of (tree, row) walks the blocked walk keeps in flight.
+/// Each round advances every in-flight walk one level, and their node
+/// loads are independent, so this many load chains overlap. A block of
+/// `len` rows walks groups of `IN_FLIGHT.div_ceil(len)` trees: one tree
+/// at a time for a full 64-row block, every tree of a small forest at
+/// once for a one-row request. Picked by measurement (EXPERIMENTS.md
+/// "Fill-aware blocked walk").
+pub const IN_FLIGHT: usize = 64;
 
 /// Tuning knobs for the batch engine. All values are clamped to at
 /// least 1 when used.
@@ -85,10 +105,16 @@ impl BatchOptions {
     }
 }
 
+/// One in-flight walk: a block row and the node it stands on.
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    row: u32,
+    node: u32,
+}
+
 /// Per-worker scratch: one transposed sample block (plus its order
-/// keys for FLInt forests), one flat vote accumulator and the
-/// interleaved-traversal cursors, allocated once and reused for every
-/// block the worker scores.
+/// keys for FLInt forests), one flat vote accumulator and the in-flight
+/// walks, allocated once and reused for every block the worker scores.
 #[derive(Debug)]
 struct BlockScratch {
     /// Row-major block: `block_samples * n_features`.
@@ -98,21 +124,21 @@ struct BlockScratch {
     keys: Vec<i32>,
     /// Flat votes: `block_samples * n_classes`.
     votes: Vec<u32>,
-    /// Current node position per in-flight sample.
-    cursor: Vec<u32>,
-    /// Samples still traversing the current tree.
-    active: Vec<u32>,
+    /// The walks of the current tree group still descending.
+    walks: Vec<Walk>,
 }
 
 impl BlockScratch {
-    fn new(block_samples: usize, n_features: usize, n_classes: usize, keyed: bool) -> Self {
-        let cells = block_samples * n_features;
+    fn new(forest: &CompiledForest, block_samples: usize) -> Self {
+        let cells = block_samples * forest.n_features();
+        let keyed = matches!(forest.nodes(), Nodes::Int(_));
         Self {
             rows: vec![0.0; cells],
             keys: vec![0; if keyed { cells } else { 0 }],
-            votes: vec![0; block_samples * n_classes],
-            cursor: vec![0; block_samples],
-            active: Vec::with_capacity(block_samples),
+            votes: vec![0; block_samples * forest.n_classes()],
+            // A group of `IN_FLIGHT.div_ceil(len)` trees over `len` rows
+            // holds fewer walks than this.
+            walks: Vec::with_capacity(IN_FLIGHT + block_samples),
         }
     }
 }
@@ -158,103 +184,139 @@ impl<'f> BatchEngine<'f> {
         out
     }
 
+    /// The per-class vote histogram of one feature vector: the blocked
+    /// walk over a one-row block, which walks up to [`IN_FLIGHT`] trees
+    /// at once. Equal to [`CompiledForest::predict_votes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` differs from the model's feature
+    /// count.
+    pub fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
+        assert_eq!(
+            features.len(),
+            self.forest.n_features(),
+            "feature vector length"
+        );
+        let mut scratch = BlockScratch::new(self.forest, 1);
+        scratch.rows.copy_from_slice(features);
+        block_votes(self.forest, &mut scratch, 1);
+        scratch.votes
+    }
+
     /// Scores samples `start..start + out.len()` into `out`.
     fn score_span(&self, matrix: &FeatureMatrix, start: usize, out: &mut [u32]) {
-        let block = self.opts.block_samples.max(1);
+        // Walks index block rows as `u32`.
+        let block = self.opts.block_samples.clamp(1, u32::MAX as usize);
         let n_features = self.forest.n_features();
         let n_classes = self.forest.n_classes();
-        let keyed = matches!(self.forest.trees(), Trees::Int(_));
-        let mut scratch = BlockScratch::new(block.min(out.len()), n_features, n_classes, keyed);
+        let mut scratch = BlockScratch::new(self.forest, block.min(out.len()));
         let mut offset = 0;
         while offset < out.len() {
             let len = block.min(out.len() - offset);
-            self.score_block(
-                matrix,
-                start + offset,
-                len,
-                &mut scratch,
-                &mut out[offset..offset + len],
-            );
+            matrix.gather_block(start + offset, len, &mut scratch.rows[..len * n_features]);
+            let votes = block_votes(self.forest, &mut scratch, len);
+            for (k, slot) in out[offset..offset + len].iter_mut().enumerate() {
+                *slot = flint_forest::metrics::majority_vote(
+                    &votes[k * n_classes..(k + 1) * n_classes],
+                );
+            }
             offset += len;
         }
     }
+}
 
-    /// Scores one sample block through every tree of the forest.
-    fn score_block(
-        &self,
-        matrix: &FeatureMatrix,
-        start: usize,
-        len: usize,
-        scratch: &mut BlockScratch,
-        out: &mut [u32],
-    ) {
-        let n_features = self.forest.n_features();
-        let n_classes = self.forest.n_classes();
-        let rows = &mut scratch.rows[..len * n_features];
-        matrix.gather_block(start, len, rows);
-        let votes = &mut scratch.votes[..len * n_classes];
-        votes.fill(0);
-        // Tree-major within the block: each tree's node array stays hot
-        // while it traverses all `len` resident samples, and the
-        // interleaved walk below keeps `len` independent load chains in
-        // flight instead of one.
-        let (cursor, active) = (&mut scratch.cursor, &mut scratch.active);
-        let float = |n: &FloatNode| (n.feature, n.threshold, n.left, n.right);
-        match self.forest.trees() {
-            Trees::Float(trees) => {
-                for tree in trees {
-                    walk_interleaved(
-                        tree.nodes(),
-                        float,
-                        rows,
-                        n_features,
-                        n_classes,
-                        votes,
-                        cursor,
-                        active,
-                        |x, threshold| x <= threshold,
-                    );
-                }
+/// Votes the first `len` rows of `scratch.rows` through every tree of
+/// `forest` and returns their flat `len * n_classes` histograms.
+fn block_votes<'s>(
+    forest: &CompiledForest,
+    scratch: &'s mut BlockScratch,
+    len: usize,
+) -> &'s [u32] {
+    let n_features = forest.n_features();
+    let n_classes = forest.n_classes();
+    let rows = &scratch.rows[..len * n_features];
+    let votes = &mut scratch.votes[..len * n_classes];
+    votes.fill(0);
+    let roots = forest.roots();
+    let walks = &mut scratch.walks;
+    match forest.nodes() {
+        Nodes::Float(nodes) => walk_block(nodes, roots, rows, len, votes, walks, |x, t| x <= t),
+        Nodes::Soft(nodes) => walk_block(
+            nodes,
+            roots,
+            rows,
+            len,
+            votes,
+            walks,
+            flint_softfloat::soft_le,
+        ),
+        Nodes::Int(nodes) => {
+            // Key the block once; every node is then one signed compare.
+            let keys = &mut scratch.keys[..rows.len()];
+            for (key, &x) in keys.iter_mut().zip(rows) {
+                *key = order_key(x);
             }
-            Trees::Soft(trees) => {
-                for tree in trees {
-                    walk_interleaved(
-                        tree.nodes(),
-                        float,
-                        rows,
-                        n_features,
-                        n_classes,
-                        votes,
-                        cursor,
-                        active,
-                        flint_softfloat::soft_le,
-                    );
-                }
-            }
-            Trees::Int(trees) => {
-                // Key the block once; every node is then one signed compare.
-                let keys = &mut scratch.keys[..rows.len()];
-                for (key, &x) in keys.iter_mut().zip(rows.iter()) {
-                    *key = order_key(x);
-                }
-                for tree in trees {
-                    walk_interleaved(
-                        tree.nodes(),
-                        |n: &IntNode| (n.feature, n.key, n.left, n.right),
-                        keys,
-                        n_features,
-                        n_classes,
-                        votes,
-                        cursor,
-                        active,
-                        |x, key| x <= key,
-                    );
-                }
-            }
+            walk_block(nodes, roots, keys, len, votes, walks, |x, key| x <= key);
         }
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot =
-                flint_forest::metrics::majority_vote(&votes[k * n_classes..(k + 1) * n_classes]);
+    }
+    votes
+}
+
+/// The tree groups a block of `len` rows walks, in forest order: as few
+/// groups as keep at most `IN_FLIGHT.div_ceil(len)` trees each, their
+/// sizes balanced to differ by at most one.
+fn tree_groups(n_trees: usize, len: usize) -> impl Iterator<Item = Range<usize>> {
+    let per_group = IN_FLIGHT.div_ceil(len.max(1));
+    let n_groups = n_trees.div_ceil(per_group).max(1);
+    (0..n_groups).map(move |g| g * n_trees / n_groups..(g + 1) * n_trees / n_groups)
+}
+
+/// Walks every row of the block down every tree, a tree group at a
+/// time (see [`tree_groups`]): each round advances every walk still
+/// descending one level, so the group's rows × trees independent node
+/// loads are in flight at once (memory-level parallelism the
+/// one-walk-at-a-time loop cannot express). Walks that reach a leaf
+/// vote and drop out.
+///
+/// One walk serves every node format: `rows` holds the block's `len`
+/// rows in the split's domain — features for float nodes, order keys
+/// for FLInt nodes — `votes` their flat histograms, and `le` is the
+/// compare family's `x <= split`. Each walk makes the decisions of the
+/// format's scalar walk ([`crate::compile::FloatTree::predict`],
+/// [`crate::compile::IntTree::predict`]), so vote counts — and
+/// therefore predictions — cannot diverge.
+#[inline]
+fn walk_block<N: FlatNode>(
+    nodes: &[N],
+    roots: &[u32],
+    rows: &[N::Split],
+    len: usize,
+    votes: &mut [u32],
+    walks: &mut Vec<Walk>,
+    le: impl Fn(N::Split, N::Split) -> bool,
+) {
+    let (n_features, n_classes) = (rows.len() / len, votes.len() / len);
+    for group in tree_groups(roots.len(), len) {
+        walks.clear();
+        for &root in &roots[group] {
+            walks.extend((0..len as u32).map(|row| Walk { row, node: root }));
+        }
+        while !walks.is_empty() {
+            let mut kept = 0;
+            for r in 0..walks.len() {
+                let Walk { row, node } = walks[r];
+                let (feature, split, left, right) = nodes[node as usize].parts();
+                if feature == LEAF_MARKER {
+                    votes[row as usize * n_classes + left as usize] += 1;
+                } else {
+                    let x = rows[row as usize * n_features + feature as usize];
+                    let node = if le(x, split) { left } else { right };
+                    walks[kept] = Walk { row, node };
+                    kept += 1;
+                }
+            }
+            walks.truncate(kept);
         }
     }
 }
@@ -289,57 +351,6 @@ pub(crate) fn score_spans(
                 scope.spawn(move || score(w * span, chunk));
             }
         });
-    }
-}
-
-/// Walks every sample of the block down one tree simultaneously: each
-/// round advances all still-traversing samples one level, so up to
-/// `block` independent node loads are in flight at once (memory-level
-/// parallelism the one-sample-at-a-time loop cannot express). Samples
-/// that reach a leaf vote and drop out of the active list.
-///
-/// One walk serves every node format: `split` reads a node's
-/// `(feature, threshold, left, right)`, `rows` holds the block in the
-/// threshold's domain — features for float nodes, order keys for FLInt
-/// nodes — and `le` is the compare family's `x <= threshold`. The
-/// decisions are those of the format's scalar walk
-/// ([`crate::compile::FloatTree::predict`],
-/// [`crate::compile::IntTree::predict_keys`]), so vote counts — and
-/// therefore predictions — cannot diverge.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn walk_interleaved<N, X: Copy>(
-    nodes: &[N],
-    split: impl Fn(&N) -> (u32, X, u32, u32),
-    rows: &[X],
-    n_features: usize,
-    n_classes: usize,
-    votes: &mut [u32],
-    cursor: &mut [u32],
-    active: &mut Vec<u32>,
-    le: impl Fn(X, X) -> bool,
-) {
-    let len = votes.len() / n_classes.max(1);
-    active.clear();
-    active.extend(0..len as u32);
-    for slot in cursor[..len].iter_mut() {
-        *slot = 0;
-    }
-    while !active.is_empty() {
-        let mut kept = 0;
-        for r in 0..active.len() {
-            let k = active[r] as usize;
-            let (feature, threshold, left, right) = split(&nodes[cursor[k] as usize]);
-            if feature == LEAF_MARKER {
-                votes[k * n_classes + left as usize] += 1;
-            } else {
-                let x = rows[k * n_features + feature as usize];
-                cursor[k] = if le(x, threshold) { left } else { right };
-                active[kept] = k as u32;
-                kept += 1;
-            }
-        }
-        active.truncate(kept);
     }
 }
 
@@ -394,6 +405,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tree_groups_cover_the_forest_in_balanced_order() {
+        for n_trees in [1usize, 3, 24, 63, 64, 65, 130] {
+            for len in [1usize, 2, 3, 21, 22, 63, 64, 65, 1000] {
+                let groups: Vec<Range<usize>> = tree_groups(n_trees, len).collect();
+                let mut next = 0;
+                for g in &groups {
+                    assert_eq!(g.start, next, "{n_trees} trees, {len} rows: {groups:?}");
+                    assert!(g.len() <= IN_FLIGHT.div_ceil(len));
+                    next = g.end;
+                }
+                assert_eq!(next, n_trees);
+                let sizes = groups.iter().map(Range::len);
+                let (min, max) = (sizes.clone().min(), sizes.max());
+                assert!(max.unwrap() - min.unwrap() <= 1, "{groups:?}");
+            }
+        }
+        // The 24-tree magic forest: every tree at once for one row, two
+        // groups of 12 (not 22 + 2) for three, one tree at a time for a
+        // full block.
+        assert!(tree_groups(24, 1).eq(std::iter::once(0..24)));
+        assert!(tree_groups(24, 3).eq([0..12, 12..24]));
+        assert!(tree_groups(24, 64).eq((0..24).map(|t| t..t + 1)));
     }
 
     #[test]

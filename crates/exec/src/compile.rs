@@ -16,6 +16,14 @@
 //!   ([`flint_core::order_key`]) against it, the shape of the float
 //!   node (the paper's FLInt configurations). Walks that visit many
 //!   nodes per row key the row once, up front.
+//!
+//! [`FloatTree`] and [`IntTree`] are the per-tree compile step and the
+//! per-tree oracles. A [`crate::CompiledForest`] lays their arrays back
+//! to back into one forest-wide node array with forest-global child
+//! positions and one root per tree, and every f32 engine walks that
+//! array: the scalar walk from each root in turn, the blocked walk
+//! many (tree, row) walks at once, the lane walk a wave of lane groups
+//! from one root.
 
 use flint_core::{order_key, PreparedThreshold};
 use flint_forest::{DecisionTree, Node, NodeId};
@@ -60,6 +68,86 @@ pub struct IntNode {
     pub right: u32,
 }
 
+/// The two 16-byte node formats as the walks over flat arrays read
+/// them.
+pub(crate) trait FlatNode: Copy {
+    /// The split value: an `f32` threshold or an `i32` order key.
+    type Split: Copy;
+
+    /// `(feature, split, left, right)`; a leaf has feature
+    /// [`LEAF_MARKER`] and its class in `left`.
+    fn parts(&self) -> (u32, Self::Split, u32, u32);
+
+    /// The node with both child positions moved up by `base` (a leaf,
+    /// whose `left` is a class, unchanged): the step that lays a tree
+    /// into a forest-wide array at position `base`.
+    fn rebased(self, base: u32) -> Self;
+}
+
+impl FlatNode for FloatNode {
+    type Split = f32;
+
+    #[inline(always)]
+    fn parts(&self) -> (u32, f32, u32, u32) {
+        (self.feature, self.threshold, self.left, self.right)
+    }
+
+    fn rebased(self, base: u32) -> Self {
+        if self.feature == LEAF_MARKER {
+            return self;
+        }
+        Self {
+            left: self.left + base,
+            right: self.right + base,
+            ..self
+        }
+    }
+}
+
+impl FlatNode for IntNode {
+    type Split = i32;
+
+    #[inline(always)]
+    fn parts(&self) -> (u32, i32, u32, u32) {
+        (self.feature, self.key, self.left, self.right)
+    }
+
+    fn rebased(self, base: u32) -> Self {
+        if self.feature == LEAF_MARKER {
+            return self;
+        }
+        Self {
+            left: self.left + base,
+            right: self.right + base,
+            ..self
+        }
+    }
+}
+
+/// The scalar walk every flat array shares: from `root` down to a leaf,
+/// going left where `go_left(feature, split)` holds; returns the leaf's
+/// class. One tree at a time, one dependent node load per level: the
+/// paper's measured shape.
+#[inline(always)]
+pub(crate) fn walk<N: FlatNode>(
+    nodes: &[N],
+    root: u32,
+    go_left: impl Fn(usize, N::Split) -> bool,
+) -> u32 {
+    let mut idx = root;
+    loop {
+        let (feature, split, left, right) = nodes[idx as usize].parts();
+        if feature == LEAF_MARKER {
+            return left;
+        }
+        idx = if go_left(feature as usize, split) {
+            left
+        } else {
+            right
+        };
+    }
+}
+
 /// A tree compiled to a flat float-comparison array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FloatTree {
@@ -94,6 +182,15 @@ pub enum CompileTreeError {
         /// The offending node.
         node: NodeId,
     },
+    /// The forest has more nodes than its node array can index: `u32`
+    /// child positions, or the `i32` word offsets the AVX2 lane kernels
+    /// gather at.
+    TooManyNodes {
+        /// The forest's node count.
+        nodes: usize,
+        /// The most nodes the array can index.
+        max: usize,
+    },
 }
 
 impl core::fmt::Display for CompileTreeError {
@@ -110,6 +207,12 @@ impl core::fmt::Display for CompileTreeError {
                 write!(
                     f,
                     "node {node} does not fit the 16-bit half-precision node encoding"
+                )
+            }
+            Self::TooManyNodes { nodes, max } => {
+                write!(
+                    f,
+                    "the forest has {nodes} nodes; its node array indexes at most {max}"
                 )
             }
         }
@@ -156,36 +259,16 @@ impl FloatTree {
     /// Predicts the class of `features` with native float comparisons.
     #[inline]
     pub fn predict(&self, features: &[f32]) -> u32 {
-        let mut idx = 0u32;
-        loop {
-            let node = &self.nodes[idx as usize];
-            if node.feature == LEAF_MARKER {
-                return node.left;
-            }
-            idx = if features[node.feature as usize] <= node.threshold {
-                node.left
-            } else {
-                node.right
-            };
-        }
+        walk(&self.nodes, 0, |f, threshold| features[f] <= threshold)
     }
 
     /// Predicts with *software float* comparisons (the no-FPU baseline;
     /// same decisions, much more per-node work).
     #[inline]
     pub fn predict_softfloat(&self, features: &[f32]) -> u32 {
-        let mut idx = 0u32;
-        loop {
-            let node = &self.nodes[idx as usize];
-            if node.feature == LEAF_MARKER {
-                return node.left;
-            }
-            idx = if flint_softfloat::soft_le(features[node.feature as usize], node.threshold) {
-                node.left
-            } else {
-                node.right
-            };
-        }
+        walk(&self.nodes, 0, |f, threshold| {
+            flint_softfloat::soft_le(features[f], threshold)
+        })
     }
 
     /// The flat node array.
@@ -245,35 +328,11 @@ impl IntTree {
 
     /// Predicts the class of `features` using integer operations only:
     /// per visited node, the feature's order key and one signed
-    /// comparison. The per-tree oracle of
-    /// [`predict_keys`](Self::predict_keys), which forest walks use.
+    /// comparison. The per-tree oracle of the forest walks, which key a
+    /// row once up front and then make the same compare per node.
     #[inline]
     pub fn predict(&self, features: &[f32]) -> u32 {
-        self.walk(|feature| order_key(features[feature]))
-    }
-
-    /// [`predict`](Self::predict) over a row keyed once up front
-    /// (`keys[f] == order_key(features[f])`): one signed compare per
-    /// node, the shape of [`FloatTree::predict`].
-    #[inline]
-    pub fn predict_keys(&self, keys: &[i32]) -> u32 {
-        self.walk(|feature| keys[feature])
-    }
-
-    #[inline]
-    fn walk(&self, key: impl Fn(usize) -> i32) -> u32 {
-        let mut idx = 0u32;
-        loop {
-            let node = &self.nodes[idx as usize];
-            if node.feature == LEAF_MARKER {
-                return node.left;
-            }
-            idx = if key(node.feature as usize) <= node.key {
-                node.left
-            } else {
-                node.right
-            };
-        }
+        walk(&self.nodes, 0, |f, key| order_key(features[f]) <= key)
     }
 
     /// The flat node array.

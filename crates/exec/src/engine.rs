@@ -186,8 +186,8 @@ pub enum EngineKind {
     /// One of the five if-else configurations, scored one sample at a
     /// time through [`CompiledForest::predict`].
     Scalar(BackendKind),
-    /// The same configuration through the blocked, interleaved
-    /// [`BatchEngine`] traversal.
+    /// The same configuration through the blocked, fill-aware
+    /// [`BatchEngine`] walk.
     Blocked(BackendKind),
     /// QuickScorer per-feature threshold scans over leaf bitsets.
     QuickScorer(QsCompare),
@@ -575,8 +575,10 @@ impl Predictor for ScalarEngine {
     }
 }
 
-/// [`EngineKind::Blocked`]: the cache-blocked, interleaved
-/// [`BatchEngine`] traversal.
+/// [`EngineKind::Blocked`]: the cache-blocked, fill-aware
+/// [`BatchEngine`] walk. Classes and vote histograms come from the same
+/// kernel: `predict_votes` is the walk over a one-row block, whose
+/// trees it walks in groups.
 #[derive(Debug)]
 struct BlockedEngine {
     forest: CompiledForest,
@@ -601,7 +603,7 @@ impl Predictor for BlockedEngine {
     }
 
     fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        self.forest.predict_votes(features)
+        BatchEngine::new(&self.forest, self.opts).predict_votes(features)
     }
 
     fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {

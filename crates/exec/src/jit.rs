@@ -31,7 +31,7 @@
 //!   forced by the [`FORCE_FALLBACK_ENV`] test knob), it serves the
 //!   bytecode interpreter as the **fallback** tier instead —
 //!   bit-identical answers, just slower. [`TieredJit::describe`]
-//!   reports which tier serves.
+//!   reports which tier serves and, on the fallback tier, why.
 //!
 //! ## Emitted code shape
 //!
@@ -696,13 +696,13 @@ pub enum JitTier {
 }
 
 /// What a [`TieredJit`] runs: the compiled forest, or the interpreter
-/// when compilation failed. Both execute the same shared
+/// and the reason compilation failed. Both execute the same shared
 /// [`TreeProgram`] lowering, so answers are bit-identical across tiers
 /// by construction.
 #[derive(Debug)]
 enum Code {
     Native(JitForest),
-    Fallback(VmForest),
+    Fallback(VmForest, JitError),
 }
 
 /// The JIT engine's execution policy: compile the forest to native
@@ -722,7 +722,7 @@ impl TieredJit {
     pub fn new(forest: &RandomForest, compare: JitCompare) -> Self {
         let code = match JitForest::compile(forest, compare) {
             Ok(native) => Code::Native(native),
-            Err(_) => Code::Fallback(VmForest::compile(forest, compare.variant())),
+            Err(why) => Code::Fallback(VmForest::compile(forest, compare.variant()), why),
         };
         Self {
             code,
@@ -751,26 +751,36 @@ impl TieredJit {
     pub fn tier(&self) -> JitTier {
         match self.code {
             Code::Native(_) => JitTier::Native,
-            Code::Fallback(_) => JitTier::Fallback,
+            Code::Fallback(..) => JitTier::Fallback,
         }
     }
 
-    /// One-line description of family and serving tier (each a fixed
-    /// string, so engine `describe()` stays `&'static str`).
+    /// One-line description of family, serving tier and, on the
+    /// fallback tier, why compilation failed (each a fixed string, so
+    /// engine `describe()` stays `&'static str`).
     pub fn describe(&self) -> &'static str {
-        match (self.compare, self.tier()) {
-            (JitCompare::Flint, JitTier::Native) => {
-                "template JIT to x86-64, FLInt integer compares — native tier: emitted machine code"
-            }
-            (JitCompare::Flint, JitTier::Fallback) => {
-                "template JIT to x86-64, FLInt integer compares — fallback tier: interpreter (JIT unavailable)"
-            }
-            (JitCompare::Float, JitTier::Native) => {
-                "template JIT to x86-64, float ucomiss compares — native tier: emitted machine code"
-            }
-            (JitCompare::Float, JitTier::Fallback) => {
-                "template JIT to x86-64, float ucomiss compares — fallback tier: interpreter (JIT unavailable)"
-            }
+        let [native, platform, mapping, forced, program] = match self.compare {
+            JitCompare::Flint => [
+                "template JIT to x86-64, FLInt integer compares — native tier: emitted machine code",
+                "template JIT to x86-64, FLInt integer compares — fallback tier: interpreter (this platform cannot run emitted code)",
+                "template JIT to x86-64, FLInt integer compares — fallback tier: interpreter (executable mapping refused)",
+                "template JIT to x86-64, FLInt integer compares — fallback tier: interpreter (FLINT_JIT_FORCE_FALLBACK set)",
+                "template JIT to x86-64, FLInt integer compares — fallback tier: interpreter (program not compilable)",
+            ],
+            JitCompare::Float => [
+                "template JIT to x86-64, float ucomiss compares — native tier: emitted machine code",
+                "template JIT to x86-64, float ucomiss compares — fallback tier: interpreter (this platform cannot run emitted code)",
+                "template JIT to x86-64, float ucomiss compares — fallback tier: interpreter (executable mapping refused)",
+                "template JIT to x86-64, float ucomiss compares — fallback tier: interpreter (FLINT_JIT_FORCE_FALLBACK set)",
+                "template JIT to x86-64, float ucomiss compares — fallback tier: interpreter (program not compilable)",
+            ],
+        };
+        match &self.code {
+            Code::Native(_) => native,
+            Code::Fallback(_, JitError::UnsupportedPlatform) => platform,
+            Code::Fallback(_, JitError::MapFailed) => mapping,
+            Code::Fallback(_, JitError::ForcedFallback) => forced,
+            Code::Fallback(..) => program,
         }
     }
 
@@ -794,7 +804,7 @@ impl TieredJit {
         assert_eq!(features.len(), self.n_features, "feature vector length");
         match &self.code {
             Code::Native(native) => native.predict_votes(features),
-            Code::Fallback(interp) => {
+            Code::Fallback(interp, _) => {
                 interp
                     .run_votes(features)
                     .expect("compiled VM programs run to a return")

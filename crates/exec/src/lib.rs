@@ -6,18 +6,24 @@
 //! [`flint_forest::RandomForest`] into flat, layout-ordered node arrays
 //! for each configuration and executes them:
 //!
-//! * [`compile::FloatTree`] / [`compile::IntNode`] — the 16-byte node
+//! * [`compile::FloatNode`] / [`compile::IntNode`] — the 16-byte node
 //!   formats (float threshold vs the threshold's FLInt order key, one
-//!   signed compare against a row keyed once);
+//!   signed compare against a row keyed once), compiled per tree by
+//!   [`compile::FloatTree`] / [`compile::IntTree`];
 //! * [`backend::CompiledForest`] — the forest-level backends with
 //!   majority-vote aggregation, identical across configurations so the
-//!   "accuracy unchanged" claim is testable bit-for-bit;
+//!   "accuracy unchanged" claim is testable bit-for-bit. Each holds one
+//!   forest-wide node array (forest-global child positions, one root
+//!   per tree) that its scalar, blocked and f32 lane walks all index;
 //! * a software float backend as the no-FPU motivational baseline;
 //! * [`batch::BatchEngine`] — throughput-oriented batch inference over
-//!   a structure-of-arrays `FeatureMatrix`: tree-block × sample-block
-//!   interleaved traversal, reusable per-worker scratch buffers, and
-//!   scoped-thread data parallelism over sample blocks. Predictions
-//!   are bit-identical to the scalar path for every [`BackendKind`];
+//!   a structure-of-arrays `FeatureMatrix`: a fill-aware interleaved
+//!   walk that keeps about [`batch::IN_FLIGHT`] (tree, row) walks in
+//!   flight at every block fill (one tree at a time over a full block,
+//!   a group of trees over a one-row request), reusable per-worker
+//!   scratch buffers, and scoped-thread data parallelism over sample
+//!   blocks. Predictions are bit-identical to the scalar path for
+//!   every [`BackendKind`];
 //! * [`mod@simd`] — the 8-wide lane-parallel traversal behind the
 //!   `simd`/`simd-float` and `simd-f16`/`simd-f16-float` engines:
 //!   samples descend each tree in lane groups through branchless

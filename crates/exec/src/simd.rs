@@ -72,9 +72,9 @@
 //! # }
 //! ```
 
-use crate::backend::{BackendKind, CompiledForest, Trees};
+use crate::backend::{BackendKind, CompiledForest, Nodes};
 use crate::batch::{score_spans, BatchOptions};
-use crate::compile::{CompileTreeError, FloatNode, FloatTree, IntNode, IntTree, LEAF_MARKER};
+use crate::compile::{CompileTreeError, FloatNode, IntNode, LEAF_MARKER};
 use crate::dispatch::{KernelPath, KernelPolicy};
 use crate::engine::EngineKind;
 use crate::f16::{f16_policy, HalfForest, HalfLayout, HalfTrees};
@@ -88,6 +88,23 @@ use flint_forest::RandomForest;
 // only sound while both node formats stay exactly four words.
 const _: () = assert!(core::mem::size_of::<FloatNode>() == 16);
 const _: () = assert!(core::mem::size_of::<IntNode>() == 16);
+
+/// The most nodes a forest-wide 16-byte node array may hold for the
+/// lane kernels: the AVX2 kernels gather node words at the `i32` offset
+/// `cursor * 4 + {0..3}`, which must not overflow for any node.
+const MAX_LANE_NODES: usize = i32::MAX as usize / 4;
+
+/// Checks that an `n_nodes` forest-wide array fits the lane kernels'
+/// gather offsets ([`MAX_LANE_NODES`]).
+fn check_lane_nodes(n_nodes: usize) -> Result<(), CompileTreeError> {
+    if n_nodes > MAX_LANE_NODES {
+        return Err(CompileTreeError::TooManyNodes {
+            nodes: n_nodes,
+            max: MAX_LANE_NODES,
+        });
+    }
+    Ok(())
+}
 
 /// Eight `f32` lanes. The portable operations are plain lane loops —
 /// the shape LLVM's autovectorizer turns into single 256-bit
@@ -274,9 +291,16 @@ pub(crate) trait LaneTree: Sync {
     /// The slab element the format's kernels compare against.
     type Lane: Lane;
 
-    /// Walks a wave of lane groups from the root until every lane sits
-    /// on a leaf, through `path`'s kernel; on return each cursor holds
-    /// its group's leaf positions.
+    /// The tree's root position: where every lane's cursor starts. `0`
+    /// for a tree with its own node array.
+    fn root(&self) -> u32 {
+        0
+    }
+
+    /// Walks a wave of lane groups from cursors set to
+    /// [`root`](Self::root) until every lane sits on a leaf, through
+    /// `path`'s kernel; on return each cursor holds its group's leaf
+    /// positions.
     fn walk(&self, slabs: &[&[Self::Lane]], cursors: &mut [U32x8], path: KernelPath);
 
     /// The class of the leaf at position `cursor`.
@@ -312,10 +336,28 @@ pub(crate) fn walk_wave<L>(
     }
 }
 
+/// One tree of a [`CompiledForest`]'s forest-wide 16-byte node array:
+/// the whole array and the tree's root. Lanes start at the root and
+/// follow forest-global child positions.
+#[derive(Debug, Clone, Copy)]
+struct ForestTree<'a, N> {
+    nodes: &'a [N],
+    root: u32,
+}
+
+/// Every tree of a forest-wide node array, in forest order.
+fn forest_trees<'a, N>(nodes: &'a [N], roots: &[u32]) -> Vec<ForestTree<'a, N>> {
+    roots
+        .iter()
+        .map(|&root| ForestTree { nodes, root })
+        .collect()
+}
+
 /// The node format a lane engine walks, chosen once per forest.
 #[derive(Debug)]
 enum LaneForest {
-    /// 16-byte f32 nodes of a `Naive` or `Flint` compiled forest.
+    /// The forest-wide 16-byte f32 node array of a `Naive` or `Flint`
+    /// compiled forest.
     F32(CompiledForest),
     /// Binary16 nodes, in the layout the kernel path allows.
     F16(HalfForest, HalfLayout),
@@ -341,15 +383,19 @@ impl LaneEngine {
     ///
     /// # Errors
     ///
-    /// Propagates [`CompileTreeError`] from FLInt threshold preparation.
+    /// Propagates [`CompileTreeError`] from FLInt threshold preparation;
+    /// [`CompileTreeError::TooManyNodes`] if the forest has more than
+    /// `i32::MAX / 4` nodes, past the AVX2 gathers' word offsets.
     pub(crate) fn simd(
         forest: &RandomForest,
         compare: SimdCompare,
         opts: BatchOptions,
     ) -> Result<Self, CompileTreeError> {
+        let compiled = CompiledForest::compile(forest, compare.backend(), None)?;
+        check_lane_nodes(compiled.n_nodes())?;
         Ok(Self {
             kind: EngineKind::Simd(compare),
-            forest: LaneForest::F32(CompiledForest::compile(forest, compare.backend(), None)?),
+            forest: LaneForest::F32(compiled),
             opts,
             path: lane_policy().select(),
         })
@@ -441,10 +487,16 @@ impl LaneEngine {
         let block = opts.block_samples;
         let mut out = vec![0u32; matrix.n_samples()];
         score_spans(opts, &mut out, |start, span| match &self.forest {
-            LaneForest::F32(forest) => match forest.trees() {
-                Trees::Float(trees) => self.score_span(trees, matrix, start, span, block),
-                Trees::Int(trees) => self.score_span(trees, matrix, start, span, block),
-                Trees::Soft(_) => unreachable!("lane engines compile Naive or Flint trees"),
+            LaneForest::F32(forest) => match forest.nodes() {
+                Nodes::Float(nodes) => {
+                    let trees = forest_trees(nodes, forest.roots());
+                    self.score_span(&trees, matrix, start, span, block)
+                }
+                Nodes::Int(nodes) => {
+                    let trees = forest_trees(nodes, forest.roots());
+                    self.score_span(&trees, matrix, start, span, block)
+                }
+                Nodes::Soft(_) => unreachable!("lane engines compile Naive or Flint trees"),
             },
             LaneForest::F16(half, HalfLayout::Nodes) => match half.trees() {
                 HalfTrees::Float(trees) => self.score_span(trees, matrix, start, span, block),
@@ -513,7 +565,7 @@ impl LaneEngine {
                         let g = wave_start + j;
                         *slab = &lanes[g * group_stride..(g + 1) * group_stride + overhang];
                     }
-                    let mut cursors = [U32x8::ZERO; WAVE];
+                    let mut cursors = [U32x8::splat(tree.root()); WAVE];
                     tree.walk(&slabs[..k], &mut cursors[..k], self.path);
                     for (j, cursor) in cursors[..k].iter().enumerate() {
                         let g = wave_start + j;
@@ -532,12 +584,16 @@ impl LaneEngine {
     }
 }
 
-impl LaneTree for FloatTree {
+impl LaneTree for ForestTree<'_, FloatNode> {
     type Lane = f32;
+
+    fn root(&self) -> u32 {
+        self.root
+    }
 
     #[inline]
     fn walk(&self, slabs: &[&[f32]], cursors: &mut [U32x8], path: KernelPath) {
-        let nodes = self.nodes();
+        let nodes = self.nodes;
         match path {
             #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => avx2::walk_float(nodes, slabs, cursors),
@@ -555,16 +611,20 @@ impl LaneTree for FloatTree {
 
     #[inline]
     fn leaf_class(&self, cursor: u32) -> u32 {
-        self.nodes()[cursor as usize].left
+        self.nodes[cursor as usize].left
     }
 }
 
-impl LaneTree for IntTree {
+impl LaneTree for ForestTree<'_, IntNode> {
     type Lane = i32;
+
+    fn root(&self) -> u32 {
+        self.root
+    }
 
     #[inline]
     fn walk(&self, slabs: &[&[i32]], cursors: &mut [U32x8], path: KernelPath) {
-        let nodes = self.nodes();
+        let nodes = self.nodes;
         match path {
             #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => avx2::walk_int(nodes, slabs, cursors),
@@ -583,7 +643,7 @@ impl LaneTree for IntTree {
 
     #[inline]
     fn leaf_class(&self, cursor: u32) -> u32 {
-        self.nodes()[cursor as usize].left
+        self.nodes[cursor as usize].left
     }
 }
 
@@ -633,9 +693,11 @@ pub(crate) fn step_portable<N, L: Copy>(
 /// * the wrappers assert AVX2 via CPUID before entering the
 ///   `#[target_feature]` functions;
 /// * node gathers index `cursor * 4 + {0..3}` 32-bit words, and
-///   `cursor` only ever holds root (0) or an in-tree child index, so
-///   every access is inside the node slice (both node formats are
-///   exactly four words — statically asserted above);
+///   `cursor` only ever holds a tree's root or a child index inside the
+///   forest array, so every access is inside the node slice (both node
+///   formats are exactly four words — statically asserted above); the
+///   engine refuses forests of more than `i32::MAX / 4` nodes
+///   (`check_lane_nodes`), so no word offset overflows `i32`;
 /// * lane gathers index `feature * 8 + lane` with `feature` either a
 ///   valid feature index or clamped to 0 for leaf lanes, always inside
 ///   the `n_features * LANES` slab of 4-byte elements (`f32` features
@@ -728,9 +790,10 @@ mod avx2 {
             let cursor = unsafe { _mm256_load_si256(slot.0.as_ptr().cast()) };
             // Node word index: each node is four 32-bit words.
             let word = _mm256_slli_epi32::<2>(cursor);
-            // SAFETY: every cursor lane is root (0) or an in-tree child
-            // index, so word+0 indexes inside the four-word node slice
-            // (per the module soundness argument).
+            // SAFETY: every cursor lane is a tree's root or a child
+            // index inside the forest array, so word+0 indexes inside
+            // the four-word node slice (per the module soundness
+            // argument).
             let feature = unsafe { _mm256_i32gather_epi32::<4>(base, word) };
             let is_leaf = _mm256_cmpeq_epi32(feature, leaf);
             if _mm256_movemask_epi8(is_leaf) == -1 {
@@ -1027,6 +1090,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The AVX2 kernels gather a node's last word at `cursor * 4 + 3`:
+    /// the largest accepted forest keeps that inside `i32`, one more node
+    /// is refused.
+    #[test]
+    fn lane_node_bound_keeps_gather_offsets_inside_i32() {
+        let max = i32::MAX as usize / 4;
+        assert!((max - 1) * 4 + 3 <= i32::MAX as usize);
+        assert_eq!(check_lane_nodes(0), Ok(()));
+        assert_eq!(check_lane_nodes(max), Ok(()));
+        assert_eq!(
+            check_lane_nodes(max + 1),
+            Err(CompileTreeError::TooManyNodes {
+                nodes: max + 1,
+                max
+            })
+        );
     }
 
     #[test]

@@ -7,13 +7,23 @@
 
 use flint_data::synth::SynthSpec;
 use flint_data::{Dataset, FeatureMatrix};
-use flint_exec::{BackendKind, BatchEngine, BatchOptions, CompiledForest};
-use flint_forest::{ForestConfig, RandomForest};
+use flint_exec::batch::IN_FLIGHT;
+use flint_exec::{
+    BackendKind, BatchEngine, BatchOptions, CompiledForest, EngineBuilder, EngineKind,
+};
+use flint_forest::{DecisionTree, ForestConfig, Node, RandomForest};
 use flint_qscorer::{QsCompare, QsForest};
 use proptest::prelude::*;
 
 const BLOCKS: [usize; 4] = [1, 7, 64, 10_000]; // 10_000 > every test dataset
 const THREADS: [usize; 2] = [1, 4];
+const BACKENDS: [BackendKind; 5] = [
+    BackendKind::Naive,
+    BackendKind::Cags,
+    BackendKind::Flint,
+    BackendKind::CagsFlint,
+    BackendKind::SoftFloat,
+];
 
 fn trained(seed: u64, n: usize, depth: usize) -> (Dataset, RandomForest) {
     let data = SynthSpec::new(n, 5, 3)
@@ -28,13 +38,7 @@ fn trained(seed: u64, n: usize, depth: usize) -> (Dataset, RandomForest) {
 #[test]
 fn batched_equals_scalar_for_every_backend() {
     let (data, forest) = trained(5, 240, 9);
-    for kind in [
-        BackendKind::Naive,
-        BackendKind::Cags,
-        BackendKind::Flint,
-        BackendKind::CagsFlint,
-        BackendKind::SoftFloat,
-    ] {
+    for kind in BACKENDS {
         let backend = CompiledForest::compile(&forest, kind, Some(&data)).expect("compilable");
         let want = backend.predict_dataset(&data);
         let matrix = FeatureMatrix::from_dataset(&data);
@@ -54,6 +58,71 @@ fn batched_equals_scalar_for_every_backend() {
                     want,
                     "{} wrapper block {block} threads {threads}",
                     kind.name()
+                );
+            }
+        }
+    }
+}
+
+/// `n_trees` depth-3 trees over `data`, every fourth of them (from the
+/// fourth) a single leaf: such a walk votes in its first round.
+fn shallow_forest(data: &Dataset, n_trees: usize) -> RandomForest {
+    let trained = RandomForest::fit(data, &ForestConfig::grid(n_trees, 3)).expect("trainable");
+    let trees = trained
+        .trees()
+        .iter()
+        .enumerate()
+        .map(|(i, tree)| {
+            if i % 4 == 3 {
+                let leaf = Node::Leaf {
+                    class: (i % data.n_classes()) as u32,
+                    counts: vec![1; data.n_classes()],
+                };
+                DecisionTree::new(vec![leaf], data.n_features(), data.n_classes()).expect("valid")
+            } else {
+                tree.clone()
+            }
+        })
+        .collect();
+    RandomForest::from_trees(trees)
+}
+
+/// A block of `b` rows walks groups of `IN_FLIGHT.div_ceil(b)` trees, so
+/// forests around and past one group's size, at fills of one to three
+/// rows and around a full block, cross every tree-group boundary: each
+/// tree must vote exactly once per row.
+#[test]
+fn tree_group_boundaries_keep_one_vote_per_tree() {
+    assert_eq!(
+        IN_FLIGHT, 64,
+        "the forest sizes below straddle 64-walk groups"
+    );
+    let (data, _) = trained(29, 120, 3);
+    let matrix = FeatureMatrix::from_dataset(&data);
+    for n_trees in [1, 63, 64, 65, 130] {
+        let forest = shallow_forest(&data, n_trees);
+        let builder = EngineBuilder::new(&forest).profile_data(&data);
+        for kind in BACKENDS {
+            let backend = CompiledForest::compile(&forest, kind, Some(&data)).expect("compilable");
+            let want = backend.predict_dataset(&data);
+            for block in [1, 2, 3, 63, 64, 65] {
+                let opts = BatchOptions::default().block_samples(block);
+                assert_eq!(
+                    BatchEngine::new(&backend, opts).predict(&matrix),
+                    want,
+                    "{} trees, {} block {block}",
+                    n_trees,
+                    kind.name()
+                );
+            }
+            let blocked = builder.build(EngineKind::Blocked(kind)).expect("builds");
+            for i in 0..data.n_samples() {
+                assert_eq!(
+                    blocked.predict_votes(data.sample(i)),
+                    forest.predict_votes(data.sample(i)),
+                    "{} trees, {} votes of row {i}",
+                    n_trees,
+                    blocked.name()
                 );
             }
         }

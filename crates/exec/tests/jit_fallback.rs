@@ -32,8 +32,8 @@ fn model() -> (flint_data::Dataset, RandomForest) {
 }
 
 /// With compilation forced to fail, the engine is built on the
-/// fallback tier, says so before it scores a row, and every answer is
-/// bit-identical to the forest's majority vote.
+/// fallback tier, says so — and why — before it scores a row, and every
+/// answer is bit-identical to the forest's majority vote.
 #[test]
 fn forced_fallback_serves_bit_identically_and_reports_its_tier() {
     force_fallback();
@@ -48,11 +48,17 @@ fn forced_fallback_serves_bit_identically_and_reports_its_tier() {
         let engine = builder
             .build(kind)
             .expect("builds even when the JIT cannot");
+        // The knob is checked after the platform gate, so a build that
+        // cannot run emitted code names the platform instead.
+        let reason = if jit_supported() {
+            FORCE_FALLBACK_ENV
+        } else {
+            "this platform cannot run emitted code"
+        };
         assert!(
-            engine
-                .describe()
-                .contains("fallback tier: interpreter (JIT unavailable)"),
-            "{} should report the fallback tier once built: {}",
+            engine.describe().contains("fallback tier: interpreter (")
+                && engine.describe().contains(reason),
+            "{} should report the fallback tier and {reason} once built: {}",
             engine.name(),
             engine.describe()
         );
