@@ -12,7 +12,6 @@
 //! | Table III (ASM aggregates) | [`report::table3`] |
 //! | No-FPU ablation (ours) | [`report::ablation_nofpu`] |
 //! | Batch throughput (ours) | [`experiments::batch_throughput_table`], `flint bench`, `cargo bench --bench batch_throughput` |
-//! | Serving latency (ours) | [`loadgen::open_loop`], `cargo bench --bench serve_latency` |
 //!
 //! The `figures` binary prints any of them:
 //! `cargo run -p flint-bench --bin figures -- table2`.
@@ -35,11 +34,9 @@
 #![deny(unsafe_code)]
 
 pub mod experiments;
-pub mod loadgen;
 pub mod report;
 pub mod shapes;
 
-pub use loadgen::{open_loop, LatencySummary, OpenLoopReport, OpenLoopSpec};
 pub use shapes::ForestShape;
 
 pub use experiments::{

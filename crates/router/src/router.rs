@@ -23,8 +23,8 @@ use epoll::{Events, Interest, Poller};
 use flint_forest::metrics::majority_vote;
 use flint_forest::votes::{merge_votes, parse_votes};
 use flint_serve::{
-    render_busy, render_error, render_votes, Conn, EventLoopConfig, FramedLine, LineMachine,
-    MetricsSnapshot, Request, ServeMetrics, WireEvent,
+    render_busy, render_error, render_votes, write_row, Conn, EventLoopConfig, FramedLine,
+    LineMachine, MetricsSnapshot, Request, ServeMetrics, WireEvent,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -493,15 +493,9 @@ impl RouterLoop {
                 enqueued: Instant::now(),
             },
         );
-        // f32's Display is the shortest round-trip form, so the shard
-        // parses back the identical bits the client sent.
+        // The shard parses back the identical bits the client sent.
         let mut line = String::from("votes:");
-        for (i, v) in row.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&v.to_string());
-        }
+        write_row(&mut line, &row);
         line.push('\n');
         for shard in &mut self.shards {
             let link = shard.link.as_mut().expect("all shards checked up");

@@ -138,13 +138,44 @@ fn registry_is_fully_enumerated() {
     }
 }
 
+/// Rows with NaN features, as a client writes them. NaN lies outside
+/// FLInt's theorem: order keys send `-nan` and `nan` opposite ways,
+/// float compares send both one way. So these rows have no family
+/// reference, and the router must answer what the same engine answers
+/// on one node, the sign of each NaN included.
+const NAN_ROWS: [&str; 3] = [
+    "-nan,-nan,-nan,-nan",
+    "nan,nan,nan,nan",
+    "-nan,0.5,nan,-1.25",
+];
+
+/// Sends `text` to the router as a class row and as a `votes:` row,
+/// and checks both answers against the histogram `votes`.
+fn assert_routes_to(client: &mut Client, text: &str, votes: &[u32], what: &str) {
+    let class = majority_vote(votes);
+    let got = client.roundtrip(text).to_owned();
+    assert!(
+        got.starts_with(&format!("{{\"class\":{class},\"engine\":\"router\"")),
+        "{what}: {got}"
+    );
+    let expected_votes = flint_forest::votes::render_votes(votes);
+    let got = client.roundtrip(&format!("votes:{text}")).to_owned();
+    assert!(
+        got.starts_with(&format!(
+            "{{\"votes\":{expected_votes},\"engine\":\"router\""
+        )),
+        "{what}: {got}"
+    );
+}
+
 /// The flagship matrix: every engine × shard counts {1, 2, 5}. The
 /// router's class and votes answers must equal the engine family's
 /// reference histogram (`RandomForest::predict_votes` for exact
 /// engines, `HalfForest::predict_votes` for the f16 engines) and the
 /// same engine's single-node answer on every row — bit-identical
 /// histograms, not just agreeing classes. The family reference catches
-/// a fault the shards and the single-node engine share.
+/// a fault the shards and the single-node engine share. The
+/// [`NAN_ROWS`] answers must equal the single-node engine's.
 #[test]
 fn every_engine_shards_identically_at_1_2_and_5_shards() {
     let (data, forest) = fixture();
@@ -176,30 +207,17 @@ fn every_engine_shards_identically_at_1_2_and_5_shards() {
                     Some(half) => half.predict_votes(row),
                     None => forest.predict_votes(row),
                 };
-                let class = majority_vote(&votes);
-                let got = client.roundtrip(&text.join(",")).to_owned();
-                assert!(
-                    got.starts_with(&format!("{{\"class\":{class},\"engine\":\"router\"")),
-                    "{} x{n_shards} row {i}: {got}",
-                    kind.name()
-                );
-                let expected_votes = flint_forest::votes::render_votes(&votes);
-                let got = client
-                    .roundtrip(&format!("votes:{}", text.join(",")))
-                    .to_owned();
-                assert!(
-                    got.starts_with(&format!(
-                        "{{\"votes\":{expected_votes},\"engine\":\"router\""
-                    )),
-                    "{} x{n_shards} row {i}: {got}",
-                    kind.name()
-                );
-                assert_eq!(
-                    reference.predict_votes(row),
-                    votes,
-                    "{} single node row {i}",
-                    kind.name()
-                );
+                let what = format!("{} x{n_shards} row {i}", kind.name());
+                assert_routes_to(&mut client, &text.join(","), &votes, &what);
+                assert_eq!(reference.predict_votes(row), votes, "{what} single node");
+            }
+            for text in NAN_ROWS {
+                let row: Vec<f32> = text
+                    .split(',')
+                    .map(|f| f.parse().expect("a float"))
+                    .collect();
+                let what = format!("{} x{n_shards} row {text}", kind.name());
+                assert_routes_to(&mut client, text, &reference.predict_votes(&row), &what);
             }
             assert!(client.roundtrip("shutdown").contains("shutting down"));
             runner.join().expect("router thread");

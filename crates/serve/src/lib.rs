@@ -86,7 +86,8 @@ pub use batcher::{BatchHandle, BatchPolicy, Batcher, Prediction, ServeError};
 pub use event_loop::{Conn, EpollServer, EventLoopConfig};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use protocol::{
-    parse_request, render_busy, render_error, render_prediction, render_votes, FramedLine,
-    LineMachine, ParseRequestError, ProtocolMachine, Request, WireEvent, MAX_LINE_BYTES,
+    parse_request, render_busy, render_error, render_prediction, render_votes, write_row,
+    FramedLine, LineMachine, ParseRequestError, ProtocolMachine, Request, WireEvent,
+    MAX_LINE_BYTES,
 };
 pub use server::serve_lines;

@@ -38,6 +38,7 @@
 //! the response stream (proven by the chunking property suite).
 
 use crate::batcher::Prediction;
+use std::fmt::Write;
 
 /// Longest accepted request line in bytes (terminator excluded); the
 /// per-connection read-buffer cap. A line still unterminated past this
@@ -166,6 +167,26 @@ fn parse_row(text: &str) -> Result<Vec<f32>, ParseRequestError> {
                 .map_err(|_| ParseRequestError(format!("cannot parse feature {field:?}")))
         })
         .collect()
+}
+
+/// Appends `row` to `out` as a CSV feature list that
+/// [`parse_request`] reads back to the same bits, for every value
+/// `parse_request` can produce.
+///
+/// `f32`'s `Display` round-trips every value but a sign-negative NaN,
+/// which it prints as `NaN`; that one is written `-NaN`. The sign
+/// matters: FLInt order keys send `-NaN` and `NaN` opposite ways.
+pub fn write_row(out: &mut String, row: &[f32]) {
+    for (i, v) in row.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if v.is_nan() && v.is_sign_negative() {
+            out.push_str("-NaN");
+        } else {
+            let _ = write!(out, "{v}");
+        }
+    }
 }
 
 /// Extracts the contents of the `[...]` array following a `"features"`
@@ -431,6 +452,30 @@ mod tests {
         let json = parse_request("{\"features\": [0.5, 1.25, -3.0]}").expect("parses");
         assert_eq!(csv, Request::Predict(vec![0.5, 1.25, -3.0]));
         assert_eq!(csv, json);
+    }
+
+    #[test]
+    fn written_rows_parse_back_to_the_same_bits() {
+        let row = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            f32::MAX,
+            -f32::MAX,
+            f32::NAN,
+            -f32::NAN,
+            0.1,
+        ];
+        let mut line = String::new();
+        write_row(&mut line, &row);
+        let Request::Predict(back) = parse_request(&line).expect("parses") else {
+            panic!("{line} is not a feature row");
+        };
+        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&row), "{line}");
+        assert!(line.contains("-NaN"), "{line}");
     }
 
     #[test]
