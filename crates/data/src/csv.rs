@@ -58,7 +58,8 @@ impl From<std::io::Error> for ReadCsvError {
 
 /// Writes `dataset` as CSV: one row per sample, features then the
 /// integer label, no header. Float features are written with enough
-/// digits to round-trip exactly.
+/// digits to round-trip exactly; a NaN reads back as the quiet NaN of
+/// its sign.
 ///
 /// # Errors
 ///
@@ -82,8 +83,14 @@ pub fn write_csv<W: Write>(dataset: &Dataset, writer: W) -> std::io::Result<()> 
     let mut w = BufWriter::new(writer);
     for (row, label) in dataset.iter() {
         for v in row {
-            // {:?} prints the shortest representation that round-trips.
-            write!(w, "{v:?},")?;
+            // {:?} prints the shortest representation that round-trips,
+            // except for a sign-negative NaN, which it prints as `NaN`.
+            // FLInt order keys send the two NaN signs opposite ways.
+            if v.is_nan() && v.is_sign_negative() {
+                w.write_all(b"-NaN,")?;
+            } else {
+                write!(w, "{v:?},")?;
+            }
         }
         writeln!(w, "{label}")?;
     }

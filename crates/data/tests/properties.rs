@@ -9,15 +9,21 @@ fn finite_f32() -> impl Strategy<Value = f32> {
         .prop_filter("finite", |v| v.is_finite())
 }
 
+/// Finite bit patterns and, one draw in eight, the quiet NaN of the
+/// drawn sign: the NaNs text carries.
+fn finite_or_nan_f32() -> impl Strategy<Value = f32> {
+    (finite_f32(), 0u32..8).prop_map(|(v, pick)| if pick == 0 { f32::NAN.copysign(v) } else { v })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// CSV round-trips arbitrary finite bit patterns exactly, including
-    /// signed zeros and denormals.
+    /// signed zeros and denormals, and NaNs of both signs.
     #[test]
     fn csv_round_trips_bit_exactly(
         rows in proptest::collection::vec(
-            (proptest::collection::vec(finite_f32(), 3), 0u32..4),
+            (proptest::collection::vec(finite_or_nan_f32(), 3), 0u32..4),
             1..30,
         )
     ) {

@@ -34,11 +34,15 @@
 //! control keeps answering), `stats` (the standard snapshot with a
 //! `"shards"` block spliced in), `shutdown`.
 //!
-//! The data plane is one epoll thread reusing `flint-serve`'s
-//! connection layer verbatim: [`flint_serve::Conn`] for clients
-//! (framing, ordered response slots, write backpressure) and
-//! [`flint_serve::LineMachine`] for framing shard responses. No new
-//! async machinery, no second protocol.
+//! The data plane is one epoll thread running `flint-serve`'s event
+//! loop core ([`flint_serve::run_loop`]) with the fan-out as its
+//! [`flint_serve::Role`]: the core owns the clients (accept, framing,
+//! ordered response slots, write backpressure, shutdown), and the
+//! shard links run on its [`flint_serve::Socket`] with a
+//! [`flint_serve::LineMachine`] framing shard responses. Links connect
+//! without blocking the loop, so an unreachable shard costs visible
+//! `busy` answers, never a frozen router. No new async machinery, no
+//! second protocol.
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]

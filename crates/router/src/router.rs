@@ -1,55 +1,37 @@
 //! The fan-out/merge event loop: one epoll thread fronting N forest
-//! shards.
+//! shards, the role the router plays on `flint-serve`'s loop core
+//! ([`flint_serve::run_loop`]), which owns the clients. Shard links run
+//! on the core's [`Socket`], with a bare [`LineMachine`] framing
+//! *responses* and a FIFO of request ids, because the shard protocol
+//! answers strictly in request order per connection (the ordered-slot
+//! invariant the serve loop enforces). That FIFO discipline is what
+//! lets the router match replies to requests without an id field.
 //!
-//! Clients are driven by [`flint_serve::Conn`] — the same framing,
-//! ordered response slots and write-backpressure machinery as a shard's
-//! own event loop. Shard links are thinner: a nonblocking stream, a
-//! bare [`LineMachine`] framing *responses*, and a FIFO of request ids,
-//! because the shard protocol answers strictly in request order per
-//! connection (the ordered-slot invariant the serve loop enforces).
-//! That FIFO discipline is what lets the router match replies to
-//! requests without an id field on the wire.
-//!
-//! A data request is admitted only when **every** shard link is up;
-//! each shard receives the row as a `votes:` line, and the reply
-//! histograms are summed with [`merge_votes`] before the one canonical
-//! [`majority_vote`] tie-break. Any shard shedding, disagreeing on
-//! arity, or dying mid-request fails that request *visibly* (`busy` /
+//! Links connect without blocking the loop. A data request is admitted
+//! only when **every** shard has a link, connected or connecting (its
+//! rows then wait in the link's write buffer). Each shard receives the
+//! row as a `votes:` line, and the reply histograms are summed with
+//! [`merge_votes`] before the one canonical [`majority_vote`]
+//! tie-break. Any shard shedding, disagreeing on arity, failing to
+//! connect or dying mid-request fails that request *visibly* (`busy` /
 //! `error` naming the shard) — a partial quorum is never merged,
 //! because a majority over half the forest is a wrong answer that
 //! looks like a right one.
 
-use epoll::{Events, Interest, Poller};
+use epoll::{connect_nonblocking, Event, Interest};
 use flint_forest::metrics::majority_vote;
 use flint_forest::votes::{merge_votes, parse_votes};
 use flint_serve::{
-    render_busy, render_error, render_votes, write_row, Conn, EventLoopConfig, FramedLine,
-    LineMachine, MetricsSnapshot, Request, ServeMetrics, WireEvent,
+    render_busy, render_error, render_votes, run_loop, write_row, Core, EventLoopConfig,
+    FramedLine, LineMachine, MetricsSnapshot, Request, Role, Socket,
 };
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-/// Poll token of the accept listener.
-const LISTENER: u64 = 0;
-/// First token handed to a connection or shard link (monotonic, never
-/// reused, so a stale readiness report can never reach a newer peer).
-const FIRST_TOKEN: u64 = 2;
-/// Upper bound on one `epoll_wait` sleep: reconnect and shutdown
-/// bookkeeping runs at least this often even with no I/O.
-const POLL_TICK: Duration = Duration::from_millis(100);
-/// Bytes per `read` call on a shard link.
-const READ_CHUNK: usize = 4096;
-/// Reads taken from one shard link per readiness report; level-
-/// triggered epoll re-reports leftovers.
-const READ_BURSTS: usize = 16;
-/// Drained-prefix size past which a shard link's write buffer is
-/// compacted (same hygiene as the serve loop's client buffers).
-const COMPACT_WRITE_BUFFER: usize = 4096;
-/// How long a failed shard link stays down before the next blocking
-/// connect attempt.
+/// How long a shard link may take to connect before it fails, and how
+/// long a failed link stays down before the next connect attempt.
 const RECONNECT_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Default listen address of `flint route` (one above the serve
@@ -141,96 +123,16 @@ impl RouterServer {
     /// `Unsupported` on non-Linux targets); per-connection and
     /// per-shard I/O errors only end that peer.
     pub fn run(self) -> std::io::Result<MetricsSnapshot> {
-        let RouterServer {
-            listener,
-            local_addr: _,
-            shard_addrs,
-            config,
-        } = self;
-        let poller = Poller::new()?;
-        listener.set_nonblocking(true)?;
-        poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
-        let now = Instant::now();
-        let mut state = RouterLoop {
-            listener,
-            poller,
-            metrics: ServeMetrics::default(),
-            cfg: config,
-            clients: HashMap::new(),
-            shards: shard_addrs
-                .into_iter()
-                .map(|addr| Shard {
-                    addr,
-                    link: None,
-                    next_attempt: now,
-                })
-                .collect(),
-            shard_tokens: HashMap::new(),
-            pending: HashMap::new(),
-            next_token: FIRST_TOKEN,
-            next_req: 0,
-            stopping: false,
-            draining: false,
+        let mut router = Router {
+            shards: Shard::map(self.shard_addrs),
+            ..Router::default()
         };
-        state.connect_down_shards();
-
-        let mut events = Events::with_capacity(1024);
-        let mut accepting = true;
-        let mut client_events: Vec<(u64, WireEvent)> = Vec::new();
-        let mut ready_shards: Vec<usize> = Vec::new();
-        loop {
-            state.poller.wait(&mut events, Some(POLL_TICK))?;
-            // Copy the reports out so `events` is free for the next
-            // wait and the borrow checker is free for the state.
-            let ready: Vec<epoll::Event> = events.iter().collect();
-            client_events.clear();
-            ready_shards.clear();
-            for event in ready {
-                match event.token {
-                    LISTENER => state.accept_clients()?,
-                    token => {
-                        if let Some(&idx) = state.shard_tokens.get(&token) {
-                            if event.readable || event.closed {
-                                ready_shards.push(idx);
-                            }
-                            // Writability is handled by the flush pass.
-                        } else if let Some(conn) = state.clients.get_mut(&token) {
-                            if event.readable || event.closed {
-                                for ev in conn.read_wire_events(&state.metrics) {
-                                    client_events.push((token, ev));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            // Client requests fan out first (appending to shard write
-            // buffers), then shard replies land, then the flush pass
-            // pushes the fresh fan-outs — one tick, no extra wakeups.
-            for (token, ev) in client_events.drain(..) {
-                state.handle_client_event(token, ev);
-            }
-            for idx in ready_shards.drain(..) {
-                state.shard_readable(idx);
-            }
-            state.connect_down_shards();
-            state.flush_shards();
-
-            if state.stopping && accepting {
-                accepting = false;
-                let _ = state.poller.delete(state.listener.as_raw_fd());
-            }
-            state.pump_clients();
-            if state.stopping && state.clients.is_empty() {
-                break;
-            }
-        }
-        Ok(state.metrics.snapshot())
+        run_loop(self.listener, self.config, &mut router)
     }
 }
 
-/// One configured upstream shard: its address and, when up, the live
-/// link. `next_attempt` rate-limits reconnects after a failure.
+/// One configured upstream shard: its address and, when dialed, the
+/// link. `next_attempt` rate-limits connects after a failure.
 #[derive(Debug)]
 struct Shard {
     addr: SocketAddr,
@@ -238,57 +140,51 @@ struct Shard {
     next_attempt: Instant,
 }
 
-/// One live upstream connection. Replies arrive strictly in request
-/// order (the shard's ordered-slot guarantee), so `fifo` — request ids
-/// in send order — is the whole reply-matching story.
+impl Shard {
+    /// The shards of a new map: none linked, each dialed at the next
+    /// tick.
+    fn map(addrs: Vec<SocketAddr>) -> Vec<Self> {
+        let now = Instant::now();
+        addrs
+            .into_iter()
+            .map(|addr| Shard {
+                addr,
+                link: None,
+                next_attempt: now,
+            })
+            .collect()
+    }
+
+    /// Connected (a link still connecting is not up).
+    fn is_up(&self) -> bool {
+        self.link.as_ref().is_some_and(|l| l.connect_by.is_none())
+    }
+}
+
+/// One upstream connection. Replies arrive strictly in request order
+/// (the shard's ordered-slot guarantee), so `fifo` — request ids in
+/// send order — is the whole reply-matching story.
 #[derive(Debug)]
 struct ShardLink {
-    stream: TcpStream,
-    token: u64,
+    socket: Socket,
     /// Frames shard *response* lines; no request parsing on this side.
     lines: LineMachine,
-    /// Bytes waiting for the shard socket; `out_pos..` is unsent.
-    out: Vec<u8>,
-    out_pos: usize,
     /// Request ids of fanned-out rows this shard has not answered yet.
     fifo: VecDeque<u64>,
-    want_write: bool,
+    /// While the connect is in progress: when it fails if still not
+    /// connected. Rows queued meanwhile wait in the write buffer.
+    connect_by: Option<Instant>,
 }
 
 impl ShardLink {
-    /// Flushes as much of the out buffer as the socket takes, compacts
-    /// the drained prefix and updates write interest. Returns true when
-    /// the link died.
-    fn flush(&mut self, poller: &Poller) -> bool {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => return true,
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return true,
-            }
+    /// The outcome of the connect: `Some(true)` connected, `Some(false)`
+    /// failed, `None` still in progress.
+    fn connected(&self) -> Option<bool> {
+        let stream = self.socket.stream();
+        match stream.take_error() {
+            Ok(None) => stream.peer_addr().is_ok().then_some(true),
+            _ => Some(false),
         }
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        } else if self.out_pos >= COMPACT_WRITE_BUFFER {
-            self.out.drain(..self.out_pos);
-            self.out_pos = 0;
-        }
-        let want_write = self.out_pos < self.out.len();
-        if want_write != self.want_write {
-            self.want_write = want_write;
-            let _ = poller.modify(
-                self.stream.as_raw_fd(),
-                self.token,
-                Interest {
-                    readable: true,
-                    writable: want_write,
-                },
-            );
-        }
-        false
     }
 }
 
@@ -320,15 +216,10 @@ enum ShardReply {
     Failed(String),
 }
 
-/// The mutable state of one running router. Methods take `&mut self`
-/// and rely on field-disjoint borrows (clients vs. shards vs. poller).
-#[derive(Debug)]
-struct RouterLoop {
-    listener: TcpListener,
-    poller: Poller,
-    metrics: ServeMetrics,
-    cfg: EventLoopConfig,
-    clients: HashMap<u64, Conn>,
+/// The router's role on the event loop core: the shard map and links,
+/// the fan-outs awaiting merge, and the router-only verbs.
+#[derive(Debug, Default)]
+struct Router {
     shards: Vec<Shard>,
     /// Poll token → index into `shards` for live links.
     shard_tokens: HashMap<u64, usize>,
@@ -336,150 +227,116 @@ struct RouterLoop {
     /// death, shed) is removed here; its straggler replies are
     /// recognised by their absence and skipped.
     pending: HashMap<u64, Pending>,
-    next_token: u64,
     next_req: u64,
-    stopping: bool,
     draining: bool,
 }
 
-impl RouterLoop {
-    /// Drains the accept queue; same admission shape as a shard's own
-    /// accept path (over-cap and shutting-down connections get one
-    /// `busy` line and are closed).
-    fn accept_clients(&mut self) -> std::io::Result<()> {
-        loop {
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    if self.stopping || self.clients.len() >= self.cfg.max_conns {
-                        self.metrics.record_shed();
-                        let reason = if self.stopping {
-                            "router shutting down".to_owned()
-                        } else {
-                            format!("connection limit {} reached", self.cfg.max_conns)
-                        };
-                        let mut line = render_busy(&reason);
-                        line.push('\n');
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.write_all(line.as_bytes());
-                        continue; // drop closes it
-                    }
-                    stream.set_nonblocking(true)?;
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.poller.add(stream.as_raw_fd(), token, Interest::READ)?;
-                    self.metrics.record_connect();
-                    self.clients.insert(token, Conn::new(stream));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Ok(()),
-            }
-        }
-    }
+impl Role for Router {
+    const NAME: &'static str = "router";
 
-    /// Appends an immediately-answered response line to a client.
-    fn respond(&mut self, token: u64, line: String) {
-        if let Some(conn) = self.clients.get_mut(&token) {
-            conn.push_response(line);
-        }
-    }
-
-    /// Dispatches one parsed client line: control verbs answer from
-    /// router state, data requests fan out to every shard.
-    fn handle_client_event(&mut self, token: u64, event: WireEvent) {
-        match event {
-            WireEvent::Request(Request::Predict(row)) => self.handle_request(token, row, false),
-            WireEvent::Request(Request::Votes(row)) => self.handle_request(token, row, true),
-            WireEvent::Request(Request::Stats) => {
-                let line = self
-                    .metrics
-                    .snapshot()
-                    .to_json_with_shards(&self.shard_map_json());
-                self.respond(token, line);
-            }
-            WireEvent::Request(Request::Health) => {
-                let up = self.shards.iter().filter(|s| s.link.is_some()).count();
+    /// Control verbs answer from router state; data requests fan out to
+    /// every shard.
+    fn request(&mut self, core: &mut Core<'_>, token: u64, request: Request, parsed: Instant) {
+        let line = match request {
+            Request::Predict(row) => return self.fan_out(core, token, &row, false, parsed),
+            Request::Votes(row) => return self.fan_out(core, token, &row, true, parsed),
+            Request::Stats => core
+                .metrics()
+                .snapshot()
+                .to_json_with_shards(&self.shard_map_json()),
+            Request::Health => {
+                let up = self.shards.iter().filter(|s| s.is_up()).count();
                 let ok = up == self.shards.len();
-                let line = format!(
+                format!(
                     "{{\"ok\":{ok},\"role\":\"router\",\"shards_up\":{up},\"shards\":{},\"draining\":{}}}",
                     self.shards.len(),
                     self.draining
-                );
-                self.respond(token, line);
+                )
             }
-            WireEvent::Request(Request::ShardMap) => {
-                let line = format!("{{\"shards\":{}}}", self.shard_map_json());
-                self.respond(token, line);
-            }
-            WireEvent::Request(Request::ShardMapSet(addrs)) => {
-                self.replace_shard_map(token, addrs);
-            }
-            WireEvent::Request(Request::Drain) => {
+            Request::ShardMap => format!("{{\"shards\":{}}}", self.shard_map_json()),
+            Request::ShardMapSet(addrs) => self.replace_shard_map(core, &addrs),
+            Request::Drain => {
                 self.draining = true;
-                self.respond(token, "{\"ok\":\"draining\"}".to_owned());
+                "{\"ok\":\"draining\"}".to_owned()
             }
-            WireEvent::Request(Request::Undrain) => {
+            Request::Undrain => {
                 self.draining = false;
-                self.respond(token, "{\"ok\":\"accepting\"}".to_owned());
+                "{\"ok\":\"accepting\"}".to_owned()
             }
-            WireEvent::Request(Request::Shutdown) => {
-                self.stopping = true;
-                self.respond(token, "{\"ok\":\"shutting down\"}".to_owned());
-            }
-            WireEvent::Invalid(e) => self.respond(token, render_error(&e.to_string())),
-            WireEvent::Oversized { limit } => {
-                self.respond(
-                    token,
-                    render_error(&format!("request line exceeds {limit} bytes")),
-                );
+            Request::Shutdown => unreachable!("the core answers shutdown"),
+        };
+        core.respond(token, line);
+    }
+
+    /// A shard link has replies, or hung up (a refused connect too).
+    fn ready(&mut self, core: &mut Core<'_>, event: Event) {
+        if let Some(&idx) = self.shard_tokens.get(&event.token) {
+            if event.readable || event.closed {
+                self.shard_readable(core, idx);
             }
         }
     }
 
+    /// Dials every down shard whose backoff has elapsed, settles the
+    /// connects in progress, and flushes every connected link: the
+    /// fan-outs of this tick leave in this tick.
+    fn tick(&mut self, core: &mut Core<'_>) {
+        let now = Instant::now();
+        for idx in 0..self.shards.len() {
+            let shard = &mut self.shards[idx];
+            let Some(link) = shard.link.as_mut() else {
+                if now >= shard.next_attempt {
+                    self.connect_shard(core, idx);
+                }
+                continue;
+            };
+            if let Some(deadline) = link.connect_by {
+                // Asked of the socket after the readiness pass: a connect
+                // that completed while the loop thread was off the CPU is
+                // not failed for lateness.
+                match link.connected() {
+                    Some(true) => link.connect_by = None,
+                    None if now < deadline => continue,
+                    _ => {
+                        self.fail_shard(core, idx);
+                        continue;
+                    }
+                }
+            }
+            if link.socket.flush() {
+                link.socket.watch(core.poller(), true);
+            } else {
+                self.fail_shard(core, idx);
+            }
+        }
+    }
+}
+
+impl Router {
     /// Admits one data request and fans it out, or sheds it with a
-    /// visible `busy`. The all-shards-up check runs *before* any bytes
-    /// are queued: a request is either fanned to every shard or to
-    /// none.
-    fn handle_request(&mut self, token: u64, row: Vec<f32>, wants_votes: bool) {
-        let Some(pending_on_conn) = self.clients.get(&token).map(Conn::pending) else {
+    /// visible `busy`. Every check runs *before* any bytes are queued:
+    /// a request is either fanned to every shard or to none.
+    fn fan_out(
+        &mut self,
+        core: &mut Core<'_>,
+        token: u64,
+        row: &[f32],
+        wants_votes: bool,
+        parsed: Instant,
+    ) {
+        let metrics = core.metrics();
+        if self.draining || core.stopping() {
+            metrics.record_shed();
+            return core.respond(token, render_busy("router draining"));
+        }
+        let shards = &self.shards;
+        let Some(seq) = core.admit(token, self.pending.len(), || {
+            let down = shards.iter().find(|s| s.link.is_none())?;
+            metrics.record_shed();
+            Some(render_busy(&format!("shard {} down", down.addr)))
+        }) else {
             return;
         };
-        if self.draining || self.stopping {
-            self.metrics.record_shed();
-            self.respond(token, render_busy("router draining"));
-            return;
-        }
-        if pending_on_conn >= self.cfg.max_pending_per_conn {
-            self.metrics.record_shed();
-            self.respond(
-                token,
-                render_busy(&format!(
-                    "connection pending cap {} reached",
-                    self.cfg.max_pending_per_conn
-                )),
-            );
-            return;
-        }
-        if self.pending.len() >= self.cfg.max_inflight {
-            self.metrics.record_shed();
-            self.respond(
-                token,
-                render_busy(&format!("max-inflight {} reached", self.cfg.max_inflight)),
-            );
-            return;
-        }
-        if let Some(down) = self.shards.iter().find(|s| s.link.is_none()) {
-            self.metrics.record_shed();
-            self.respond(token, render_busy(&format!("shard {} down", down.addr)));
-            return;
-        }
-        self.metrics.record_request();
-        let seq = self
-            .clients
-            .get_mut(&token)
-            .expect("admitted client exists")
-            .reserve_slot();
         let req_id = self.next_req;
         self.next_req += 1;
         self.pending.insert(
@@ -490,16 +347,16 @@ impl RouterLoop {
                 wants_votes,
                 votes: Vec::new(),
                 awaiting: self.shards.len(),
-                enqueued: Instant::now(),
+                enqueued: parsed,
             },
         );
         // The shard parses back the identical bits the client sent.
         let mut line = String::from("votes:");
-        write_row(&mut line, &row);
+        write_row(&mut line, row);
         line.push('\n');
         for shard in &mut self.shards {
-            let link = shard.link.as_mut().expect("all shards checked up");
-            link.out.extend_from_slice(line.as_bytes());
+            let link = shard.link.as_mut().expect("every shard has a link");
+            link.socket.queue(line.as_bytes());
             link.fifo.push_back(req_id);
         }
     }
@@ -509,33 +366,21 @@ impl RouterLoop {
     /// Any framing or ordering violation kills the link (and fails its
     /// in-flight requests visibly) rather than risking a misattributed
     /// reply.
-    fn shard_readable(&mut self, idx: usize) {
+    fn shard_readable(&mut self, core: &mut Core<'_>, idx: usize) {
         let Some(link) = self.shards[idx].link.as_mut() else {
             return;
         };
-        let mut buf = [0u8; READ_CHUNK];
         let mut frames: Vec<Option<Vec<u8>>> = Vec::new();
-        let mut dead = false;
-        for _ in 0..READ_BURSTS {
-            match link.stream.read(&mut buf) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => link.lines.receive(&buf[..n], |frame| {
-                    frames.push(match frame {
-                        FramedLine::Line(line) => Some(line.to_vec()),
-                        FramedLine::Oversized { .. } => None,
-                    })
-                }),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
+        let lines = &mut link.lines;
+        let open = link.socket.read_burst(|bytes| {
+            lines.receive(bytes, |frame| {
+                frames.push(match frame {
+                    FramedLine::Line(line) => Some(line.to_vec()),
+                    FramedLine::Oversized { .. } => None,
+                })
+            })
+        });
+        let mut dead = !matches!(open, Ok(true));
         let addr = self.shards[idx].addr;
         for frame in frames {
             let Some(line) = frame else {
@@ -555,10 +400,10 @@ impl RouterLoop {
                 break;
             };
             let reply = parse_shard_reply(&String::from_utf8_lossy(&line));
-            self.apply_shard_reply(req_id, addr, reply);
+            self.apply_shard_reply(core, req_id, addr, reply);
         }
         if dead {
-            self.fail_shard(idx);
+            self.fail_shard(core, idx);
         }
     }
 
@@ -567,29 +412,28 @@ impl RouterLoop {
     /// immediately; straggler replies from other shards find no
     /// pending entry and are skipped — their FIFO positions were
     /// already consumed, so matching stays aligned.
-    fn apply_shard_reply(&mut self, req_id: u64, addr: SocketAddr, reply: ShardReply) {
+    fn apply_shard_reply(
+        &mut self,
+        core: &mut Core<'_>,
+        req_id: u64,
+        addr: SocketAddr,
+        reply: ShardReply,
+    ) {
         let Some(mut p) = self.pending.remove(&req_id) else {
             return;
         };
-        match reply {
+        let line = match reply {
+            ShardReply::Votes(votes) if votes.is_empty() => {
+                render_error(&format!("shard {addr} returned an empty histogram"))
+            }
             ShardReply::Votes(votes) => {
-                if votes.is_empty() {
-                    self.finalize(
-                        p,
-                        render_error(&format!("shard {addr} returned an empty histogram")),
-                    );
-                    return;
-                }
                 if p.votes.is_empty() {
                     p.votes = votes;
                 } else if p.votes.len() == votes.len() {
                     merge_votes(&mut p.votes, &votes);
                 } else {
-                    self.finalize(
-                        p,
-                        render_error(&format!("shard {addr} histogram arity disagrees")),
-                    );
-                    return;
+                    let line = render_error(&format!("shard {addr} histogram arity disagrees"));
+                    return finalize(core, p, line);
                 }
                 p.awaiting -= 1;
                 if p.awaiting > 0 {
@@ -597,130 +441,70 @@ impl RouterLoop {
                     return;
                 }
                 let n_shards = self.shards.len();
-                let line = if p.wants_votes {
+                if p.wants_votes {
                     render_votes(&p.votes, "router", n_shards)
                 } else {
                     format!(
                         "{{\"class\":{},\"engine\":\"router\",\"batch\":{n_shards}}}",
                         majority_vote(&p.votes)
                     )
-                };
-                self.finalize(p, line);
+                }
             }
             ShardReply::Shed(reason) => {
-                self.metrics.record_shed();
-                self.finalize(p, render_busy(&format!("shard {addr}: {reason}")));
+                core.metrics().record_shed();
+                render_busy(&format!("shard {addr}: {reason}"))
             }
-            ShardReply::Failed(reason) => {
-                self.finalize(p, render_error(&format!("shard {addr}: {reason}")));
-            }
-        }
-    }
-
-    /// Delivers the final response line into the client's reserved
-    /// slot (the client may already be gone; the latency still
-    /// happened).
-    fn finalize(&mut self, p: Pending, line: String) {
-        self.metrics.record_latency(p.enqueued.elapsed());
-        if let Some(conn) = self.clients.get_mut(&p.client) {
-            conn.fill_slot(p.seq, line);
-        }
+            ShardReply::Failed(reason) => render_error(&format!("shard {addr}: {reason}")),
+        };
+        finalize(core, p, line);
     }
 
     /// Tears down one shard link: every request still in its FIFO that
     /// is still pending fails with a visible `busy` naming the shard —
-    /// never a silent drop, never a partial-quorum merge.
-    fn fail_shard(&mut self, idx: usize) {
+    /// `down` if the link never connected, `died mid-request` if it did
+    /// — never a silent drop, never a partial-quorum merge.
+    fn fail_shard(&mut self, core: &mut Core<'_>, idx: usize) {
         let addr = self.shards[idx].addr;
         if let Some(link) = self.shards[idx].link.take() {
-            self.shard_tokens.remove(&link.token);
-            let _ = self.poller.delete(link.stream.as_raw_fd());
+            self.shard_tokens.remove(&link.socket.token());
+            let reason = if link.connect_by.is_some() {
+                format!("shard {addr} down")
+            } else {
+                format!("shard {addr} died mid-request")
+            };
+            link.socket.close(core.poller());
             for req_id in link.fifo {
                 if let Some(p) = self.pending.remove(&req_id) {
-                    self.metrics.record_shed();
-                    self.finalize(p, render_busy(&format!("shard {addr} died mid-request")));
+                    core.metrics().record_shed();
+                    finalize(core, p, render_busy(&reason));
                 }
             }
         }
         self.shards[idx].next_attempt = Instant::now() + RECONNECT_INTERVAL;
     }
 
-    /// Dials every down shard whose backoff has elapsed. Connects are
-    /// blocking (loopback/LAN peers fail fast with ECONNREFUSED); a
-    /// failure just pushes the next attempt out.
-    fn connect_down_shards(&mut self) {
-        let now = Instant::now();
-        for idx in 0..self.shards.len() {
-            if self.shards[idx].link.is_some() || now < self.shards[idx].next_attempt {
-                continue;
-            }
-            self.connect_shard(idx);
+    /// Starts one nonblocking connect; a connect that fails at once
+    /// leaves the shard down until its next attempt. A shard at the
+    /// router's own address stays down (it would loop every row back).
+    fn connect_shard(&mut self, core: &mut Core<'_>, idx: usize) {
+        let (now, addr) = (Instant::now(), self.shards[idx].addr);
+        self.shards[idx].next_attempt = now + RECONNECT_INTERVAL;
+        if core.local_addr().ok() == Some(addr) {
+            return;
         }
-    }
-
-    /// One connect attempt for one shard.
-    fn connect_shard(&mut self, idx: usize) {
-        let addr = self.shards[idx].addr;
-        let backoff = Instant::now() + RECONNECT_INTERVAL;
-        let Ok(stream) = TcpStream::connect(addr) else {
-            self.shards[idx].next_attempt = backoff;
+        // Writability reports the connect's outcome.
+        let dialed = connect_nonblocking(addr)
+            .and_then(|stream| core.register(stream, Interest::READ_WRITE));
+        let Ok(socket) = dialed else {
             return;
         };
-        if stream.set_nonblocking(true).is_err() {
-            self.shards[idx].next_attempt = backoff;
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        let token = self.next_token;
-        self.next_token += 1;
-        if self
-            .poller
-            .add(stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
-        {
-            self.shards[idx].next_attempt = backoff;
-            return;
-        }
-        self.shard_tokens.insert(token, idx);
+        self.shard_tokens.insert(socket.token(), idx);
         self.shards[idx].link = Some(ShardLink {
-            stream,
-            token,
+            socket,
             lines: LineMachine::new(),
-            out: Vec::new(),
-            out_pos: 0,
             fifo: VecDeque::new(),
-            want_write: false,
+            connect_by: Some(now + RECONNECT_INTERVAL),
         });
-    }
-
-    /// Flushes every live shard link; a dead one fails over.
-    fn flush_shards(&mut self) {
-        for idx in 0..self.shards.len() {
-            let dead = match self.shards[idx].link.as_mut() {
-                Some(link) => link.flush(&self.poller),
-                None => false,
-            };
-            if dead {
-                self.fail_shard(idx);
-            }
-        }
-    }
-
-    /// Pumps every client: answered slot prefixes flush out, finished
-    /// or dead connections close. Runs every tick so idle and stopping
-    /// connections drain without a readiness report.
-    fn pump_clients(&mut self) {
-        let tokens: Vec<u64> = self.clients.keys().copied().collect();
-        for token in tokens {
-            let Some(conn) = self.clients.get_mut(&token) else {
-                continue;
-            };
-            if conn.pump(&self.poller, token, &self.metrics, &self.cfg, self.stopping) {
-                let conn = self.clients.remove(&token).expect("live connection");
-                let _ = self.poller.delete(conn.stream.as_raw_fd());
-                self.metrics.record_disconnect();
-            }
-        }
     }
 
     /// The shard map as a JSON array (spliced into `stats`, returned
@@ -735,7 +519,7 @@ impl RouterLoop {
             out.push_str(&format!(
                 "{{\"addr\":\"{}\",\"up\":{},\"inflight\":{inflight}}}",
                 s.addr,
-                s.link.is_some()
+                s.is_up()
             ));
         }
         out.push(']');
@@ -744,47 +528,33 @@ impl RouterLoop {
 
     /// `shardmap set a,b`: validates the new addresses, fails every
     /// in-flight request visibly (the span layout is changing under
-    /// it), drops all links and dials the new map.
-    fn replace_shard_map(&mut self, token: u64, addrs: Vec<String>) {
-        let mut parsed: Vec<SocketAddr> = Vec::with_capacity(addrs.len());
-        for a in &addrs {
-            match a.parse() {
-                Ok(sa) => parsed.push(sa),
-                Err(_) => {
-                    self.respond(
-                        token,
-                        render_error(&format!("shardmap set: invalid shard address `{a}`")),
-                    );
-                    return;
-                }
-            }
+    /// it), drops all links and dials the new map at this tick's end.
+    /// Returns the answer line.
+    fn replace_shard_map(&mut self, core: &mut Core<'_>, addrs: &[String]) -> String {
+        let parsed: Result<Vec<SocketAddr>, _> =
+            addrs.iter().map(|a| a.parse().map_err(|_| a)).collect();
+        let parsed = match parsed {
+            Ok(parsed) => parsed,
+            Err(a) => return render_error(&format!("shardmap set: invalid shard address `{a}`")),
+        };
+        for (_, p) in self.pending.drain() {
+            core.metrics().record_shed();
+            finalize(core, p, render_busy("shard map replaced mid-request"));
         }
-        let inflight: Vec<u64> = self.pending.keys().copied().collect();
-        for req_id in inflight {
-            if let Some(p) = self.pending.remove(&req_id) {
-                self.metrics.record_shed();
-                self.finalize(p, render_busy("shard map replaced mid-request"));
-            }
+        for link in self.shards.drain(..).filter_map(|s| s.link) {
+            link.socket.close(core.poller());
         }
-        for shard in &mut self.shards {
-            if let Some(link) = shard.link.take() {
-                self.shard_tokens.remove(&link.token);
-                let _ = self.poller.delete(link.stream.as_raw_fd());
-            }
-        }
-        let now = Instant::now();
-        self.shards = parsed
-            .into_iter()
-            .map(|addr| Shard {
-                addr,
-                link: None,
-                next_attempt: now,
-            })
-            .collect();
-        self.connect_down_shards();
-        let line = format!("{{\"shards\":{}}}", self.shard_map_json());
-        self.respond(token, line);
+        self.shard_tokens.clear();
+        self.shards = Shard::map(parsed);
+        format!("{{\"shards\":{}}}", self.shard_map_json())
     }
+}
+
+/// Delivers the final response line into the client's reserved slot
+/// (the client may already be gone; the latency still happened).
+fn finalize(core: &mut Core<'_>, p: Pending, line: String) {
+    core.metrics().record_latency(p.enqueued.elapsed());
+    core.fill_slot(p.client, p.seq, line);
 }
 
 /// Extracts the message of an `{"error":"..."}` line (unescaping is
@@ -838,7 +608,8 @@ mod tests {
     use flint_exec::{EngineBuilder, EngineKind};
     use flint_forest::{ForestConfig, RandomForest};
     use flint_serve::{BatchPolicy, EpollServer};
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
     use std::thread::JoinHandle;
 
     fn forest_and_data() -> (RandomForest, flint_data::Dataset) {
@@ -1150,6 +921,189 @@ mod tests {
         runner.join().expect("router thread");
         shutdown_peer(shard_addr);
         shard_runner.join().expect("shard thread");
+    }
+
+    /// A loopback listener nobody accepts from, with its accept queue
+    /// full (std listens with backlog 128, which holds 129): the kernel
+    /// drops further SYNs, so a connect to it never completes. Returns
+    /// the listener and the connections that fill its queue.
+    fn black_hole() -> (TcpListener, Vec<TcpStream>) {
+        let hole = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = hole.local_addr().expect("addr");
+        let queued = (0..129)
+            .map_while(|_| TcpStream::connect_timeout(&addr, Duration::from_millis(100)).ok())
+            .collect();
+        (hole, queued)
+    }
+
+    #[test]
+    fn a_black_holed_shard_never_freezes_the_router() {
+        let (forest, data) = forest_and_data();
+        let (live, live_runner) = spawn_shard(&forest, (0, 4));
+        let (hole, _queued) = black_hole();
+        let hole_addr = hole.local_addr().expect("addr");
+        let router =
+            RouterServer::bind("127.0.0.1:0", vec![live, hole_addr]).expect("router binds");
+        let addr = router.local_addr();
+        let runner = std::thread::spawn(move || router.run().expect("routes"));
+
+        let mut client = Client::connect(addr);
+        client
+            .writer
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("read timeout");
+        let timed = |client: &mut Client, request: &str, bound: Duration| {
+            let asked = Instant::now();
+            let got = client.roundtrip(request).to_owned();
+            assert!(
+                asked.elapsed() < bound,
+                "{request} took {:?}",
+                asked.elapsed()
+            );
+            got
+        };
+        let quick = Duration::from_millis(250);
+        // The live link may still be connecting on the first ask.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let health = timed(&mut client, "health", quick);
+            if health.contains("\"shards_up\":1") {
+                break;
+            }
+            assert!(Instant::now() < deadline, "live shard never up: {health}");
+        }
+        let stats = timed(&mut client, "stats", quick);
+        assert!(
+            stats.contains(&format!("\"addr\":\"{hole_addr}\",\"up\":false")),
+            "{stats}"
+        );
+        let row: Vec<String> = data.sample(0).iter().map(f32::to_string).collect();
+        let got = timed(&mut client, &row.join(","), Duration::from_secs(1));
+        assert!(got.contains("\"busy\":true"), "{got}");
+        assert!(got.contains(&format!("shard {hole_addr} down")), "{got}");
+
+        client.roundtrip(&format!("shardmap set {live}"));
+        for i in 0..6 {
+            let row: Vec<String> = data.sample(i).iter().map(f32::to_string).collect();
+            let expected = forest.predict_majority(data.sample(i));
+            let got = client.roundtrip(&row.join(",")).to_owned();
+            assert!(
+                got.starts_with(&format!("{{\"class\":{expected},")),
+                "{got}"
+            );
+        }
+
+        assert!(client.roundtrip("shutdown").contains("shutting down"));
+        runner.join().expect("router thread");
+        shutdown_peer(live);
+        live_runner.join().expect("shard thread");
+    }
+
+    #[test]
+    fn a_request_waits_for_a_connecting_link_and_fails_as_down() {
+        let (_, data) = forest_and_data();
+        let (hole, _queued) = black_hole();
+        let hole_addr = hole.local_addr().expect("addr");
+        let router = RouterServer::bind("127.0.0.1:0", vec![hole_addr]).expect("router binds");
+        let addr = router.local_addr();
+        // Sent before the router runs, so both lines arrive while its
+        // first connect is in progress.
+        let mut client = Client::connect(addr);
+        client
+            .writer
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let row: Vec<String> = data.sample(0).iter().map(f32::to_string).collect();
+        writeln!(client.writer, "{}\nstats", row.join(",")).expect("writes");
+        let runner = std::thread::spawn(move || router.run().expect("routes"));
+
+        client.line.clear();
+        client.reader.read_line(&mut client.line).expect("reads");
+        let got = client.line.clone();
+        assert!(got.contains("\"busy\":true"), "{got}");
+        assert!(got.contains(&format!("shard {hole_addr} down")), "{got}");
+        // `stats` was answered when it was read, right behind the row:
+        // the row was admitted and queued on the link, not shed.
+        client.line.clear();
+        client.reader.read_line(&mut client.line).expect("reads");
+        let stats = client.line.clone();
+        assert!(stats.contains("\"requests\":1"), "{stats}");
+        assert!(stats.contains("\"shed\":0"), "{stats}");
+        assert!(stats.contains("\"inflight\":1"), "{stats}");
+
+        assert!(client.roundtrip("shutdown").contains("shutting down"));
+        let snapshot = runner.join().expect("router thread");
+        assert_eq!((snapshot.requests, snapshot.shed), (1, 1));
+    }
+
+    #[test]
+    fn idle_connections_survive_and_close_on_shutdown() {
+        let (forest, _) = forest_and_data();
+        let (shard_addr, shard_runner) = spawn_shard(&forest, (0, 4));
+        let router = RouterServer::bind("127.0.0.1:0", vec![shard_addr]).expect("router binds");
+        let addr = router.local_addr();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = done_tx.send(router.run().expect("routes"));
+        });
+
+        let idle: Vec<TcpStream> = (0..64)
+            .map(|_| TcpStream::connect(addr).expect("connects"))
+            .collect();
+        let mut admin = Client::connect(addr);
+        // Accept is asynchronous from connect returning.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let stats = admin.roundtrip("stats").to_owned();
+            if stats.contains("\"connections\":65") {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "idle connections never registered: {stats}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(admin.roundtrip("shutdown").contains("shutting down"));
+        let stats = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("router closed every idle connection and returned");
+        assert_eq!(stats.accepted, 65);
+        assert_eq!(stats.connections, 0, "idle connections all closed");
+        runner.join().expect("router thread");
+        drop(idle);
+        shutdown_peer(shard_addr);
+        shard_runner.join().expect("shard thread");
+    }
+
+    #[test]
+    fn a_shard_at_the_routers_own_address_stays_down() {
+        // A router that dialed itself would take each forwarded row as
+        // a new request and forward it again, until a cap shed one
+        // behind answers that wait on it: every request would hang.
+        let (forest, data) = forest_and_data();
+        let (live, live_runner) = spawn_shard(&forest, (0, 4));
+        let router = RouterServer::bind("127.0.0.1:0", vec![live]).expect("router binds");
+        let addr = router.local_addr();
+        let runner = std::thread::spawn(move || router.run().expect("routes"));
+
+        let mut client = Client::connect(addr);
+        client
+            .writer
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        client.roundtrip(&format!("shardmap set {live},{addr}"));
+        let row: Vec<String> = data.sample(0).iter().map(f32::to_string).collect();
+        let got = client.roundtrip(&row.join(",")).to_owned();
+        assert!(got.contains("\"busy\":true"), "{got}");
+        assert!(got.contains(&format!("shard {addr} down")), "{got}");
+        let stats = client.roundtrip("stats").to_owned();
+        assert!(stats.contains("\"connections\":1,"), "{stats}");
+
+        assert!(client.roundtrip("shutdown").contains("shutting down"));
+        runner.join().expect("router thread");
+        shutdown_peer(live);
+        live_runner.join().expect("shard thread");
     }
 
     #[test]

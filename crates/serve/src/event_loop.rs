@@ -1,15 +1,18 @@
-//! The readiness event-loop TCP front end: one thread, one `epoll`
-//! instance, the sans-io [`ProtocolMachine`] and the engine itself —
-//! the shape that holds thousands of mostly-idle connections in one
-//! process, where a thread per connection would pay a stack and a
-//! scheduler entry apiece.
+//! The readiness event loop both TCP front ends run: one thread, one
+//! `epoll` instance and the sans-io [`ProtocolMachine`] — the shape that
+//! holds thousands of mostly-idle connections in one process. Its core
+//! ([`run_loop`]) owns accept, the client connections, the answers to
+//! `shutdown` and bad lines, and drain-to-close; a [`Role`] does the
+//! rest. [`EpollServer`] scores inline; the fan-out router
+//! (`flint-router`) forwards rows to shards over [`Socket`]s, the write
+//! buffer and read loop its clients run on.
 //!
-//! The loop scores on its own thread, run to completion: each
-//! iteration (a *tick*) batches what has already arrived and never
-//! waits for more — the dataplane design of IX (Belay et al., OSDI
-//! 2014). At the fills light traffic produces (one to three rows), a
-//! row scores in a few microseconds, so a hop to a scoring thread and
-//! a linger wait would cost far more than the scoring they batch.
+//! The server scores run to completion: each iteration (a *tick*)
+//! batches what has already arrived and never waits for more — the
+//! dataplane design of IX (Belay et al., OSDI 2014). At the fills light
+//! traffic produces (one to three rows), a row scores in a few
+//! microseconds, so a hop to a scoring thread and a linger wait would
+//! cost far more than the scoring they batch.
 //!
 //! How a request flows through one tick:
 //!
@@ -17,20 +20,19 @@
 //!    each connection's [`ProtocolMachine`], which emits one
 //!    [`WireEvent`] per complete line regardless of how the kernel
 //!    chunked them;
-//! 2. a predict or `votes:` request passes admission control,
-//!    **reserves an ordered response slot** on its connection and
-//!    joins the tick's batch; control verbs (`stats`, `health`,
-//!    `shutdown`) and bad lines answer on the spot;
-//! 3. after the readiness pass the loop scores the tick's batch in
-//!    chunks of at most `max_batch` rows — one
-//!    [`predict_matrix`](Predictor::predict_matrix) over a chunk's
-//!    class rows, one [`predict_votes`](Predictor::predict_votes) per
-//!    `votes:` row — and fills every reserved slot. A chunk whose
-//!    engine panics answers each of its rows with `error`; the loop
-//!    keeps serving. The stdin front end
-//!    ([`serve_lines`](crate::serve_lines)) scores through the same
-//!    chunk scorer;
-//! 4. the loop writes out each connection's *ready prefix* — responses
+//! 2. the role answers `stats` and `health` on the spot; a predict or
+//!    `votes:` request passes admission control and **reserves an
+//!    ordered response slot** on its connection;
+//! 3. after the readiness pass [`Role::tick`] runs: the server scores
+//!    the tick's rows in chunks of at most `max_batch` — one
+//!    [`predict_matrix`](Predictor::predict_matrix) over a chunk's class
+//!    rows, one [`predict_votes`](Predictor::predict_votes) per `votes:`
+//!    row — and fills every reserved slot. A chunk whose engine panics
+//!    answers each of its rows with `error`; the loop keeps serving. The
+//!    stdin front end ([`serve_lines`](crate::serve_lines)) scores
+//!    through the same chunk scorer;
+//! 4. the core writes out the *ready prefix* of each connection that
+//!    changed this tick (of all of them while stopping) — responses
 //!    leave in request order per connection.
 //!
 //! Admission control sheds load explicitly instead of queueing it
@@ -42,17 +44,16 @@
 //! client alone, never on the loop.
 //!
 //! Everything here is safe code; the `unsafe` lives behind the vendored
-//! [`epoll`] shim's minimal API. On non-Linux targets
-//! [`EpollServer::run`] fails with `Unsupported`; only the stdin front
-//! end serves there.
+//! [`epoll`] shim's minimal API. On non-Linux targets [`run_loop`] fails
+//! with `Unsupported`; only the stdin front end serves there.
 
 use crate::batcher::{BatchPolicy, Prediction, ServeError};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::protocol::{
-    render_busy, render_error, render_prediction, render_votes, ProtocolMachine, WireEvent,
+    render_busy, render_error, render_prediction, render_votes, ProtocolMachine, Request, WireEvent,
 };
-use crate::server::{handle_event, Action, Handled};
-use epoll::{Events, Interest, Poller};
+use crate::server::{handle_request, Handled};
+use epoll::{Event, Events, Interest, Poller};
 use flint_data::FeatureMatrix;
 use flint_exec::Predictor;
 use std::collections::{HashMap, VecDeque};
@@ -64,20 +65,22 @@ use std::time::{Duration, Instant};
 
 /// Poll token of the accept listener.
 const LISTENER: u64 = 0;
-/// First token handed to an accepted connection (monotonic, never
-/// reused).
-const FIRST_CONN: u64 = 1;
+/// First token handed to a client connection or a role's socket
+/// (monotonic, never reused, so a stale readiness report can never
+/// reach a newer peer).
+const FIRST_TOKEN: u64 = 1;
 
 /// Upper bound on one `epoll_wait` sleep: the loop's shutdown/overload
-/// bookkeeping runs at least this often even with no I/O.
+/// bookkeeping and the role's tick run at least this often even with
+/// no I/O.
 const POLL_TICK: Duration = Duration::from_millis(100);
 /// Bytes per `read` call.
 const READ_CHUNK: usize = 4096;
-/// Reads taken from one connection per readiness report before the loop
+/// Reads taken from one socket per readiness report before the loop
 /// moves on; level-triggered epoll re-reports leftovers, so a firehose
-/// client cannot starve its neighbours.
+/// peer cannot starve its neighbours.
 const READ_BURSTS: usize = 16;
-/// Drained-prefix size past which a connection's write buffer is
+/// Drained-prefix size past which a socket's write buffer is
 /// compacted. Below this the `memmove` costs more than the bytes it
 /// reclaims; above it, a long-lived connection would otherwise retain
 /// its drained prefix until the buffer happened to empty completely.
@@ -164,6 +167,486 @@ impl EventLoopConfig {
     pub fn max_write_buffer(mut self, bytes: usize) -> Self {
         self.max_write_buffer = bytes;
         self
+    }
+}
+
+/// The answers every front end gives the same way, the stdin one too:
+/// `Err` holds the line answering `shutdown` (with `true`: the server
+/// stops) or a malformed or oversized line. Any other request is `Ok`,
+/// for the role.
+pub(crate) fn triage(event: WireEvent) -> Result<Request, (String, bool)> {
+    let error = |message: String| Err((render_error(&message), false));
+    match event {
+        WireEvent::Request(Request::Shutdown) => {
+            Err(("{\"ok\":\"shutting down\"}".to_owned(), true))
+        }
+        WireEvent::Request(request) => Ok(request),
+        WireEvent::Invalid(e) => error(e.to_string()),
+        WireEvent::Oversized { limit } => error(format!("request line exceeds {limit} bytes")),
+    }
+}
+
+/// What a front end does on the loop [`run_loop`] drives: answer or
+/// admit the requests the core hands it, drive the sockets it
+/// registered, and finish each tick's work.
+pub trait Role {
+    /// Names the front end in the `busy` line a connection arriving
+    /// during shutdown gets: `"<NAME> shutting down"`.
+    const NAME: &'static str;
+
+    /// Answers or admits one request from client `token`, parsed at
+    /// `parsed`; `shutdown` never arrives here (the core answers it).
+    fn request(&mut self, core: &mut Core<'_>, token: u64, request: Request, parsed: Instant);
+
+    /// A readiness report for a socket the role registered with
+    /// [`Core::register`].
+    fn ready(&mut self, _core: &mut Core<'_>, _event: Event) {}
+
+    /// Runs before the first wait and after every readiness pass,
+    /// before the core writes answers out.
+    fn tick(&mut self, core: &mut Core<'_>);
+}
+
+/// The loop state a [`Role`] works through: the client connections and
+/// their response slots, the poller, the metrics and the limits.
+#[derive(Debug)]
+pub struct Core<'m> {
+    listener: TcpListener,
+    poller: Poller,
+    metrics: &'m ServeMetrics,
+    config: EventLoopConfig,
+    clients: HashMap<u64, Conn>,
+    /// Clients to pump this tick: those with readiness or new answers.
+    dirty: Vec<u64>,
+    next_token: u64,
+    stopping: bool,
+}
+
+/// Runs the loop over `listener` with `role` until a client sends
+/// `shutdown`, then answers every admitted request, flushes and closes
+/// every connection and returns the final metrics snapshot.
+///
+/// # Errors
+///
+/// Any [`std::io::Error`] from the poller or listener (including
+/// `Unsupported` on non-Linux targets); per-connection I/O errors only
+/// end that connection.
+pub fn run_loop<R: Role>(
+    listener: TcpListener,
+    config: EventLoopConfig,
+    role: &mut R,
+) -> std::io::Result<MetricsSnapshot> {
+    let metrics = ServeMetrics::default();
+    let poller = Poller::new()?;
+    listener.set_nonblocking(true)?;
+    poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+    let mut core = Core {
+        listener,
+        poller,
+        metrics: &metrics,
+        config,
+        clients: HashMap::new(),
+        dirty: Vec::new(),
+        next_token: FIRST_TOKEN,
+        stopping: false,
+    };
+    let mut events = Events::with_capacity(1024);
+    loop {
+        role.tick(&mut core);
+        core.pump();
+        if core.stopping && core.clients.is_empty() {
+            break;
+        }
+        core.poller.wait(&mut events, Some(POLL_TICK))?;
+        for event in events.iter() {
+            if event.token == LISTENER {
+                core.accept(R::NAME)?;
+            } else if core.clients.contains_key(&event.token) {
+                if event.readable || event.closed {
+                    core.read(event.token, role);
+                }
+                core.dirty.push(event.token);
+            } else {
+                role.ready(&mut core, event);
+            }
+        }
+    }
+    Ok(metrics.snapshot())
+}
+
+impl<'m> Core<'m> {
+    /// The loop's metrics (`stats` snapshots them).
+    pub fn metrics(&self) -> &'m ServeMetrics {
+        self.metrics
+    }
+
+    /// The poller, for the role's own sockets.
+    pub fn poller(&self) -> &Poller {
+        &self.poller
+    }
+
+    /// True once a client has sent `shutdown`.
+    pub fn stopping(&self) -> bool {
+        self.stopping
+    }
+
+    /// The address the loop listens on.
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.listener.local_addr()
+    }
+
+    /// Registers a socket of the role, nonblocking and with
+    /// `TCP_NODELAY`; its readiness reports go to [`Role::ready`].
+    ///
+    /// # Errors
+    ///
+    /// Any error from the stream's options or from the poller.
+    pub fn register(&mut self, stream: TcpStream, interest: Interest) -> std::io::Result<Socket> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        let token = self.next_token;
+        self.next_token += 1;
+        self.poller.add(stream.as_raw_fd(), token, interest)?;
+        Ok(Socket::new(stream, token, interest))
+    }
+
+    /// Answers client `token` now, behind the answers it still owes.
+    pub fn respond(&mut self, token: u64, line: String) {
+        if let Some(conn) = self.clients.get_mut(&token) {
+            conn.slots.push_back(Some(line));
+            self.dirty.push(token);
+        }
+    }
+
+    /// Admits a request from client `token`, reserving the response
+    /// slot whose number it returns for [`Core::fill_slot`] — unless the
+    /// connection's pending window or the in-flight cap (`inflight`
+    /// loop-wide) is full (shed `busy`) or `refuse` gives an answer.
+    pub fn admit(
+        &mut self,
+        token: u64,
+        inflight: usize,
+        refuse: impl FnOnce() -> Option<String>,
+    ) -> Option<u64> {
+        let (cfg, conn) = (self.config, self.clients.get_mut(&token)?);
+        let busy = if conn.pending >= cfg.max_pending_per_conn {
+            format!(
+                "connection pending cap {} reached",
+                cfg.max_pending_per_conn
+            )
+        } else if inflight >= cfg.max_inflight {
+            format!("max-inflight {} reached", cfg.max_inflight)
+        } else if let Some(line) = refuse() {
+            self.respond(token, line);
+            return None;
+        } else {
+            self.metrics.record_request();
+            conn.slots.push_back(None);
+            conn.pending += 1;
+            return Some(conn.base_seq + conn.slots.len() as u64 - 1);
+        };
+        self.metrics.record_shed();
+        self.respond(token, render_busy(&busy));
+        None
+    }
+
+    /// Delivers the answer to slot `seq` of client `token` (nothing, if
+    /// the client is gone); the client is written to this tick.
+    pub fn fill_slot(&mut self, token: u64, seq: u64, line: String) {
+        if let Some(conn) = self.clients.get_mut(&token) {
+            let idx = seq.wrapping_sub(conn.base_seq) as usize;
+            if let Some(slot @ None) = conn.slots.get_mut(idx) {
+                *slot = Some(line);
+                conn.pending -= 1;
+                self.dirty.push(token);
+            }
+        }
+    }
+
+    /// Drains the accept queue: new connections are registered
+    /// read-only, or turned away with one `busy` line when over the cap
+    /// (or during shutdown).
+    fn accept(&mut self, name: &str) -> std::io::Result<()> {
+        loop {
+            match self.listener.accept() {
+                Ok((mut stream, _)) => {
+                    if self.stopping || self.clients.len() >= self.config.max_conns {
+                        self.metrics.record_shed();
+                        let reason = if self.stopping {
+                            format!("{name} shutting down")
+                        } else {
+                            format!("connection limit {} reached", self.config.max_conns)
+                        };
+                        // Best effort: a just-accepted socket has an empty
+                        // send buffer, so this short line will not block.
+                        let mut line = render_busy(&reason);
+                        line.push('\n');
+                        let _ = stream.set_nodelay(true);
+                        let _ = stream.write_all(line.as_bytes());
+                        continue; // drop closes it
+                    }
+                    let socket = self.register(stream, Interest::READ)?;
+                    self.metrics.record_connect();
+                    self.clients.insert(socket.token, Conn::new(socket));
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // Transient per-connection accept failures (ECONNABORTED
+                // and friends): skip, the listener itself is fine.
+                Err(_) => return Ok(()),
+            }
+        }
+    }
+
+    /// Reads one burst from client `token` and handles every completed
+    /// line: the core answers `shutdown` and bad lines, the role the
+    /// rest.
+    fn read(&mut self, token: u64, role: &mut impl Role) {
+        let conn = self.clients.get_mut(&token).expect("a readable client");
+        let metrics = self.metrics;
+        let machine = &mut conn.machine;
+        let mut events: Vec<WireEvent> = Vec::new();
+        match conn.socket.read_burst(|bytes| {
+            machine.receive(bytes, |event| events.push(event));
+            metrics.record_read_buffer(machine.buffered());
+        }) {
+            Ok(true) => {}
+            Ok(false) => {
+                conn.eof = true;
+                // A final unterminated line is still a request
+                // (`BufRead::lines` semantics).
+                events.extend(conn.machine.finish());
+            }
+            Err(_) => {
+                // Transport failure voids the connection: nothing
+                // already framed is worth answering.
+                conn.dead = true;
+                events.clear();
+            }
+        }
+        let parsed = Instant::now();
+        for event in events {
+            match triage(event) {
+                Ok(request) => role.request(self, token, request, parsed),
+                Err((line, stop)) => {
+                    self.respond(token, line);
+                    if stop && !self.stopping {
+                        self.stopping = true;
+                        let _ = self.poller.delete(self.listener.as_raw_fd());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Writes out every client that changed this tick — every client
+    /// while stopping, so idle ones drain and close too — and closes the
+    /// finished and the dead.
+    fn pump(&mut self) {
+        if self.stopping {
+            self.dirty.extend(self.clients.keys().copied());
+        }
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        for token in self.dirty.drain(..) {
+            let Some(conn) = self.clients.get_mut(&token) else {
+                continue;
+            };
+            if conn.pump(&self.poller, self.metrics, &self.config, self.stopping) {
+                let conn = self.clients.remove(&token).expect("live connection");
+                conn.socket.close(&self.poller);
+                self.metrics.record_disconnect();
+            }
+        }
+    }
+}
+
+/// One client connection: its socket, framing machine, and the ordered
+/// response slots that keep per-connection request/response order under
+/// out-of-order completion.
+#[derive(Debug)]
+struct Conn {
+    socket: Socket,
+    /// Sans-io request framing for this connection's byte stream.
+    machine: ProtocolMachine,
+    /// One slot per not-yet-flushed request, in arrival order: `None`
+    /// while its answer is in flight, `Some(line)` once answered. Only
+    /// the answered *prefix* may be written out.
+    slots: VecDeque<Option<String>>,
+    /// Sequence number of `slots.front()`.
+    base_seq: u64,
+    /// Slots still `None` (this connection's in-flight window).
+    pending: usize,
+    /// Peer half-closed its write side; drain then close.
+    eof: bool,
+    /// Transport failed; close without draining.
+    dead: bool,
+    /// Read interest withdrawn while the write buffer is over the cap.
+    paused: bool,
+}
+
+impl Conn {
+    fn new(socket: Socket) -> Self {
+        Self {
+            socket,
+            machine: ProtocolMachine::new(),
+            slots: VecDeque::new(),
+            base_seq: 0,
+            pending: 0,
+            eof: false,
+            dead: false,
+            paused: false,
+        }
+    }
+
+    /// Moves the answered slot prefix into the write buffer, flushes as
+    /// much as the socket takes, updates backpressure state and poll
+    /// interest. Returns true when the connection should be closed
+    /// (dead, or drained after EOF / during shutdown).
+    fn pump(
+        &mut self,
+        poller: &Poller,
+        metrics: &ServeMetrics,
+        cfg: &EventLoopConfig,
+        stopping: bool,
+    ) -> bool {
+        if self.dead {
+            return true;
+        }
+        while let Some(Some(line)) = self.slots.front() {
+            self.socket.queue(line.as_bytes());
+            self.socket.queue(b"\n");
+            self.slots.pop_front();
+            self.base_seq += 1;
+        }
+        metrics.record_write_buffer(self.socket.buffered());
+        if !self.socket.flush() {
+            return true;
+        }
+        let buffered = self.socket.buffered();
+        if buffered == 0 && self.slots.is_empty() && (self.eof || stopping) {
+            return true;
+        }
+        let (pause_above, resume_at) = backpressure_thresholds(cfg.max_write_buffer);
+        if !self.paused && buffered > pause_above {
+            self.paused = true;
+        } else if self.paused && buffered <= resume_at {
+            self.paused = false;
+        }
+        self.socket.watch(poller, !self.eof && !self.paused);
+        false
+    }
+}
+
+/// A nonblocking TCP socket registered with the loop's poller, with the
+/// write buffer and the read loop that client connections and the
+/// router's shard links both run on.
+#[derive(Debug)]
+pub struct Socket {
+    stream: TcpStream,
+    token: u64,
+    /// Bytes waiting for the socket; `out_pos..` is still unsent.
+    out: Vec<u8>,
+    out_pos: usize,
+    /// The interest the descriptor is registered with.
+    interest: Interest,
+}
+
+impl Socket {
+    fn new(stream: TcpStream, token: u64, interest: Interest) -> Self {
+        Self {
+            stream,
+            token,
+            out: Vec::new(),
+            out_pos: 0,
+            interest,
+        }
+    }
+
+    /// The stream, for socket options and connect status.
+    pub fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// The token this socket's readiness reports carry.
+    pub fn token(&self) -> u64 {
+        self.token
+    }
+
+    /// Bytes queued that the kernel has not taken yet.
+    fn buffered(&self) -> usize {
+        self.out.len() - self.out_pos
+    }
+
+    /// Queues `bytes` behind what is already buffered; the next
+    /// [`Socket::flush`] sends them.
+    pub fn queue(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+    }
+
+    /// Reads a bounded burst (level-triggered epoll reports the rest),
+    /// handing each chunk to `receive`; `Ok(false)` once the peer closed.
+    ///
+    /// # Errors
+    ///
+    /// The read error that failed the transport.
+    pub fn read_burst(&mut self, mut receive: impl FnMut(&[u8])) -> std::io::Result<bool> {
+        let mut buf = [0u8; READ_CHUNK];
+        for _ in 0..READ_BURSTS {
+            match self.stream.read(&mut buf) {
+                Ok(0) => return Ok(false),
+                Ok(n) => receive(&buf[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Writes as much of the buffer as the socket takes and compacts
+    /// the drained prefix. Returns false when the transport failed.
+    pub fn flush(&mut self) -> bool {
+        while self.out_pos < self.out.len() {
+            match self.stream.write(&self.out[self.out_pos..]) {
+                Ok(0) => return false,
+                Ok(n) => self.out_pos += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+        if self.out_pos == self.out.len() {
+            self.out.clear();
+            self.out_pos = 0;
+        } else if self.out_pos >= COMPACT_WRITE_BUFFER {
+            // Reclaim the drained prefix: without this a socket that is
+            // never fully flushed at once (a slow reader under
+            // pipelined load) keeps every byte it ever sent, and the
+            // buffer tracks lifetime traffic instead of the bytes still
+            // owed to the socket.
+            self.out.drain(..self.out_pos);
+            self.out_pos = 0;
+        }
+        true
+    }
+
+    /// Asks the poller to report the socket readable when `readable`,
+    /// and writable while bytes wait; re-registers only on a change.
+    pub fn watch(&mut self, poller: &Poller, readable: bool) {
+        let interest = Interest {
+            readable,
+            writable: self.out_pos < self.out.len(),
+        };
+        if interest != self.interest {
+            self.interest = interest;
+            let _ = poller.modify(self.stream.as_raw_fd(), self.token, interest);
+        }
+    }
+
+    /// Deregisters the socket and closes it.
+    pub fn close(self, poller: &Poller) {
+        let _ = poller.delete(self.stream.as_raw_fd());
     }
 }
 
@@ -256,83 +739,8 @@ impl EpollServer {
     /// `Unsupported` on non-Linux targets); per-connection I/O errors
     /// only end that connection.
     pub fn run(self) -> std::io::Result<MetricsSnapshot> {
-        let EpollServer {
-            listener,
-            local_addr: _,
-            engine,
-            max_batch,
-            config: cfg,
-        } = self;
-        let poller = Poller::new()?;
-        listener.set_nonblocking(true)?;
-        poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
-
-        let metrics = ServeMetrics::default();
-        let mut tick = TickBatch::new(&*engine, max_batch);
-        let mut conns: HashMap<u64, Conn> = HashMap::new();
-        let mut events = Events::with_capacity(1024);
-        let mut next_token = FIRST_CONN;
-        let mut stopping = false;
-        let mut accepting = true;
-        let mut dirty: Vec<u64> = Vec::new();
-
-        loop {
-            poller.wait(&mut events, Some(POLL_TICK))?;
-            dirty.clear();
-            for event in events.iter() {
-                if event.token == LISTENER {
-                    accept_ready(
-                        &listener,
-                        &poller,
-                        &mut conns,
-                        &mut next_token,
-                        &metrics,
-                        &cfg,
-                        stopping,
-                    )?;
-                } else if let Some(conn) = conns.get_mut(&event.token) {
-                    if event.readable || event.closed {
-                        read_ready(conn, event.token, &mut tick, &metrics, &cfg, &mut stopping);
-                    }
-                    dirty.push(event.token);
-                }
-            }
-
-            // Every row this tick admitted is answered before anything
-            // is written; its connection is already on the dirty list.
-            tick.score(&metrics, |token, seq, line| {
-                if let Some(conn) = conns.get_mut(&token) {
-                    conn.fill_slot(seq, line);
-                }
-            });
-
-            if stopping && accepting {
-                accepting = false;
-                let _ = poller.delete(listener.as_raw_fd());
-            }
-            if stopping {
-                // Idle connections drain and close too, not just the
-                // ones with activity this tick.
-                dirty.extend(conns.keys().copied());
-            }
-            dirty.sort_unstable();
-            dirty.dedup();
-            for token in dirty.drain(..) {
-                let Some(conn) = conns.get_mut(&token) else {
-                    continue;
-                };
-                if conn.pump(&poller, token, &metrics, &cfg, stopping) {
-                    let conn = conns.remove(&token).expect("live connection");
-                    let _ = poller.delete(conn.stream.as_raw_fd());
-                    metrics.record_disconnect();
-                }
-            }
-
-            if stopping && conns.is_empty() {
-                break;
-            }
-        }
-        Ok(metrics.snapshot())
+        let mut tick = TickBatch::new(&*self.engine, self.max_batch);
+        run_loop(self.listener, self.config, &mut tick)
     }
 }
 
@@ -436,6 +844,30 @@ impl<'e> TickBatch<'e> {
     }
 }
 
+/// The server's role: rows are admitted into the tick's batch, scored
+/// after the readiness pass, and answered into their slots.
+impl Role for TickBatch<'_> {
+    const NAME: &'static str = "server";
+
+    fn request(&mut self, core: &mut Core<'_>, token: u64, request: Request, parsed: Instant) {
+        let (row, votes) = match handle_request(request, core.metrics()) {
+            Handled::Score { row, votes } => (row, votes),
+            Handled::Answered(line) => return core.respond(token, line),
+        };
+        let metrics = core.metrics();
+        if let Some(seq) = core.admit(token, self.len(), || self.reject(&row, metrics)) {
+            self.push(token, seq, &row, votes, parsed);
+        }
+    }
+
+    /// Every row this tick admitted is answered before anything is
+    /// written.
+    fn tick(&mut self, core: &mut Core<'_>) {
+        let metrics = core.metrics();
+        self.score(metrics, |token, seq, line| core.fill_slot(token, seq, line));
+    }
+}
+
 /// Scores the class rows of a chunk, and only those, through one
 /// [`Predictor::predict_matrix`]: `rows` is row-major, `wants_votes[i]`
 /// marks row `i` as a `votes:` request, and the result holds one class
@@ -482,295 +914,6 @@ fn render_chunk(engine: &dyn Predictor, rows: &[f32], wants_votes: &[bool]) -> V
             }
         })
         .collect()
-}
-
-/// One live client connection: its nonblocking stream, framing
-/// machine, write buffer, and the ordered response slots that keep
-/// per-connection request/response order under out-of-order
-/// completion. Public so other event-loop front ends (the fan-out
-/// router) drive the exact same connection layer — framing, slot
-/// ordering, backpressure and buffer hygiene cannot diverge between
-/// a shard and the router in front of it.
-#[derive(Debug)]
-pub struct Conn {
-    /// The nonblocking socket.
-    pub stream: TcpStream,
-    /// Sans-io request framing for this connection's byte stream.
-    pub machine: ProtocolMachine,
-    /// Bytes waiting for the socket; `out_pos..` is still unsent.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// One slot per not-yet-flushed request, in arrival order: `None`
-    /// while its prediction is in flight, `Some(line)` once answered.
-    /// Only the answered *prefix* may be written out.
-    slots: VecDeque<Option<String>>,
-    /// Sequence number of `slots.front()`.
-    base_seq: u64,
-    /// Slots still `None` (this connection's in-flight window).
-    pending: usize,
-    /// Peer half-closed its write side; drain then close.
-    pub eof: bool,
-    /// Transport failed; close without draining.
-    pub dead: bool,
-    /// Read interest withdrawn while the write buffer is over the cap.
-    paused: bool,
-    want_read: bool,
-    want_write: bool,
-}
-
-impl Conn {
-    /// Wraps an accepted, already-nonblocking stream.
-    pub fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            machine: ProtocolMachine::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            slots: VecDeque::new(),
-            base_seq: 0,
-            pending: 0,
-            eof: false,
-            dead: false,
-            paused: false,
-            want_read: true,
-            want_write: false,
-        }
-    }
-
-    /// Appends an already-answered slot (stats, errors, busy lines).
-    pub fn push_response(&mut self, line: String) {
-        self.slots.push_back(Some(line));
-    }
-
-    /// Requests awaiting answers on this connection (the per-connection
-    /// in-flight window admission control checks).
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// Reads whatever the socket has ready (bounded per readiness
-    /// report; level-triggered epoll re-reports leftovers) through the
-    /// framing machine and returns the completed wire events. Marks
-    /// the connection `eof` / `dead` as the socket dictates.
-    pub fn read_wire_events(&mut self, metrics: &ServeMetrics) -> Vec<WireEvent> {
-        let mut buf = [0u8; READ_CHUNK];
-        let mut wire: Vec<WireEvent> = Vec::new();
-        for _ in 0..READ_BURSTS {
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.eof = true;
-                    // A final unterminated line is still a request
-                    // (`BufRead::lines` semantics, same as the
-                    // threaded front end).
-                    wire.extend(self.machine.finish());
-                    break;
-                }
-                Ok(n) => {
-                    self.machine.receive(&buf[..n], |event| wire.push(event));
-                    metrics.record_read_buffer(self.machine.buffered());
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Transport failure voids the connection: nothing
-                    // already framed is worth answering.
-                    self.dead = true;
-                    return Vec::new();
-                }
-            }
-        }
-        wire
-    }
-
-    /// Reserves the next slot for an in-flight request and returns
-    /// its sequence number.
-    pub fn reserve_slot(&mut self) -> u64 {
-        let seq = self.base_seq + self.slots.len() as u64;
-        self.slots.push_back(None);
-        self.pending += 1;
-        seq
-    }
-
-    /// Delivers a response into its reserved slot.
-    pub fn fill_slot(&mut self, seq: u64, line: String) {
-        let idx = seq.wrapping_sub(self.base_seq) as usize;
-        if let Some(slot @ None) = self.slots.get_mut(idx) {
-            *slot = Some(line);
-            self.pending -= 1;
-        }
-    }
-
-    /// Moves the answered slot prefix into the write buffer, flushes as
-    /// much as the socket takes, updates backpressure state and poll
-    /// interest. Returns true when the connection should be closed
-    /// (dead, or drained after EOF / during shutdown).
-    pub fn pump(
-        &mut self,
-        poller: &Poller,
-        token: u64,
-        metrics: &ServeMetrics,
-        cfg: &EventLoopConfig,
-        stopping: bool,
-    ) -> bool {
-        if self.dead {
-            return true;
-        }
-        while matches!(self.slots.front(), Some(Some(_))) {
-            let line = self
-                .slots
-                .pop_front()
-                .flatten()
-                .expect("answered slot prefix");
-            self.base_seq += 1;
-            self.out.extend_from_slice(line.as_bytes());
-            self.out.push(b'\n');
-        }
-        metrics.record_write_buffer(self.out.len() - self.out_pos);
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return true;
-                }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return true;
-                }
-            }
-        }
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        } else if self.out_pos >= COMPACT_WRITE_BUFFER {
-            // Reclaim the drained prefix: without this a connection
-            // that is never fully flushed in one pump (a slow reader
-            // under pipelined load) keeps every byte it ever sent,
-            // and the buffer tracks lifetime traffic instead of the
-            // bytes still owed to the socket.
-            self.out.drain(..self.out_pos);
-            self.out_pos = 0;
-        }
-        if self.out.is_empty() && self.slots.is_empty() && (self.eof || stopping) {
-            return true;
-        }
-        let buffered = self.out.len() - self.out_pos;
-        let (pause_above, resume_at) = backpressure_thresholds(cfg.max_write_buffer);
-        if !self.paused && buffered > pause_above {
-            self.paused = true;
-        } else if self.paused && buffered <= resume_at {
-            self.paused = false;
-        }
-        let want_read = !self.eof && !self.paused;
-        let want_write = self.out_pos < self.out.len();
-        if (want_read, want_write) != (self.want_read, self.want_write) {
-            self.want_read = want_read;
-            self.want_write = want_write;
-            let _ = poller.modify(
-                self.stream.as_raw_fd(),
-                token,
-                Interest {
-                    readable: want_read,
-                    writable: want_write,
-                },
-            );
-        }
-        false
-    }
-}
-
-/// Drains the accept queue: new connections are registered read-only,
-/// or turned away with one `busy` line when over the cap (or during
-/// shutdown).
-fn accept_ready(
-    listener: &TcpListener,
-    poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-    metrics: &ServeMetrics,
-    cfg: &EventLoopConfig,
-    stopping: bool,
-) -> std::io::Result<()> {
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if stopping || conns.len() >= cfg.max_conns {
-                    metrics.record_shed();
-                    let reason = if stopping {
-                        "server shutting down".to_owned()
-                    } else {
-                        format!("connection limit {} reached", cfg.max_conns)
-                    };
-                    // Best effort: a just-accepted socket has an empty
-                    // send buffer, so this short line will not block.
-                    let mut line = render_busy(&reason);
-                    line.push('\n');
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.write_all(line.as_bytes());
-                    continue; // drop closes it
-                }
-                stream.set_nonblocking(true)?;
-                let _ = stream.set_nodelay(true);
-                let token = *next_token;
-                *next_token += 1;
-                poller.add(stream.as_raw_fd(), token, Interest::READ)?;
-                metrics.record_connect();
-                conns.insert(token, Conn::new(stream));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            // Transient per-connection accept failures (ECONNABORTED
-            // and friends): skip, the listener itself is fine.
-            Err(_) => return Ok(()),
-        }
-    }
-}
-
-/// Reads whatever the socket has (bounded per readiness report) and
-/// handles every completed line: control verbs answer at once, scoring
-/// requests pass admission control into the tick's batch.
-fn read_ready(
-    conn: &mut Conn,
-    token: u64,
-    tick: &mut TickBatch<'_>,
-    metrics: &ServeMetrics,
-    cfg: &EventLoopConfig,
-    stopping: &mut bool,
-) {
-    let events = conn.read_wire_events(metrics);
-    let parsed = Instant::now();
-    for event in events {
-        match handle_event(event, metrics) {
-            Handled::Answered(line, action) => {
-                conn.push_response(line);
-                if action == Action::Shutdown {
-                    *stopping = true;
-                }
-            }
-            Handled::Score { row, votes } => {
-                if conn.pending >= cfg.max_pending_per_conn {
-                    metrics.record_shed();
-                    conn.push_response(render_busy(&format!(
-                        "connection pending cap {} reached",
-                        cfg.max_pending_per_conn
-                    )));
-                } else if tick.len() >= cfg.max_inflight {
-                    metrics.record_shed();
-                    conn.push_response(render_busy(&format!(
-                        "max-inflight {} reached",
-                        cfg.max_inflight
-                    )));
-                } else if let Some(error) = tick.reject(&row, metrics) {
-                    conn.push_response(error);
-                } else {
-                    metrics.record_request();
-                    tick.push(token, conn.reserve_slot(), &row, votes, parsed);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(all(test, target_os = "linux"))]
@@ -1067,7 +1210,7 @@ mod tests {
         ] {
             let mut tick = TickBatch::new(&PanicsOnNan, max_batch);
             for (seq, x) in [1.0, f32::NAN, 2.0].into_iter().enumerate() {
-                tick.push(FIRST_CONN, seq as u64, &[x], seq == 2, Instant::now());
+                tick.push(FIRST_TOKEN, seq as u64, &[x], seq == 2, Instant::now());
             }
             let metrics = ServeMetrics::default();
             let mut answers = Vec::new();
@@ -1078,7 +1221,7 @@ mod tests {
             for (i, (token, seq, line)) in answers.iter().enumerate() {
                 assert_eq!(
                     (*token, *seq),
-                    (FIRST_CONN, i as u64),
+                    (FIRST_TOKEN, i as u64),
                     "max_batch {max_batch}"
                 );
                 if failed[i] {
@@ -1171,23 +1314,23 @@ mod tests {
 
         let poller = Poller::new().expect("poller");
         poller
-            .add(server_side.as_raw_fd(), FIRST_CONN, Interest::READ)
+            .add(server_side.as_raw_fd(), FIRST_TOKEN, Interest::READ)
             .expect("registers");
         let metrics = ServeMetrics::default();
         let cfg = EventLoopConfig::default().max_write_buffer(1);
-        let mut conn = Conn::new(server_side);
+        let mut conn = Conn::new(Socket::new(server_side, FIRST_TOKEN, Interest::READ));
 
         // Stage far more than the kernel socket buffers will take while
         // the peer reads nothing, so the flush stalls mid-buffer.
         const LINE: usize = 1 << 20;
         const LINES: usize = 32;
         for _ in 0..LINES {
-            conn.push_response("x".repeat(LINE));
+            conn.slots.push_back(Some("x".repeat(LINE)));
         }
         let staged = LINES * (LINE + 1); // one newline per line
-        assert!(!conn.pump(&poller, FIRST_CONN, &metrics, &cfg, false));
+        assert!(!conn.pump(&poller, &metrics, &cfg, false));
         assert!(
-            conn.out.len() - conn.out_pos > 0,
+            conn.socket.out.len() - conn.socket.out_pos > 0,
             "kernel swallowed {staged} bytes with an unread peer"
         );
         assert!(conn.paused, "a buffer this deep must pause reads");
@@ -1206,13 +1349,13 @@ mod tests {
             let n = client.read(&mut sink).expect("reads");
             assert!(n > 0, "peer hung up early at {total_read}/{staged}");
             total_read += n;
-            assert!(!conn.pump(&poller, FIRST_CONN, &metrics, &cfg, false));
+            assert!(!conn.pump(&poller, &metrics, &cfg, false));
             assert!(
-                conn.out_pos < COMPACT_WRITE_BUFFER,
+                conn.socket.out_pos < COMPACT_WRITE_BUFFER,
                 "drained prefix of {} bytes was never compacted",
-                conn.out_pos
+                conn.socket.out_pos
             );
-            if !conn.out.is_empty() && conn.out.len() < staged / 2 {
+            if !conn.socket.out.is_empty() && conn.socket.out.len() < staged / 2 {
                 saw_shrunk_live_buffer = true;
             }
         }
@@ -1220,7 +1363,10 @@ mod tests {
             saw_shrunk_live_buffer,
             "write buffer never compacted mid-drain"
         );
-        assert!(conn.out.is_empty(), "fully acked buffer should be clear");
+        assert!(
+            conn.socket.out.is_empty(),
+            "fully acked buffer should be clear"
+        );
         assert!(!conn.paused, "drained connection must resume reads");
         assert_eq!(metrics.snapshot().write_hwm, staged as u64);
     }

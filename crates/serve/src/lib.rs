@@ -21,17 +21,20 @@
 //!   per line out), including [`ProtocolMachine`], the sans-io framing
 //!   state machine every front end drives — chunk boundaries can never
 //!   change the response stream;
-//! * [`event_loop`] — [`EpollServer`], the TCP front end (Linux): one
-//!   thread that accepts, reads, scores and writes. Each loop iteration
-//!   batches the rows that have already arrived — never waiting for
-//!   more — scores them in chunks of at most `max_batch`, and answers
-//!   through ordered per-connection response slots, under explicit
-//!   admission control ([`EventLoopConfig`]) that sheds overload with
-//!   `busy` responses instead of queueing it invisibly;
+//! * [`event_loop`] — the one-thread epoll loop core ([`run_loop`],
+//!   Linux) that both TCP front ends run: accept, client connections
+//!   with ordered response slots and write backpressure ([`Socket`]),
+//!   the answers to `shutdown` and bad lines, and drain-to-close, under
+//!   explicit admission control ([`EventLoopConfig`]) that sheds
+//!   overload with `busy` responses instead of queueing it invisibly. A
+//!   [`Role`] plugs in the rest: [`EpollServer`] batches the rows that
+//!   have already arrived each iteration — never waiting for more — and
+//!   scores them in chunks of at most `max_batch`; `flint-router` fans
+//!   them out to shards;
 //! * [`server`] — [`serve_lines`], the stdin/stdout front end (every
 //!   platform), which scores each read's rows through the event loop's
-//!   chunk scorer, and the control verbs (`stats`, `health`,
-//!   `shutdown`, error lines) both front ends answer through;
+//!   chunk scorer, and the answers to `stats`, `health` and the
+//!   router-only verbs both single-server front ends give;
 //! * [`batcher`] — [`Batcher`], a collector thread and worker pool that
 //!   coalesce blocking per-request calls under a max-batch / linger
 //!   policy. It is on no `flint` path; the benchmark's layer probes
@@ -83,7 +86,7 @@ pub mod protocol;
 pub mod server;
 
 pub use batcher::{BatchHandle, BatchPolicy, Batcher, Prediction, ServeError};
-pub use event_loop::{Conn, EpollServer, EventLoopConfig};
+pub use event_loop::{run_loop, Core, EpollServer, EventLoopConfig, Role, Socket};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use protocol::{
     parse_request, render_busy, render_error, render_prediction, render_votes, write_row,

@@ -1,32 +1,24 @@
-//! The stdin front end and the control verbs every front end answers
-//! through.
+//! The stdin front end and the answers a single server gives without
+//! scoring.
 //!
 //! [`serve_lines`] serves the line protocol over any reader/writer
 //! pair — locked stdin/stdout for `flint serve --stdin`, in-memory
 //! buffers in tests — on the calling thread, scoring through the event
 //! loop's own chunk scorer: rows that arrive in one read are scored
 //! together in chunks of at most `max_batch`, each chunk under
-//! `catch_unwind`. `handle_event` renders every response that needs
-//! no scoring, for this loop and for [`EpollServer`](crate::EpollServer)
-//! alike, so the two front ends cannot diverge at the protocol layer.
+//! `catch_unwind`. It answers `shutdown` and bad lines through the
+//! event loop core's triage, and `stats`, `health` and the router-only
+//! verbs through `handle_request`, as [`EpollServer`](crate::EpollServer)
+//! does, so the two front ends cannot diverge at the protocol layer.
 
-use crate::event_loop::TickBatch;
+use crate::event_loop::{triage, TickBatch};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::protocol::{render_error, ProtocolMachine, Request, WireEvent};
 use flint_exec::Predictor;
 use std::io::{BufRead, Write};
 use std::time::Instant;
 
-/// What a handled request asks the session to do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Action {
-    /// Keep the session open.
-    Continue,
-    /// Stop the whole server.
-    Shutdown,
-}
-
-/// One framing event as a front end must treat it.
+/// What a single server does with one request.
 #[derive(Debug)]
 pub(crate) enum Handled {
     /// A predict request (`votes` false) or a `votes:` request: the
@@ -37,37 +29,25 @@ pub(crate) enum Handled {
         /// Answer with the vote histogram instead of the class.
         votes: bool,
     },
-    /// Answered without scoring: the response line, and what the
-    /// server does next.
-    Answered(String, Action),
+    /// Answered without scoring.
+    Answered(String),
 }
 
-/// Answers every framing event that needs no scoring — `stats`,
-/// `health`, `shutdown`, the router-only verbs, malformed and
-/// oversized lines — and hands scoring requests back. Every front end
-/// renders control responses here, so their wire format cannot
-/// diverge.
-pub(crate) fn handle_event(event: WireEvent, metrics: &ServeMetrics) -> Handled {
-    let answer = |line: String| Handled::Answered(line, Action::Continue);
-    match event {
-        WireEvent::Request(Request::Predict(row)) => Handled::Score { row, votes: false },
-        WireEvent::Request(Request::Votes(row)) => Handled::Score { row, votes: true },
-        WireEvent::Request(Request::Stats) => answer(metrics.snapshot().to_json()),
-        WireEvent::Request(Request::Health) => {
-            answer("{\"ok\":true,\"role\":\"server\"}".to_owned())
+/// Answers the requests a single server answers without scoring —
+/// `stats`, `health` and the router-only verbs — and hands rows back to
+/// score. `shutdown` never arrives here: the core's triage answers it.
+pub(crate) fn handle_request(request: Request, metrics: &ServeMetrics) -> Handled {
+    match request {
+        Request::Predict(row) => Handled::Score { row, votes: false },
+        Request::Votes(row) => Handled::Score { row, votes: true },
+        Request::Stats => Handled::Answered(metrics.snapshot().to_json()),
+        Request::Health => Handled::Answered("{\"ok\":true,\"role\":\"server\"}".to_owned()),
+        Request::ShardMap | Request::ShardMapSet(_) | Request::Drain | Request::Undrain => {
+            Handled::Answered(render_error(
+                "router control verb; this is a single-node server",
+            ))
         }
-        WireEvent::Request(
-            Request::ShardMap | Request::ShardMapSet(_) | Request::Drain | Request::Undrain,
-        ) => answer(render_error(
-            "router control verb; this is a single-node server",
-        )),
-        WireEvent::Request(Request::Shutdown) => {
-            Handled::Answered("{\"ok\":\"shutting down\"}".to_owned(), Action::Shutdown)
-        }
-        WireEvent::Invalid(e) => answer(render_error(&e.to_string())),
-        WireEvent::Oversized { limit } => {
-            answer(render_error(&format!("request line exceeds {limit} bytes")))
-        }
+        Request::Shutdown => unreachable!("the core's triage answers shutdown"),
     }
 }
 
@@ -114,24 +94,27 @@ pub fn serve_lines<R: BufRead, W: Write>(
         let parsed = Instant::now();
         let mut stop = consumed == 0;
         for event in events.drain(..) {
-            match handle_event(event, &metrics) {
-                Handled::Score { row, votes } => {
-                    if let Some(error) = tick.reject(&row, &metrics) {
-                        answers.push(Some(error));
-                    } else {
-                        metrics.record_request();
-                        tick.push(0, answers.len() as u64, &row, votes, parsed);
-                        answers.push(None);
+            let (line, shutdown) = match triage(event) {
+                Err(answered) => answered,
+                Ok(request) => match handle_request(request, &metrics) {
+                    Handled::Answered(line) => (line, false),
+                    Handled::Score { row, votes } => {
+                        if let Some(error) = tick.reject(&row, &metrics) {
+                            answers.push(Some(error));
+                        } else {
+                            metrics.record_request();
+                            tick.push(0, answers.len() as u64, &row, votes, parsed);
+                            answers.push(None);
+                        }
+                        continue;
                     }
-                }
-                Handled::Answered(line, action) => {
-                    score_and_write(&mut tick, &mut answers, &metrics, &mut out)?;
-                    answers.push(Some(line));
-                    if action == Action::Shutdown {
-                        stop = true;
-                        break;
-                    }
-                }
+                },
+            };
+            score_and_write(&mut tick, &mut answers, &metrics, &mut out)?;
+            answers.push(Some(line));
+            if shutdown {
+                stop = true;
+                break;
             }
         }
         score_and_write(&mut tick, &mut answers, &metrics, &mut out)?;
