@@ -4,7 +4,7 @@
 //! This is the faithful reproduction of the Fig. 3 measurement setup —
 //! gcc-compiled nested if-else blocks where naive trees load float
 //! constants from data memory and FLInt trees carry integer immediates
-//! in the instruction stream. (The criterion benches measure our flat
+//! in the instruction stream. (`flint bench` times the registry's flat
 //! array *interpreters*, which deliberately equalize the two memory
 //! paths; this harness measures the real codegen artifact.)
 //!
@@ -12,7 +12,9 @@
 //! cargo run -p flint-bench --release --bin native_bench [-- --depths 5,20 --trees 20]
 //! ```
 //!
-//! Requires a C compiler (`cc`) on PATH; exits with a note otherwise.
+//! `--depths` takes a non-empty comma list and `--trees` one number
+//! ≥ 1; anything else prints the usage line and exits 2. Requires a C
+//! compiler (`cc`) on PATH; exits with a note otherwise.
 
 use flint_codegen::c_emitter::{c_float_literal, emit_forest_c, CVariant};
 use flint_data::train_test_split;
@@ -98,21 +100,40 @@ int main(void) {{
         .expect("ns value")
 }
 
+const USAGE: &str = "usage: native_bench [--depths D,D,...] [--trees N]";
+
+/// Parses `--depths` (a non-empty comma list) and `--trees` (one
+/// number ≥ 1) over their defaults; `None` for anything else.
+fn parse_args(args: &[String]) -> Option<(Vec<usize>, usize)> {
+    let mut depths = vec![1, 5, 10, 20, 30];
+    let mut trees = 20;
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        let value = rest.next()?;
+        match flag.as_str() {
+            "--depths" => {
+                depths = value
+                    .split(',')
+                    .map(|d| d.parse().ok())
+                    .collect::<Option<_>>()?
+            }
+            "--trees" => trees = value.parse().ok().filter(|&n| n >= 1)?,
+            _ => return None,
+        }
+    }
+    Some((depths, trees))
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((depths, trees)) = parse_args(&args) else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
     if !have_cc() {
         eprintln!("native_bench requires a C compiler (cc) on PATH — skipping");
         return;
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parse_list = |flag: &str, default: Vec<usize>| -> Vec<usize> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| v.split(',').filter_map(|p| p.parse().ok()).collect())
-            .unwrap_or(default)
-    };
-    let depths = parse_list("--depths", vec![1, 5, 10, 20, 30]);
-    let trees = parse_list("--trees", vec![20])[0];
 
     let data = UciDataset::Magic.generate(Scale::Small);
     let split = train_test_split(&data, 0.25, 42);

@@ -247,9 +247,7 @@ pub struct ThroughputRow {
 }
 
 /// Measures the batch-throughput table over registered engines — the
-/// experiment behind `cargo bench --bench batch_throughput`, exposed as
-/// a library function so the `flint bench` CLI subcommand can reproduce
-/// it without cargo or criterion.
+/// engine table the `flint bench` CLI subcommand prints.
 ///
 /// Every engine is built from the registry with `opts` bound, its
 /// predictions are asserted bit-identical to its comparison family's
@@ -258,8 +256,8 @@ pub struct ThroughputRow {
 /// number for a wrong result is worthless) — and then
 /// `runs` scoring passes are timed; the median is reported. Rows come
 /// back in the order of `kinds`, each with its speedup relative to the
-/// first row (pass a scalar baseline first to reproduce the
-/// `batch_throughput` layout).
+/// first row (pass a scalar baseline first to read speedups against
+/// it).
 ///
 /// # Errors
 ///

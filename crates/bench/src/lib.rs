@@ -6,12 +6,12 @@
 //! |---|---|
 //! | Table I (machines) | [`report::table1`] |
 //! | Fig. 2 (SI vs FP map) | [`report::fig2`] |
-//! | Fig. 3 (4 configs × 4 machines vs depth) | [`report::fig3_panel`], `cargo bench --bench fig3_host` |
+//! | Fig. 3 (4 configs × 4 machines vs depth) | [`report::fig3_panel`]; on the host, the `native_bench` binary |
 //! | Table II (aggregate normalized times) | [`report::table2`] |
-//! | Fig. 4 (C vs ASM vs depth) | [`report::fig4`], `cargo bench --bench fig4_host` |
+//! | Fig. 4 (C vs ASM vs depth) | [`report::fig4`] |
 //! | Table III (ASM aggregates) | [`report::table3`] |
 //! | No-FPU ablation (ours) | [`report::ablation_nofpu`] |
-//! | Batch throughput (ours) | [`experiments::batch_throughput_table`], `flint bench`, `cargo bench --bench batch_throughput` |
+//! | Batch throughput (ours) | [`experiments::batch_throughput_table`], `flint bench` |
 //!
 //! The `figures` binary prints any of them:
 //! `cargo run -p flint-bench --bin figures -- table2`.
@@ -20,14 +20,15 @@
 //! registry ([`flint_exec::EngineKind`]): every registered prediction
 //! path — scalar/blocked if-else backends, QuickScorer, the codegen
 //! VM — is measured through the one [`flint_exec::Predictor`] API, and
-//! equivalence against the forest's majority vote is asserted before
-//! any timing. The `flint bench` CLI subcommand reproduces the
-//! `batch_throughput` table through the same function, without cargo
-//! or criterion.
+//! every engine is checked against its comparison family's reference
+//! before any timing. The `flint bench` CLI subcommand prints that
+//! table through [`experiments::batch_throughput_table`].
 //!
 //! Simulated numbers come from `flint-sim` cost models (the four paper
-//! machines are not available); host wall-clock shape comes from the
-//! criterion benches in `benches/`. `EXPERIMENTS.md` records
+//! machines are not available). Host wall-clock shape comes from
+//! `flint bench` (the engine table) and `native_bench` (gcc-compiled
+//! if-else trees, the paper's Fig. 3 setup); speed claims come from
+//! the separate perfbench harness. `EXPERIMENTS.md` records
 //! paper-vs-measured for both.
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

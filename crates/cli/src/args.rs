@@ -41,8 +41,9 @@ pub enum Command {
         threads: usize,
     },
     /// Measure every registered engine's throughput over a CSV
-    /// workload (the `batch_throughput` table without cargo/criterion),
-    /// or list the engine registry.
+    /// workload or a shape preset, each engine checked against its
+    /// comparison family's reference first, or list the engine
+    /// registry.
     Bench {
         /// Input CSV used as the workload (required unless `list` or
         /// `shape`).

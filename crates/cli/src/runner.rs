@@ -1153,6 +1153,48 @@ mod tests {
     }
 
     #[test]
+    fn train_with_zero_trees_errors_and_writes_no_model() {
+        let (data_path, _) = write_dataset_csv("zero_train.csv", 12);
+        let model_path = temp_path("zero_train_model.txt");
+        let err = run_argv(&format!(
+            "train --data {} --classes 2 --trees 0 --out {}",
+            data_path.display(),
+            model_path.display()
+        ))
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("a forest needs at least one tree"),
+            "{err}"
+        );
+        assert!(
+            !model_path.exists(),
+            "a model no reader accepts was written"
+        );
+        let err = run_argv(&format!(
+            "train --data {} --classes 2 --trees 0",
+            data_path.display()
+        ))
+        .unwrap_err();
+        assert!(matches!(err, RunError::Train(_)), "{err}");
+        let _ = std::fs::remove_file(data_path);
+    }
+
+    #[test]
+    fn bench_with_zero_trees_errors_instead_of_panicking() {
+        let (data_path, _) = write_dataset_csv("zero_bench.csv", 13);
+        let err = run_argv(&format!(
+            "bench --data {} --classes 2 --trees 0 --runs 1",
+            data_path.display()
+        ))
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("a forest needs at least one tree"),
+            "{err}"
+        );
+        let _ = std::fs::remove_file(data_path);
+    }
+
+    #[test]
     fn emit_and_importance_and_simulate() {
         let (data_path, _) = write_dataset_csv("emit.csv", 3);
         let model_path = temp_path("emit_model.txt");

@@ -74,8 +74,8 @@ impl RandomForest {
     ///
     /// # Errors
     ///
-    /// Propagates [`TrainError`] from tree training (empty data, NaN
-    /// features).
+    /// [`TrainError::EmptyForest`] if `config.n_trees` is 0, and
+    /// [`TrainError`] from tree training (empty data, NaN features).
     ///
     /// # Examples
     ///
@@ -93,6 +93,9 @@ impl RandomForest {
     /// # }
     /// ```
     pub fn fit(data: &Dataset, config: &ForestConfig) -> Result<Self, TrainError> {
+        if config.n_trees == 0 {
+            return Err(TrainError::EmptyForest);
+        }
         if data.n_samples() == 0 {
             return Err(TrainError::EmptyDataset);
         }
@@ -516,6 +519,20 @@ mod tests {
         assert_eq!(
             RandomForest::fit(&empty, &ForestConfig::default()).unwrap_err(),
             TrainError::EmptyDataset
+        );
+    }
+
+    #[test]
+    fn zero_trees_rejected_as_the_reader_does() {
+        let ds = SynthSpec::new(40, 3, 2).seed(3).generate();
+        let err = RandomForest::fit(&ds, &ForestConfig::grid(0, 4)).unwrap_err();
+        assert_eq!(err, TrainError::EmptyForest);
+        // `fit` refuses what `read_forest` would refuse, in its words.
+        let empty_model = "flint-forest v1\nforest n_features=3 n_classes=2 n_trees=0\nend\n";
+        let read = crate::io::read_forest(empty_model.as_bytes()).unwrap_err();
+        assert!(
+            read.to_string().ends_with(&err.to_string()),
+            "{read} vs {err}"
         );
     }
 }

@@ -78,7 +78,7 @@ impl TrainConfig {
     }
 }
 
-/// Error training a tree.
+/// Error training a tree or a forest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TrainError {
@@ -86,6 +86,8 @@ pub enum TrainError {
     EmptyDataset,
     /// The training data contains NaN feature values.
     NanFeature,
+    /// The forest configuration asks for zero trees.
+    EmptyForest,
 }
 
 impl core::fmt::Display for TrainError {
@@ -93,6 +95,7 @@ impl core::fmt::Display for TrainError {
         match self {
             Self::EmptyDataset => write!(f, "cannot train on an empty dataset"),
             Self::NanFeature => write!(f, "training data contains NaN feature values"),
+            Self::EmptyForest => write!(f, "a forest needs at least one tree"),
         }
     }
 }

@@ -727,11 +727,10 @@ mod tests {
     fn router_with_a_down_shard_answers_busy_not_wrong() {
         let (forest, data) = forest_and_data();
         let (up_addr, up_runner) = spawn_shard(&forest, (0, 2));
-        // A bound-then-dropped listener: guaranteed-refused port.
-        let down_addr = {
-            let l = TcpListener::bind("127.0.0.1:0").expect("binds");
-            l.local_addr().expect("addr")
-        };
+        // Held for the whole test, so no other server can take the
+        // port; its full accept queue leaves the link down.
+        let (hole, _queued) = black_hole();
+        let down_addr = hole.local_addr().expect("addr");
         let router =
             RouterServer::bind("127.0.0.1:0", vec![up_addr, down_addr]).expect("router binds");
         let addr = router.local_addr();

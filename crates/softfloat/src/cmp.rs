@@ -52,42 +52,6 @@ pub fn soft_cmp<F: SoftFloatFormat>(a: F, b: F) -> Option<Ordering> {
     })
 }
 
-/// IEEE total order (like [`f32::total_cmp`]): NaN sorts above
-/// infinities, `-NaN` below `-inf`, `-0.0 < +0.0`.
-///
-/// # Examples
-///
-/// ```
-/// use flint_softfloat::soft_total_cmp;
-/// use core::cmp::Ordering;
-///
-/// assert_eq!(soft_total_cmp(-0.0f32, 0.0f32), Ordering::Less);
-/// assert_eq!(soft_total_cmp(f32::NAN, f32::INFINITY), Ordering::Greater);
-/// ```
-pub fn soft_total_cmp<F: SoftFloatFormat>(a: F, b: F) -> Ordering {
-    // The classic transform: interpret as sign-magnitude, reflect the
-    // negative half.
-    let key = |bits: u64| -> i64 {
-        let sign_mask = 1u64 << F::SIGN_SHIFT;
-        // Sign-extend the pattern to i64 first for f32 (low 32 bits).
-        let v = if F::SIGN_SHIFT == 31 {
-            i64::from(bits as u32 as i32)
-        } else {
-            bits as i64
-        };
-        if v < 0 {
-            !(v) ^ (if F::SIGN_SHIFT == 31 {
-                i64::from((sign_mask as u32) as i32)
-            } else {
-                sign_mask as i64
-            })
-        } else {
-            v
-        }
-    };
-    key(a.bits64()).cmp(&key(b.bits64()))
-}
-
 /// IEEE `==` (false for NaN operands; `-0.0 == +0.0`).
 ///
 /// ```
@@ -197,40 +161,6 @@ mod tests {
         for &a in &probes {
             for &b in &probes {
                 assert_eq!(soft_cmp(a, b), a.partial_cmp(&b), "cmp({a}, {b})");
-            }
-        }
-    }
-
-    #[test]
-    fn total_cmp_matches_std() {
-        for &a in &probes_f32() {
-            for &b in &probes_f32() {
-                assert_eq!(
-                    soft_total_cmp(a, b),
-                    a.total_cmp(&b),
-                    "total_cmp({a}[{:#x}], {b}[{:#x}])",
-                    a.to_bits(),
-                    b.to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn total_cmp_matches_std_f64() {
-        let probes = [
-            0.0f64,
-            -0.0,
-            1.0,
-            -1.0,
-            f64::NAN,
-            -f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ];
-        for &a in &probes {
-            for &b in &probes {
-                assert_eq!(soft_total_cmp(a, b), a.total_cmp(&b), "({a}, {b})");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Width-generic access to IEEE-754 binary formats.
 //!
-//! Both supported widths are funnelled through `u64` bit carriers so the
-//! arithmetic core ([`crate::arith`]) is written once. The widening is
+//! Both supported widths are funnelled through `u64` bit carriers so
+//! the comparison ([`crate::cmp`]) is written once. The widening is
 //! free on 64-bit hosts and keeps the implementation honest: nothing in
 //! this crate ever calls a float instruction.
 
@@ -16,7 +16,7 @@
 /// assert_eq!(<f32 as SoftFloatFormat>::EXP_BITS, 8);
 /// assert_eq!(<f64 as SoftFloatFormat>::MAN_BITS, 52);
 /// assert_eq!(1.0f32.bits64(), 0x3f80_0000);
-/// assert_eq!(<f64 as SoftFloatFormat>::from_bits64(0x3ff0_0000_0000_0000), 1.0);
+/// assert_eq!(1.0f64.bits64(), 0x3ff0_0000_0000_0000);
 /// ```
 pub trait SoftFloatFormat: Copy + PartialEq + core::fmt::Debug {
     /// Exponent field width (8 / 11).
@@ -24,26 +24,15 @@ pub trait SoftFloatFormat: Copy + PartialEq + core::fmt::Debug {
     /// Mantissa (fraction) field width (23 / 52).
     const MAN_BITS: u32;
 
-    /// Exponent bias `2^(EXP_BITS-1) - 1`.
-    const BIAS: i32 = (1 << (Self::EXP_BITS - 1)) - 1;
     /// All-ones exponent field (infinity / NaN marker).
     const EXP_MAX: u32 = (1 << Self::EXP_BITS) - 1;
     /// Bit position of the sign bit.
     const SIGN_SHIFT: u32 = Self::EXP_BITS + Self::MAN_BITS;
     /// Mask of the mantissa field.
     const MAN_MASK: u64 = (1u64 << Self::MAN_BITS) - 1;
-    /// The implicit leading-one bit of normal numbers.
-    const IMPLICIT_BIT: u64 = 1u64 << Self::MAN_BITS;
 
     /// The raw bit pattern, widened to `u64`.
     fn bits64(self) -> u64;
-    /// Rebuilds the value from a (low-bits) pattern.
-    fn from_bits64(bits: u64) -> Self;
-
-    /// The format's canonical quiet NaN pattern.
-    fn quiet_nan_bits() -> u64 {
-        ((Self::EXP_MAX as u64) << Self::MAN_BITS) | (1u64 << (Self::MAN_BITS - 1))
-    }
 }
 
 impl SoftFloatFormat for f32 {
@@ -53,10 +42,6 @@ impl SoftFloatFormat for f32 {
     #[inline]
     fn bits64(self) -> u64 {
         u64::from(self.to_bits())
-    }
-    #[inline]
-    fn from_bits64(bits: u64) -> Self {
-        f32::from_bits(bits as u32)
     }
 }
 
@@ -68,10 +53,6 @@ impl SoftFloatFormat for f64 {
     fn bits64(self) -> u64 {
         self.to_bits()
     }
-    #[inline]
-    fn from_bits64(bits: u64) -> Self {
-        f64::from_bits(bits)
-    }
 }
 
 #[cfg(test)]
@@ -80,28 +61,20 @@ mod tests {
 
     #[test]
     fn derived_constants() {
-        assert_eq!(<f32 as SoftFloatFormat>::BIAS, 127);
-        assert_eq!(<f64 as SoftFloatFormat>::BIAS, 1023);
         assert_eq!(<f32 as SoftFloatFormat>::EXP_MAX, 255);
         assert_eq!(<f64 as SoftFloatFormat>::EXP_MAX, 2047);
         assert_eq!(<f32 as SoftFloatFormat>::SIGN_SHIFT, 31);
         assert_eq!(<f64 as SoftFloatFormat>::SIGN_SHIFT, 63);
-        assert_eq!(<f32 as SoftFloatFormat>::IMPLICIT_BIT, 1 << 23);
-    }
-
-    #[test]
-    fn quiet_nan_is_nan() {
-        assert!(f32::from_bits(f32::quiet_nan_bits() as u32).is_nan());
-        assert!(f64::from_bits(f64::quiet_nan_bits()).is_nan());
+        assert_eq!(<f32 as SoftFloatFormat>::MAN_MASK, (1 << 23) - 1);
     }
 
     #[test]
     fn bits_round_trip() {
         for v in [0.0f32, -0.0, 1.0, -1.0, f32::MAX, f32::MIN_POSITIVE] {
-            assert_eq!(f32::from_bits64(v.bits64()).to_bits(), v.to_bits());
+            assert_eq!(f32::from_bits(v.bits64() as u32).to_bits(), v.to_bits());
         }
         for v in [0.0f64, -0.0, 1.0, -1.0, f64::MAX] {
-            assert_eq!(f64::from_bits64(v.bits64()).to_bits(), v.to_bits());
+            assert_eq!(f64::from_bits(v.bits64()).to_bits(), v.to_bits());
         }
     }
 }

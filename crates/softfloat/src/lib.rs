@@ -1,9 +1,7 @@
-//! # flint-softfloat — software IEEE-754 arithmetic
+//! # flint-softfloat — software IEEE-754 comparison
 //!
-//! A from-scratch software floating point implementation using **integer
-//! operations only**: comparison, classification, negation, addition,
-//! subtraction and multiplication for `f32` and `f64`, with
-//! round-to-nearest-even.
+//! A from-scratch software floating point comparison for `f32` and
+//! `f64` that uses **integer operations only**.
 //!
 //! ## Role in the FLInt reproduction
 //!
@@ -11,9 +9,9 @@
 //! hardware floating point unit: such systems fall back to *software
 //! floats*, whose comparison routine unpacks both operands and walks a
 //! chain of sign/exponent/mantissa branches. This crate is that
-//! baseline, built so the evaluation can charge realistic instruction
-//! counts to the "software float" configuration (see `flint-sim`) and so
-//! the repository is self-contained on FPU-less targets.
+//! baseline: the no-FPU engines and the VM's soft-float variant call
+//! it, and `flint-sim` charges realistic instruction counts to the
+//! "software float" configuration.
 //!
 //! [`soft_cmp`] is deliberately written the way portable softfloat
 //! libraries write it — unpack, classify, branch — rather than via the
@@ -29,12 +27,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use flint_softfloat::{soft_add, soft_mul, soft_le, soft_cmp};
+//! use flint_softfloat::{soft_cmp, soft_eq, soft_le};
 //! use core::cmp::Ordering;
 //!
-//! assert_eq!(soft_add(1.5f32, 2.25f32), 3.75f32);
-//! assert_eq!(soft_mul(3.0f64, -0.5f64), -1.5f64);
 //! assert!(soft_le(-2.935417f32, 10.074347f32));
+//! assert!(soft_eq(-0.0f64, 0.0f64));
 //! assert_eq!(soft_cmp(1.0f32, 2.0f32), Some(Ordering::Less));
 //! assert_eq!(soft_cmp(f32::NAN, 1.0f32), None); // unordered
 //! ```
@@ -42,12 +39,8 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
-pub mod arith;
 pub mod cmp;
 pub mod format;
-pub mod unpack;
 
-pub use arith::{soft_add, soft_div, soft_mul, soft_neg, soft_sub};
-pub use cmp::{soft_cmp, soft_eq, soft_ge, soft_gt, soft_le, soft_lt, soft_total_cmp};
+pub use cmp::{soft_cmp, soft_eq, soft_ge, soft_gt, soft_le, soft_lt};
 pub use format::SoftFloatFormat;
-pub use unpack::{classify, FpClass, Unpacked};

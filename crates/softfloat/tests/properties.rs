@@ -1,11 +1,8 @@
-//! Property tests: the software implementation must agree with the
-//! host's IEEE-754 hardware bit-for-bit on uniformly random bit
-//! patterns (which hit denormals, zeros, infinities and NaNs).
+//! Property tests: the software comparison must agree with the host's
+//! IEEE-754 hardware on uniformly random bit patterns (which hit
+//! denormals, zeros, infinities and NaNs).
 
-use flint_softfloat::{
-    soft_add, soft_cmp, soft_div, soft_eq, soft_ge, soft_gt, soft_le, soft_lt, soft_mul, soft_neg,
-    soft_sub, soft_total_cmp,
-};
+use flint_softfloat::{soft_cmp, soft_eq, soft_ge, soft_gt, soft_le, soft_lt};
 use proptest::prelude::*;
 
 fn any_f32() -> impl Strategy<Value = f32> {
@@ -16,60 +13,8 @@ fn any_f64() -> impl Strategy<Value = f64> {
     any::<u64>().prop_map(f64::from_bits)
 }
 
-/// Bitwise equality, treating every NaN as equal (we canonicalize NaN).
-fn bits_eq_f32(a: f32, b: f32) -> bool {
-    (a.is_nan() && b.is_nan()) || a.to_bits() == b.to_bits()
-}
-
-fn bits_eq_f64(a: f64, b: f64) -> bool {
-    (a.is_nan() && b.is_nan()) || a.to_bits() == b.to_bits()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8192))]
-
-    #[test]
-    fn add_matches_hardware_f32(a in any_f32(), b in any_f32()) {
-        prop_assert!(bits_eq_f32(soft_add(a, b), a + b),
-            "{a:?}+{b:?}: soft={:?} hw={:?}", soft_add(a, b), a + b);
-    }
-
-    #[test]
-    fn add_matches_hardware_f64(a in any_f64(), b in any_f64()) {
-        prop_assert!(bits_eq_f64(soft_add(a, b), a + b));
-    }
-
-    #[test]
-    fn sub_matches_hardware_f32(a in any_f32(), b in any_f32()) {
-        prop_assert!(bits_eq_f32(soft_sub(a, b), a - b));
-    }
-
-    #[test]
-    fn mul_matches_hardware_f32(a in any_f32(), b in any_f32()) {
-        prop_assert!(bits_eq_f32(soft_mul(a, b), a * b),
-            "{a:?}*{b:?}: soft={:?} hw={:?}", soft_mul(a, b), a * b);
-    }
-
-    #[test]
-    fn mul_matches_hardware_f64(a in any_f64(), b in any_f64()) {
-        prop_assert!(bits_eq_f64(soft_mul(a, b), a * b));
-    }
-
-    #[test]
-    fn div_matches_hardware_f32(a in any_f32(), b in any_f32()) {
-        prop_assert!(bits_eq_f32(soft_div(a, b), a / b),
-            "{a:?}/{b:?}: soft={:?} hw={:?}", soft_div(a, b), a / b);
-    }
-
-    #[test]
-    fn div_matches_hardware_f64(a in any_f64(), b in any_f64()) {
-        prop_assert!(bits_eq_f64(soft_div(a, b), a / b));
-    }
-
-    #[test]
-    fn neg_matches_hardware(a in any_f32()) {
-        prop_assert_eq!(soft_neg(a).to_bits(), (-a).to_bits());
-    }
 
     #[test]
     fn cmp_matches_hardware_f32(a in any_f32(), b in any_f32()) {
@@ -85,26 +30,5 @@ proptest! {
     fn cmp_matches_hardware_f64(a in any_f64(), b in any_f64()) {
         prop_assert_eq!(soft_cmp(a, b), a.partial_cmp(&b));
         prop_assert_eq!(soft_le(a, b), a <= b);
-    }
-
-    #[test]
-    fn total_cmp_matches_std(a in any_f32(), b in any_f32()) {
-        prop_assert_eq!(soft_total_cmp(a, b), a.total_cmp(&b));
-    }
-
-    #[test]
-    fn total_cmp_matches_std_f64(a in any_f64(), b in any_f64()) {
-        prop_assert_eq!(soft_total_cmp(a, b), a.total_cmp(&b));
-    }
-
-    /// Addition is commutative (including signed-zero results).
-    #[test]
-    fn add_commutes(a in any_f32(), b in any_f32()) {
-        prop_assert!(bits_eq_f32(soft_add(a, b), soft_add(b, a)));
-    }
-
-    #[test]
-    fn mul_commutes(a in any_f32(), b in any_f32()) {
-        prop_assert!(bits_eq_f32(soft_mul(a, b), soft_mul(b, a)));
     }
 }

@@ -4,7 +4,7 @@
 //! examples and integration tests can exercise the whole system:
 //!
 //! * [`core`] — the FLInt operator (the paper's contribution),
-//! * [`softfloat`] — software IEEE-754 arithmetic (no-FPU baseline),
+//! * [`softfloat`] — software IEEE-754 comparison (no-FPU baseline),
 //! * [`data`] — synthetic UCI-shaped datasets,
 //! * [`forest`] — CART training and random forests,
 //! * [`layout`] — the CAGS cache-aware layout optimization,
