@@ -246,6 +246,10 @@ pub struct ThroughputRow {
     pub speedup_vs_first: f64,
 }
 
+/// The most rows whose vote histograms [`batch_throughput_table`]
+/// checks per engine.
+const VOTE_CHECK_ROWS: usize = 256;
+
 /// Measures the batch-throughput table over registered engines — the
 /// engine table the `flint bench` CLI subcommand prints.
 ///
@@ -253,11 +257,13 @@ pub struct ThroughputRow {
 /// predictions are asserted bit-identical to its comparison family's
 /// scalar reference — the forest's majority vote for exact engines,
 /// the binary16 forest's scalar walk for the f16 engines (a throughput
-/// number for a wrong result is worthless) — and then
-/// `runs` scoring passes are timed; the median is reported. Rows come
-/// back in the order of `kinds`, each with its speedup relative to the
-/// first row (pass a scalar baseline first to read speedups against
-/// it).
+/// number for a wrong result is worthless) — and so are its
+/// `predict_votes` histograms of up to [`VOTE_CHECK_ROWS`] rows spread
+/// over the matrix, since a vote moved between classes can leave every
+/// class as it was. Then `runs` scoring passes are timed; the median is
+/// reported. Rows come back in the order of `kinds`, each with its
+/// speedup relative to the first row (pass a scalar baseline first to
+/// read speedups against it).
 ///
 /// # Errors
 ///
@@ -289,31 +295,59 @@ pub fn batch_throughput_table(
             })
             .collect::<Vec<u32>>()
     };
-    let exact_reference = rows_of(&mut |row| forest.predict_majority(row));
+    let step = matrix.n_samples().div_ceil(VOTE_CHECK_ROWS).max(1);
+    let sample: Vec<usize> = (0..matrix.n_samples()).step_by(step).collect();
+    let votes_of = |votes: &dyn Fn(&[f32]) -> Vec<u32>| {
+        let mut row = vec![0.0f32; matrix.n_features()];
+        sample
+            .iter()
+            .map(|&i| {
+                matrix.gather_row(i, &mut row);
+                votes(&row)
+            })
+            .collect::<Vec<Vec<u32>>>()
+    };
+    let exact_reference = (
+        rows_of(&mut |row| forest.predict_majority(row)),
+        votes_of(&|row| forest.predict_votes(row)),
+    );
     // The binary16 engines answer for their own comparison family;
     // their reference is compiled lazily, once per compare mode.
-    let mut f16_references: BTreeMap<&'static str, Vec<u32>> = BTreeMap::new();
+    let mut f16_references: BTreeMap<&'static str, (Vec<u32>, Vec<Vec<u32>>)> = BTreeMap::new();
     let runs = runs.max(1);
     let n = matrix.n_samples() as f64;
     let mut rows = Vec::with_capacity(kinds.len());
     let mut first_secs = None;
     for &kind in kinds {
         let engine = builder.build(kind)?;
-        let reference: &Vec<u32> = match kind {
+        let (classes, votes) = match kind {
             EngineKind::SimdF16(compare) => {
                 &*f16_references.entry(kind.name()).or_insert_with(|| {
                     let half = HalfForest::compile(forest, compare).expect("f16 forests compile");
-                    rows_of(&mut |row| half.predict(row))
+                    (
+                        rows_of(&mut |row| half.predict(row)),
+                        votes_of(&|row| half.predict_votes(row)),
+                    )
                 })
             }
             _ => &exact_reference,
         };
         assert_eq!(
             &engine.predict_matrix(matrix),
-            reference,
+            classes,
             "{} diverges from its comparison family's scalar reference",
             engine.name()
         );
+        let mut row = vec![0.0f32; matrix.n_features()];
+        for (&i, want) in sample.iter().zip(votes) {
+            matrix.gather_row(i, &mut row);
+            assert_eq!(
+                &engine.predict_votes(&row),
+                want,
+                "{} votes of row {i} diverge from its comparison family's scalar reference",
+                engine.name()
+            );
+        }
         let mut secs: Vec<f64> = (0..runs)
             .map(|_| {
                 let start = Instant::now();

@@ -56,12 +56,15 @@ pub enum Command {
         classes: Option<usize>,
         /// Stored model to serve (`None` = train on the workload).
         model: Option<String>,
-        /// Ensemble size when training in-process.
-        trees: usize,
-        /// Depth cap when training in-process.
+        /// Ensemble size when training in-process (`None` = 24);
+        /// refused with `shape` or `model`, which ignore it.
+        trees: Option<usize>,
+        /// Depth cap when training in-process (`None` = 16); refused
+        /// with `shape` or `model`.
         depth: Option<usize>,
-        /// RNG seed when training in-process.
-        seed: u64,
+        /// RNG seed of in-process training or of the `shape` preset
+        /// (`None` = 0); refused with `model`.
+        seed: Option<u64>,
         /// Sample block size for the engines' batch options.
         batch_size: Option<usize>,
         /// Worker threads for the engines' batch options.
@@ -299,9 +302,9 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
             shape: flags.text("shape"),
             classes: flags.number("classes")?,
             model: flags.text("model"),
-            trees: flags.number_or("trees", 24)?,
-            depth: flags.number("depth")?.or(Some(16)),
-            seed: flags.number_or("seed", 0)?,
+            trees: flags.number("trees")?,
+            depth: flags.number("depth")?,
+            seed: flags.number("seed")?,
             batch_size: flags.number("batch-size")?,
             threads: flags.number_or("threads", 1)?,
             runs: flags.number_or("runs", 5)?,
@@ -357,7 +360,7 @@ flint — FLInt random forest toolchain
 USAGE:
   flint train      --data d.csv --classes K [--trees N] [--depth D] [--seed S] [--out model.txt]
   flint predict    --model model.txt --data d.csv --classes K [--backend ENGINE] [--accuracy] [--batch-size B] [--threads T]
-  flint bench      --data d.csv --classes K [--model model.txt] [--trees N] [--depth D] [--seed S]
+  flint bench      --data d.csv --classes K [--model model.txt | [--trees N] [--depth D] [--seed S]]
                    [--batch-size B] [--threads T] [--runs R] [--engines a,b,c] [--output table|csv|json]
   flint bench      --shape magic|ranking|deep [--seed S] [--batch-size B] [--threads T]
                    [--runs R] [--engines a,b,c] [--output table|csv|json]
@@ -385,7 +388,11 @@ set FLINT_KERNEL=portable|avx2|neon to override it.
 
 `flint bench --shape` generates a named synthetic workload instead of
 reading a CSV: magic (24 trees x depth 10), ranking (600 x 6,
-bandwidth-bound), deep (12 x 18).
+bandwidth-bound), deep (12 x 18). `flint bench --data` trains a forest
+of --trees (24) at depth --depth (16) from --seed (0) unless --model
+gives one. A flag that would have no effect is refused: --trees,
+--depth and --classes with --shape; --trees, --depth and --seed with
+--model.
 
 `flint serve` speaks one request per line (CSV feature row or
 {\"features\":[...]}; `stats` and `shutdown` commands) and answers one
@@ -511,9 +518,9 @@ mod tests {
                 shape: None,
                 classes: Some(2),
                 model: None,
-                trees: 24,
-                depth: Some(16),
-                seed: 0,
+                trees: None,
+                depth: None,
+                seed: None,
                 batch_size: None,
                 threads: 1,
                 runs: 5,

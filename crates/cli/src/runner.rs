@@ -107,6 +107,15 @@ fn load_model(path: &str) -> Result<RandomForest, RunError> {
     Ok(model_io::read_forest(BufReader::new(File::open(path)?))?)
 }
 
+/// Refuses the first of `flags` (name, given) that was given: `why`
+/// says what leaves it without effect.
+fn refuse_given(why: &str, flags: &[(&str, bool)]) -> Result<(), RunError> {
+    match flags.iter().find(|(_, given)| *given) {
+        Some((name, _)) => Err(RunError::Invalid(format!("{why}; drop --{name}"))),
+        None => Ok(()),
+    }
+}
+
 fn engine_kind(name: &str) -> Result<EngineKind, RunError> {
     // Case-insensitive registry lookup; the registry error already
     // lists every valid name.
@@ -265,11 +274,16 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
                             "unknown --shape {name:?} (try magic|ranking|deep)"
                         ))
                     })?;
-                    if model.is_some() {
-                        return Err(RunError::Invalid(
-                            "--shape trains its own preset forest; drop --model".to_owned(),
-                        ));
-                    }
+                    refuse_given(
+                        "--shape trains its own preset forest",
+                        &[
+                            ("model", model.is_some()),
+                            ("trees", trees.is_some()),
+                            ("depth", depth.is_some()),
+                            ("classes", classes.is_some()),
+                        ],
+                    )?;
+                    let seed = seed.unwrap_or(0);
                     let dataset = preset.dataset(seed);
                     let forest = preset.train(&dataset, seed);
                     (dataset, forest, Some(preset.name()))
@@ -278,14 +292,24 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
                     let classes = classes.ok_or_else(|| {
                         RunError::Invalid("bench needs --classes with --data".to_owned())
                     })?;
+                    if model.is_some() {
+                        refuse_given(
+                            "--model loads a trained forest",
+                            &[
+                                ("trees", trees.is_some()),
+                                ("depth", depth.is_some()),
+                                ("seed", seed.is_some()),
+                            ],
+                        )?;
+                    }
                     let dataset = load_csv(&data, classes)?;
                     let forest = match model {
                         Some(path) => load_model(&path)?,
                         None => {
                             let config = ForestConfig {
-                                n_trees: trees,
-                                max_depth: depth,
-                                seed,
+                                n_trees: trees.unwrap_or(24),
+                                max_depth: depth.or(Some(16)),
+                                seed: seed.unwrap_or(0),
                                 ..ForestConfig::default()
                             };
                             RandomForest::fit(&dataset, &config)?
@@ -826,6 +850,55 @@ mod tests {
         assert!(err.to_string().contains("mutually exclusive"), "{err}");
         let err = run_argv("bench --shape magic --model m.txt").unwrap_err();
         assert!(err.to_string().contains("preset forest"), "{err}");
+    }
+
+    /// A training flag the workload ignores is refused by name, never
+    /// silently dropped: the preset trains its own forest, and a stored
+    /// model is trained already.
+    #[test]
+    fn bench_refuses_training_flags_that_have_no_effect() {
+        for flag in ["--trees 0", "--depth 2", "--classes 7"] {
+            let err = run_argv(&format!(
+                "bench --shape magic {flag} --runs 1 --engines naive"
+            ))
+            .unwrap_err();
+            let name = flag.split(' ').next().expect("flag");
+            assert!(
+                err.to_string()
+                    .contains(&format!("preset forest; drop {name}")),
+                "{err}"
+            );
+        }
+        let (data_path, _) = write_dataset_csv("benchflags.csv", 16);
+        let model_path = temp_path("benchflags_model.txt");
+        run_argv(&format!(
+            "train --data {} --classes 2 --trees 2 --depth 4 --out {}",
+            data_path.display(),
+            model_path.display()
+        ))
+        .expect("trains");
+        for flag in ["--trees 3", "--depth 4", "--seed 1"] {
+            let err = run_argv(&format!(
+                "bench --data {} --classes 2 --model {} {flag} --runs 1 --engines naive",
+                data_path.display(),
+                model_path.display()
+            ))
+            .unwrap_err();
+            let name = flag.split(' ').next().expect("flag");
+            assert!(
+                err.to_string()
+                    .contains(&format!("loads a trained forest; drop {name}")),
+                "{err}"
+            );
+        }
+        // Where they do act, the same flags are taken.
+        run_argv(&format!(
+            "bench --data {} --classes 2 --trees 2 --depth 3 --seed 1 --runs 1 --engines naive",
+            data_path.display()
+        ))
+        .expect("trains and benches");
+        let _ = std::fs::remove_file(data_path);
+        let _ = std::fs::remove_file(model_path);
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! lets the router match replies to requests without an id field.
 //!
 //! Links connect without blocking the loop. A data request is admitted
-//! only when **every** shard has a link, connected or connecting (its
-//! rows then wait in the link's write buffer). Each shard receives the
-//! row as a `votes:` line, and the reply histograms are summed with
-//! [`merge_votes`] before the one canonical [`majority_vote`]
-//! tie-break. Any shard shedding, disagreeing on arity, failing to
-//! connect or dying mid-request fails that request *visibly* (`busy` /
-//! `error` naming the shard) — a partial quorum is never merged,
-//! because a majority over half the forest is a wrong answer that
-//! looks like a right one.
+//! only when **every** shard has a link that is connected, or
+//! connecting on its first dial (its rows then wait in the link's write
+//! buffer); a link re-dialing after a failed connect sheds at once.
+//! Each shard receives the row as a `votes:` line, and the reply
+//! histograms are summed with [`merge_votes`] before the one canonical
+//! [`majority_vote`] tie-break. Any shard shedding, disagreeing on
+//! arity, failing to connect or dying mid-request fails that request
+//! *visibly* (`busy` / `error` naming the shard) — a partial quorum is
+//! never merged, because a majority over half the forest is a wrong
+//! answer that looks like a right one.
 
 use epoll::{connect_nonblocking, Event, Interest};
 use flint_forest::metrics::majority_vote;
@@ -138,6 +139,9 @@ struct Shard {
     addr: SocketAddr,
     link: Option<ShardLink>,
     next_attempt: Instant,
+    /// The last connect failed: while the link re-dials, rows are shed
+    /// at once instead of waiting out the connect deadline.
+    connect_failed: bool,
 }
 
 impl Shard {
@@ -151,6 +155,7 @@ impl Shard {
                 addr,
                 link: None,
                 next_attempt: now,
+                connect_failed: false,
             })
             .collect()
     }
@@ -158,6 +163,12 @@ impl Shard {
     /// Connected (a link still connecting is not up).
     fn is_up(&self) -> bool {
         self.link.as_ref().is_some_and(|l| l.connect_by.is_none())
+    }
+
+    /// Takes rows: connected, or on a map's first dial (rows wait in
+    /// the link's write buffer), which a client may race at start-up.
+    fn admits(&self) -> bool {
+        self.link.is_some() && (self.is_up() || !self.connect_failed)
     }
 }
 
@@ -295,7 +306,10 @@ impl Role for Router {
                 // that completed while the loop thread was off the CPU is
                 // not failed for lateness.
                 match link.connected() {
-                    Some(true) => link.connect_by = None,
+                    Some(true) => {
+                        link.connect_by = None;
+                        shard.connect_failed = false;
+                    }
                     None if now < deadline => continue,
                     _ => {
                         self.fail_shard(core, idx);
@@ -331,7 +345,7 @@ impl Router {
         }
         let shards = &self.shards;
         let Some(seq) = core.admit(token, self.pending.len(), || {
-            let down = shards.iter().find(|s| s.link.is_none())?;
+            let down = shards.iter().find(|s| !s.admits())?;
             metrics.record_shed();
             Some(render_busy(&format!("shard {} down", down.addr)))
         }) else {
@@ -467,6 +481,7 @@ impl Router {
         let addr = self.shards[idx].addr;
         if let Some(link) = self.shards[idx].link.take() {
             self.shard_tokens.remove(&link.socket.token());
+            self.shards[idx].connect_failed = link.connect_by.is_some();
             let reason = if link.connect_by.is_some() {
                 format!("shard {addr} down")
             } else {
@@ -496,6 +511,7 @@ impl Router {
         let dialed = connect_nonblocking(addr)
             .and_then(|stream| core.register(stream, Interest::READ_WRITE));
         let Ok(socket) = dialed else {
+            self.shards[idx].connect_failed = true;
             return;
         };
         self.shard_tokens.insert(socket.token(), idx);
@@ -1033,6 +1049,51 @@ mod tests {
         assert!(client.roundtrip("shutdown").contains("shutting down"));
         let snapshot = runner.join().expect("router thread");
         assert_eq!((snapshot.requests, snapshot.shed), (1, 1));
+    }
+
+    /// After a failed connect the link stays down for
+    /// `RECONNECT_INTERVAL`, then re-dials: a row that arrives during
+    /// the re-dial is shed at once, not held for the connect deadline.
+    #[test]
+    fn a_row_during_a_redial_sheds_at_once() {
+        let (_, data) = forest_and_data();
+        let (hole, _queued) = black_hole();
+        let hole_addr = hole.local_addr().expect("addr");
+        let router = RouterServer::bind("127.0.0.1:0", vec![hole_addr]).expect("router binds");
+        let addr = router.local_addr();
+        let row: Vec<String> = data.sample(0).iter().map(f32::to_string).collect();
+        let row = row.join(",");
+        // Sent before the router runs: the first dial admits the row,
+        // which fails as down at the connect deadline.
+        let mut client = Client::connect(addr);
+        client
+            .writer
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        writeln!(client.writer, "{row}").expect("writes");
+        let runner = std::thread::spawn(move || router.run().expect("routes"));
+        client.line.clear();
+        client.reader.read_line(&mut client.line).expect("reads");
+        let down = format!("shard {hole_addr} down");
+        assert!(client.line.contains(&down), "{}", client.line);
+
+        // Past the down window, into the re-dial.
+        std::thread::sleep(RECONNECT_INTERVAL * 3 / 2);
+        let asked = Instant::now();
+        let got = client.roundtrip(&row).to_owned();
+        assert!(
+            asked.elapsed() < Duration::from_millis(100),
+            "took {:?}",
+            asked.elapsed()
+        );
+        assert!(
+            got.contains("\"busy\":true") && got.contains(&down),
+            "{got}"
+        );
+
+        assert!(client.roundtrip("shutdown").contains("shutting down"));
+        let snapshot = runner.join().expect("router thread");
+        assert_eq!((snapshot.requests, snapshot.shed), (1, 2));
     }
 
     #[test]
