@@ -3,7 +3,8 @@
 
 use flint_data::uci::{Scale, UciDataset};
 use flint_data::{train_test_split, Dataset, FeatureMatrix, TrainTestSplit};
-use flint_exec::{BatchOptions, BuildEngineError, EngineBuilder, EngineKind, HalfForest};
+use flint_exec::{BatchOptions, BuildEngineError, EngineBuilder, EngineKind, HalfForest, Sink};
+use flint_forest::metrics::majority_vote;
 use flint_forest::{ForestConfig, RandomForest};
 use flint_sim::{simulate_forest, Machine, SimConfig, SimulateError};
 use std::collections::BTreeMap;
@@ -246,10 +247,6 @@ pub struct ThroughputRow {
     pub speedup_vs_first: f64,
 }
 
-/// The most rows whose vote histograms [`batch_throughput_table`]
-/// checks per engine.
-const VOTE_CHECK_ROWS: usize = 256;
-
 /// Measures the batch-throughput table over registered engines — the
 /// engine table the `flint bench` CLI subcommand prints.
 ///
@@ -257,10 +254,11 @@ const VOTE_CHECK_ROWS: usize = 256;
 /// predictions are asserted bit-identical to its comparison family's
 /// scalar reference — the forest's majority vote for exact engines,
 /// the binary16 forest's scalar walk for the f16 engines (a throughput
-/// number for a wrong result is worthless) — and so are its
-/// `predict_votes` histograms of up to [`VOTE_CHECK_ROWS`] rows spread
-/// over the matrix, since a vote moved between classes can leave every
-/// class as it was. Then `runs` scoring passes are timed; the median is
+/// number for a wrong result is worthless) — and so is the vote block
+/// its one [`Predictor::score`](flint_exec::Predictor::score) call
+/// writes for the whole matrix under `opts` (full blocks take the lane
+/// kernels), since a vote moved between classes can leave every class
+/// as it was. Then `runs` scoring passes are timed; the median is
 /// reported. Rows come back in the order of `kinds`, each with its
 /// speedup relative to the first row (pass a scalar baseline first to
 /// read speedups against it).
@@ -286,34 +284,23 @@ pub fn batch_throughput_table(
     if let Some(data) = profile {
         builder = builder.profile_data(data);
     }
-    let rows_of = |predict: &mut dyn FnMut(&[f32]) -> u32| {
+    // Each row's class and its histogram, appended to one flat vote
+    // block.
+    let reference_of = |votes: &dyn Fn(&[f32]) -> Vec<u32>| {
         let mut row = vec![0.0f32; matrix.n_features()];
-        (0..matrix.n_samples())
-            .map(|i| {
-                matrix.gather_row(i, &mut row);
-                predict(&row)
-            })
-            .collect::<Vec<u32>>()
+        let (mut classes, mut block) = (Vec::new(), Vec::new());
+        for i in 0..matrix.n_samples() {
+            matrix.gather_row(i, &mut row);
+            let histogram = votes(&row);
+            classes.push(majority_vote(&histogram));
+            block.extend(histogram);
+        }
+        (classes, block)
     };
-    let step = matrix.n_samples().div_ceil(VOTE_CHECK_ROWS).max(1);
-    let sample: Vec<usize> = (0..matrix.n_samples()).step_by(step).collect();
-    let votes_of = |votes: &dyn Fn(&[f32]) -> Vec<u32>| {
-        let mut row = vec![0.0f32; matrix.n_features()];
-        sample
-            .iter()
-            .map(|&i| {
-                matrix.gather_row(i, &mut row);
-                votes(&row)
-            })
-            .collect::<Vec<Vec<u32>>>()
-    };
-    let exact_reference = (
-        rows_of(&mut |row| forest.predict_majority(row)),
-        votes_of(&|row| forest.predict_votes(row)),
-    );
+    let exact_reference = reference_of(&|row| forest.predict_votes(row));
     // The binary16 engines answer for their own comparison family;
     // their reference is compiled lazily, once per compare mode.
-    let mut f16_references: BTreeMap<&'static str, (Vec<u32>, Vec<Vec<u32>>)> = BTreeMap::new();
+    let mut f16_references: BTreeMap<&'static str, (Vec<u32>, Vec<u32>)> = BTreeMap::new();
     let runs = runs.max(1);
     let n = matrix.n_samples() as f64;
     let mut rows = Vec::with_capacity(kinds.len());
@@ -324,10 +311,7 @@ pub fn batch_throughput_table(
             EngineKind::SimdF16(compare) => {
                 &*f16_references.entry(kind.name()).or_insert_with(|| {
                     let half = HalfForest::compile(forest, compare).expect("f16 forests compile");
-                    (
-                        rows_of(&mut |row| half.predict(row)),
-                        votes_of(&|row| half.predict_votes(row)),
-                    )
+                    reference_of(&|row| half.predict_votes(row))
                 })
             }
             _ => &exact_reference,
@@ -338,12 +322,15 @@ pub fn batch_throughput_table(
             "{} diverges from its comparison family's scalar reference",
             engine.name()
         );
-        let mut row = vec![0.0f32; matrix.n_features()];
-        for (&i, want) in sample.iter().zip(votes) {
-            matrix.gather_row(i, &mut row);
-            assert_eq!(
-                &engine.predict_votes(&row),
-                want,
+        let mut block = vec![0u32; votes.len()];
+        engine.score(matrix, &opts, Sink::Votes(&mut block));
+        let n_classes = forest.n_classes();
+        if let Some(i) = block
+            .chunks(n_classes)
+            .zip(votes.chunks(n_classes))
+            .position(|(a, b)| a != b)
+        {
+            panic!(
                 "{} votes of row {i} diverge from its comparison family's scalar reference",
                 engine.name()
             );

@@ -67,16 +67,18 @@ pub enum Command {
         seed: Option<u64>,
         /// Sample block size for the engines' batch options.
         batch_size: Option<usize>,
-        /// Worker threads for the engines' batch options.
-        threads: usize,
-        /// Timed scoring passes per engine (median reported).
-        runs: usize,
+        /// Worker threads for the engines' batch options (`None` = 1).
+        threads: Option<usize>,
+        /// Timed scoring passes per engine, median reported (`None` =
+        /// 5).
+        runs: Option<usize>,
         /// Comma-separated engine names (`None` = the full registry).
         engines: Option<String>,
-        /// Print the engine registry (names and strategies) and exit.
+        /// Print the engine registry (names and strategies) and exit;
+        /// refused with any other flag.
         list: bool,
-        /// Result format: `table`, `csv` or `json`.
-        output: String,
+        /// Result format: `table`, `csv` or `json` (`None` = `table`).
+        output: Option<String>,
     },
     /// Serve a stored model over TCP (Linux) or stdin: either way one
     /// thread reads, scores and answers.
@@ -306,11 +308,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
             depth: flags.number("depth")?,
             seed: flags.number("seed")?,
             batch_size: flags.number("batch-size")?,
-            threads: flags.number_or("threads", 1)?,
-            runs: flags.number_or("runs", 5)?,
+            threads: flags.number("threads")?,
+            runs: flags.number("runs")?,
             engines: flags.text("engines"),
             list: flags.switch("list"),
-            output: flags.text_or("output", "table"),
+            output: flags.text("output"),
         },
         "serve" => Command::Serve {
             model: flags.required("model")?,
@@ -522,11 +524,11 @@ mod tests {
                 depth: None,
                 seed: None,
                 batch_size: None,
-                threads: 1,
-                runs: 5,
+                threads: None,
+                runs: None,
                 engines: None,
                 list: false,
-                output: "table".into(),
+                output: None,
             }
         );
         let cmd = parse(&argv(
@@ -546,10 +548,10 @@ mod tests {
             } => {
                 assert_eq!(model.as_deref(), Some("m.txt"));
                 assert_eq!(batch_size, Some(128));
-                assert_eq!(threads, 4);
-                assert_eq!(runs, 9);
+                assert_eq!(threads, Some(4));
+                assert_eq!(runs, Some(9));
                 assert_eq!(engines.as_deref(), Some("flint,flint-blocked"));
-                assert_eq!(output, "json");
+                assert_eq!(output.as_deref(), Some("json"));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -678,7 +680,7 @@ mod tests {
                 assert_eq!(shape.as_deref(), Some("ranking"));
                 assert_eq!(data, None);
                 assert_eq!(classes, None);
-                assert_eq!(runs, 3);
+                assert_eq!(runs, Some(3));
             }
             other => panic!("unexpected {other:?}"),
         }

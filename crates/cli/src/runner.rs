@@ -248,12 +248,31 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
             output,
         } => {
             if list {
+                refuse_given(
+                    "--list prints the engine registry",
+                    &[
+                        ("data", data.is_some()),
+                        ("shape", shape.is_some()),
+                        ("classes", classes.is_some()),
+                        ("model", model.is_some()),
+                        ("trees", trees.is_some()),
+                        ("depth", depth.is_some()),
+                        ("seed", seed.is_some()),
+                        ("batch-size", batch_size.is_some()),
+                        ("threads", threads.is_some()),
+                        ("runs", runs.is_some()),
+                        ("engines", engines.is_some()),
+                        ("output", output.is_some()),
+                    ],
+                )?;
                 writeln!(out, "{:<20} strategy", "engine")?;
                 for kind in EngineKind::ALL {
                     writeln!(out, "{:<20} {}", kind.name(), kind.describe())?;
                 }
                 return Ok(());
             }
+            let (threads, runs) = (threads.unwrap_or(1), runs.unwrap_or(5));
+            let output = output.unwrap_or_else(|| "table".to_owned());
             if !matches!(output.as_str(), "table" | "csv" | "json") {
                 return Err(RunError::Invalid(format!(
                     "unknown --output {output:?} (try table|csv|json)"
@@ -753,6 +772,34 @@ mod tests {
             assert!(text.contains(kind.name()), "missing {}", kind.name());
         }
         assert_eq!(text.lines().count(), EngineKind::ALL.len() + 1, "{text}");
+    }
+
+    /// `--list` prints the registry and nothing else, so every other
+    /// flag is refused by name, never silently dropped.
+    #[test]
+    fn bench_list_refuses_every_other_flag() {
+        for flag in [
+            "--data d.csv",
+            "--shape bonsai",
+            "--classes 2",
+            "--model m.txt",
+            "--trees 5",
+            "--depth 3",
+            "--seed 1",
+            "--batch-size 8",
+            "--threads 1",
+            "--runs 5",
+            "--engines naive",
+            "--output table",
+        ] {
+            let err = run_argv(&format!("bench --list {flag}")).unwrap_err();
+            let name = flag.split(' ').next().expect("flag");
+            assert!(
+                err.to_string()
+                    .contains(&format!("prints the engine registry; drop {name}")),
+                "{flag}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -32,13 +32,14 @@
 //! votes and tie-breaking are the same, so predictions are
 //! **bit-identical** for every [`BackendKind`](crate::BackendKind) —
 //! asserted by `tests/batch.rs` across block sizes, thread counts and
-//! tree-group boundaries. [`BatchEngine::predict_votes`] runs the same
-//! walk over a one-row block, so the blocked engine answers classes and
-//! vote histograms through one kernel.
+//! tree-group boundaries. [`BatchEngine::score`] is the one entry
+//! point: it writes a block's classes or its vote histograms ([`Sink`])
+//! from the same walk, so the blocked engine answers both through one
+//! kernel at every fill, a one-row `votes:` request included.
 //!
 //! ```
 //! use flint_data::{synth::SynthSpec, FeatureMatrix};
-//! use flint_exec::{BackendKind, BatchEngine, BatchOptions, CompiledForest};
+//! use flint_exec::{BackendKind, BatchEngine, BatchOptions, CompiledForest, Sink};
 //! use flint_forest::{ForestConfig, RandomForest};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,7 +49,9 @@
 //!
 //! let matrix = FeatureMatrix::from_dataset(&data);
 //! let engine = BatchEngine::new(&backend, BatchOptions::default().threads(2));
-//! assert_eq!(engine.predict(&matrix), backend.predict_dataset(&data));
+//! let mut classes = vec![0; data.n_samples()];
+//! engine.score(&matrix, Sink::Classes(&mut classes));
+//! assert_eq!(classes, backend.predict_dataset(&data));
 //! # Ok(())
 //! # }
 //! ```
@@ -56,7 +59,7 @@
 use crate::backend::{CompiledForest, Nodes};
 use crate::compile::{FlatNode, LEAF_MARKER};
 use flint_core::order_key;
-use flint_data::{Dataset, FeatureMatrix};
+use flint_data::FeatureMatrix;
 use std::ops::Range;
 
 /// The number of (tree, row) walks the blocked walk keeps in flight.
@@ -102,6 +105,44 @@ impl BatchOptions {
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
+    }
+}
+
+/// Where a scoring call writes its answers: a caller-owned buffer with
+/// one slot per row of the scored matrix, in row order. Every engine
+/// scores into either form through the same kernel
+/// ([`crate::Predictor::score`]).
+#[derive(Debug)]
+pub enum Sink<'a> {
+    /// One majority-vote class per row (ties to the lower class index).
+    Classes(&'a mut [u32]),
+    /// One vote histogram per row: row `i`'s votes for class `c` at
+    /// `i * n_classes + c`, summing to the engine's tree count. This is
+    /// the form a tree-span shard reports, and disjoint spans merge by
+    /// addition.
+    Votes(&'a mut [u32]),
+}
+
+impl Sink<'_> {
+    /// The rows this sink holds for a forest of `n_classes` classes.
+    pub(crate) fn rows(&self, n_classes: usize) -> usize {
+        match self {
+            Sink::Classes(out) => out.len(),
+            Sink::Votes(out) => out.len() / n_classes,
+        }
+    }
+
+    /// Writes the flat histograms `votes` (`n_classes` per row) of the
+    /// rows from `row` on.
+    pub(crate) fn put(&mut self, row: usize, votes: &[u32], n_classes: usize) {
+        match self {
+            Sink::Classes(out) => {
+                for (slot, votes) in out[row..].iter_mut().zip(votes.chunks_exact(n_classes)) {
+                    *slot = flint_forest::metrics::majority_vote(votes);
+                }
+            }
+            Sink::Votes(out) => out[row * n_classes..][..votes.len()].copy_from_slice(votes),
+        }
     }
 }
 
@@ -159,70 +200,31 @@ impl<'f> BatchEngine<'f> {
         Self { forest, opts }
     }
 
-    /// The bound options (clamping applied at use, not here).
-    pub fn options(&self) -> BatchOptions {
-        self.opts
-    }
-
-    /// Scores every sample of `matrix`, returning one class per sample.
-    ///
-    /// Bit-identical to calling [`CompiledForest::predict`] per row.
+    /// Scores every sample of `matrix` into `sink`: classes or vote
+    /// histograms from the same walk, bit-identical to
+    /// [`CompiledForest::predict_votes`] per row.
     ///
     /// # Panics
     ///
-    /// Panics if `matrix.n_features()` differs from the model's.
-    pub fn predict(&self, matrix: &FeatureMatrix) -> Vec<u32> {
-        assert_eq!(
-            matrix.n_features(),
-            self.forest.n_features(),
-            "feature matrix width"
-        );
-        let mut out = vec![0u32; matrix.n_samples()];
-        score_spans(&self.opts, &mut out, |start, span| {
-            self.score_span(matrix, start, span)
-        });
-        out
-    }
-
-    /// The per-class vote histogram of one feature vector: the blocked
-    /// walk over a one-row block, which walks up to [`IN_FLIGHT`] trees
-    /// at once. Equal to [`CompiledForest::predict_votes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the model's feature
-    /// count.
-    pub fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        assert_eq!(
-            features.len(),
-            self.forest.n_features(),
-            "feature vector length"
-        );
-        let mut scratch = BlockScratch::new(self.forest, 1);
-        scratch.rows.copy_from_slice(features);
-        block_votes(self.forest, &mut scratch, 1);
-        scratch.votes
-    }
-
-    /// Scores samples `start..start + out.len()` into `out`.
-    fn score_span(&self, matrix: &FeatureMatrix, start: usize, out: &mut [u32]) {
+    /// Panics if `matrix.n_features()` differs from the model's, or if
+    /// `sink` does not hold one class or one histogram per sample.
+    pub fn score(&self, matrix: &FeatureMatrix, sink: Sink<'_>) {
+        let forest = self.forest;
+        let (n_features, n_classes) = (forest.n_features(), forest.n_classes());
         // Walks index block rows as `u32`.
         let block = self.opts.block_samples.clamp(1, u32::MAX as usize);
-        let n_features = self.forest.n_features();
-        let n_classes = self.forest.n_classes();
-        let mut scratch = BlockScratch::new(self.forest, block.min(out.len()));
-        let mut offset = 0;
-        while offset < out.len() {
-            let len = block.min(out.len() - offset);
-            matrix.gather_block(start + offset, len, &mut scratch.rows[..len * n_features]);
-            let votes = block_votes(self.forest, &mut scratch, len);
-            for (k, slot) in out[offset..offset + len].iter_mut().enumerate() {
-                *slot = flint_forest::metrics::majority_vote(
-                    &votes[k * n_classes..(k + 1) * n_classes],
-                );
+        let shape = (n_features, n_classes);
+        score_spans(matrix, shape, &self.opts, sink, |start, mut span| {
+            let n_rows = span.rows(n_classes);
+            let mut scratch = BlockScratch::new(forest, block.min(n_rows));
+            let mut offset = 0;
+            while offset < n_rows {
+                let len = block.min(n_rows - offset);
+                matrix.gather_block(start + offset, len, &mut scratch.rows[..len * n_features]);
+                span.put(offset, block_votes(forest, &mut scratch, len), n_classes);
+                offset += len;
             }
-            offset += len;
-        }
+        });
     }
 }
 
@@ -321,51 +323,50 @@ fn walk_block<N: FlatNode>(
     }
 }
 
-/// Splits `out` into contiguous spans of whole sample blocks and runs
-/// `score(start, span)` on each — inline when one worker suffices,
-/// otherwise over [`std::thread::scope`] workers. Every span is
-/// disjoint, so workers never share output cells and results are
-/// deterministic regardless of scheduling.
+/// Checks that `sink` holds one answer per row of `matrix` for a model
+/// of `(n_features, n_classes)`, splits it into contiguous spans of
+/// whole sample blocks and runs `score(first_row, span)` on each —
+/// inline when one worker suffices, otherwise over
+/// [`std::thread::scope`] workers. Every span is disjoint, so workers
+/// never share output cells and results are deterministic regardless
+/// of scheduling.
 ///
-/// This is the one span-partitioning implementation in the crate: the
-/// engine layer's row-wise adapters reuse it, so every registered
-/// engine parallelizes over identical boundaries by construction.
+/// This is the one span-partitioning implementation in the crate:
+/// every engine scores through it, so every registered engine
+/// parallelizes over identical boundaries by construction.
 pub(crate) fn score_spans(
+    matrix: &FeatureMatrix,
+    (n_features, n_classes): (usize, usize),
     opts: &BatchOptions,
-    out: &mut [u32],
-    score: impl Fn(usize, &mut [u32]) + Sync,
+    sink: Sink<'_>,
+    score: impl Fn(usize, Sink<'_>) + Sync,
 ) {
-    let n = out.len();
+    assert_eq!(matrix.n_features(), n_features, "feature matrix width");
+    let n = matrix.n_samples();
+    let cells = match &sink {
+        Sink::Classes(out) => (out.len(), n),
+        Sink::Votes(out) => (out.len(), n * n_classes),
+    };
+    assert_eq!(cells.0, cells.1, "sink size");
     if n == 0 {
         return;
     }
     let block = opts.block_samples.max(1);
     let threads = opts.threads.max(1).min(n.div_ceil(block));
     if threads == 1 {
-        score(0, out);
+        score(0, sink);
     } else {
         let span = n.div_ceil(block).div_ceil(threads) * block;
+        let spans: Vec<Sink<'_>> = match sink {
+            Sink::Classes(out) => out.chunks_mut(span).map(Sink::Classes).collect(),
+            Sink::Votes(out) => out.chunks_mut(span * n_classes).map(Sink::Votes).collect(),
+        };
         std::thread::scope(|scope| {
-            for (w, chunk) in out.chunks_mut(span).enumerate() {
+            for (w, part) in spans.into_iter().enumerate() {
                 let score = &score;
-                scope.spawn(move || score(w * span, chunk));
+                scope.spawn(move || score(w * span, part));
             }
         });
-    }
-}
-
-impl CompiledForest {
-    /// Batch prediction over a dataset through the blocked,
-    /// optionally multi-threaded engine. Convenience wrapper that
-    /// transposes `data` and runs [`BatchEngine::predict`];
-    /// bit-identical to [`CompiledForest::predict_dataset`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset's feature count differs from the model's.
-    pub fn predict_dataset_batched(&self, data: &Dataset, opts: BatchOptions) -> Vec<u32> {
-        let matrix = FeatureMatrix::from_dataset(data);
-        BatchEngine::new(self, opts).predict(&matrix)
     }
 }
 
@@ -373,18 +374,32 @@ impl CompiledForest {
 mod tests {
     use super::*;
     use crate::backend::BackendKind;
+    use crate::engine::{EngineBuilder, EngineKind};
     use flint_data::synth::SynthSpec;
+    use flint_data::Dataset;
     use flint_forest::{ForestConfig, RandomForest};
 
-    fn setup() -> (Dataset, CompiledForest) {
+    fn trained() -> (Dataset, RandomForest) {
         let data = SynthSpec::new(230, 5, 3)
             .cluster_std(1.0)
             .negative_fraction(0.5)
             .seed(11)
             .generate();
         let forest = RandomForest::fit(&data, &ForestConfig::grid(6, 8)).expect("trainable");
+        (data, forest)
+    }
+
+    fn setup() -> (Dataset, CompiledForest) {
+        let (data, forest) = trained();
         let backend = CompiledForest::compile(&forest, BackendKind::Flint, None).expect("compiles");
         (data, backend)
+    }
+
+    /// The classes `engine` scores for every sample of `matrix`.
+    fn classes(engine: BatchEngine<'_>, matrix: &FeatureMatrix) -> Vec<u32> {
+        let mut out = vec![0; matrix.n_samples()];
+        engine.score(matrix, Sink::Classes(&mut out));
+        out
     }
 
     #[test]
@@ -397,9 +412,8 @@ mod tests {
                 let opts = BatchOptions::default()
                     .block_samples(block)
                     .threads(threads);
-                let engine = BatchEngine::new(&backend, opts);
                 assert_eq!(
-                    engine.predict(&matrix),
+                    classes(BatchEngine::new(&backend, opts), &matrix),
                     want,
                     "block {block} threads {threads}"
                 );
@@ -432,12 +446,18 @@ mod tests {
         assert!(tree_groups(24, 64).eq((0..24).map(|t| t..t + 1)));
     }
 
+    /// The blocked engine's dataset wrapper
+    /// ([`Predictor::predict_dataset`](crate::Predictor::predict_dataset)).
     #[test]
     fn dataset_wrapper_matches() {
-        let (data, backend) = setup();
+        let (data, forest) = trained();
+        let engine = EngineBuilder::new(&forest)
+            .build(EngineKind::Blocked(BackendKind::Flint))
+            .expect("builds");
+        let (_, backend) = setup();
         assert_eq!(
-            backend.predict_dataset_batched(&data, BatchOptions::default()),
-            backend.predict_dataset(&data),
+            engine.predict_dataset(&data),
+            backend.predict_dataset(&data)
         );
     }
 
@@ -446,7 +466,8 @@ mod tests {
         let (data, backend) = setup();
         let want = backend.predict_dataset(&data);
         let opts = BatchOptions::default().block_samples(0).threads(0);
-        assert_eq!(backend.predict_dataset_batched(&data, opts), want);
+        let matrix = FeatureMatrix::from_dataset(&data);
+        assert_eq!(classes(BatchEngine::new(&backend, opts), &matrix), want);
     }
 
     #[test]
@@ -454,7 +475,7 @@ mod tests {
         let (_, backend) = setup();
         let empty = FeatureMatrix::from_row_major(0, backend.n_features(), &[]);
         let engine = BatchEngine::new(&backend, BatchOptions::default().threads(3));
-        assert_eq!(engine.predict(&empty), Vec::<u32>::new());
+        assert_eq!(classes(engine, &empty), Vec::<u32>::new());
     }
 
     #[test]
@@ -462,6 +483,6 @@ mod tests {
     fn wrong_width_panics() {
         let (_, backend) = setup();
         let bad = FeatureMatrix::from_row_major(1, 2, &[0.0, 0.0]);
-        let _ = BatchEngine::new(&backend, BatchOptions::default()).predict(&bad);
+        let _ = classes(BatchEngine::new(&backend, BatchOptions::default()), &bad);
     }
 }

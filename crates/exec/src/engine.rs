@@ -11,11 +11,17 @@
 //! benches, examples, equivalence tests — re-implemented the wiring.
 //! Here they are all one thing:
 //!
-//! * [`Predictor`] — `predict_votes`, the one scoring method an engine
-//!   writes, plus `name` / `describe` metadata; every engine answers by
-//!   the same majority vote over those votes
+//! * [`Predictor`] — [`score`](Predictor::score), the one scoring
+//!   method an engine writes: it scores a [`FeatureMatrix`] into a
+//!   caller-owned [`Sink`] of classes or vote histograms, and
+//!   `predict_votes`, `predict_one`, `predict_batch`, `predict_matrix`
+//!   and `predict_dataset` are calls to it. Every engine answers by the
+//!   same majority vote over its votes
 //!   ([`flint_forest::RandomForest::predict_majority`]), so all
-//!   registered engines are interchangeable prediction-for-prediction;
+//!   registered engines are interchangeable prediction-for-prediction.
+//!   The engines without a batch kernel (scalar, VM, JIT, QuickScorer)
+//!   score through one per-row adapter; the blocked and lane engines
+//!   score whole blocks;
 //! * [`EngineKind`] — the engine space: the five [`BackendKind`]
 //!   if-else configurations × {scalar, blocked}, QuickScorer in both
 //!   comparison modes, the three codegen VM variants, the 8-wide
@@ -28,11 +34,11 @@
 //!   BatchOptions)` into a boxed engine, owning its compiled artifacts.
 //!
 //! This is the seam consumers plug into: `flint serve` scores each
-//! chunk of arrived rows as one [`FeatureMatrix`] through any
-//! `Predictor`; the SIMD lane kernels arrived as the
-//! `simd`/`simd-float` `EngineKind`s with zero consumer changes; a
-//! `flint route` shard builds any engine on a tree span and answers
-//! with its `predict_votes` histogram.
+//! chunk of arrived rows as one [`FeatureMatrix`] through one `score`
+//! call into a vote block, class and `votes:` rows alike; the SIMD lane
+//! kernels arrived as the `simd`/`simd-float` `EngineKind`s with zero
+//! consumer changes; a `flint route` shard builds any engine on a tree
+//! span and answers with its histograms.
 //!
 //! ```
 //! use flint_data::{synth::SynthSpec, FeatureMatrix};
@@ -61,9 +67,8 @@ use crate::backend::{BackendKind, CompiledForest};
 // `score_spans` is the batch module's span partitioner: reusing it here
 // means every engine parallelizes over identical worker boundaries by
 // construction.
-use crate::batch::{score_spans, BatchEngine, BatchOptions};
+use crate::batch::{score_spans, BatchEngine, BatchOptions, Sink};
 use crate::compile::CompileTreeError;
-use crate::dispatch::KernelPath;
 use crate::f16::{HalfCompare, HalfForest};
 use crate::jit::{JitCompare, TieredJit};
 use crate::simd::{LaneEngine, SimdCompare};
@@ -84,9 +89,10 @@ use flint_qscorer::{QsCompare, QsForest};
 /// ([`EngineKind::is_exact`] is false) answer for their own f16
 /// comparison family instead: bit-identical to [`HalfForest::predict`].
 ///
-/// `Send + Sync` are explicit supertraits: `predict_batch` shares one
-/// engine across its scoring workers, so thread-unsafe engines are
-/// ruled out at the trait boundary, not discovered at a spawn site.
+/// `Send + Sync` are explicit supertraits: [`score`](Self::score)
+/// shares one engine across its scoring workers, so thread-unsafe
+/// engines are ruled out at the trait boundary, not discovered at a
+/// spawn site.
 pub trait Predictor: core::fmt::Debug + Send + Sync {
     /// Which registry entry this engine is.
     fn kind(&self) -> EngineKind;
@@ -101,20 +107,36 @@ pub trait Predictor: core::fmt::Debug + Send + Sync {
     /// [`predict_matrix`](Self::predict_matrix)).
     fn options(&self) -> BatchOptions;
 
-    /// The per-class vote histogram of one feature vector: `votes[c]`
-    /// trees voted for class `c`, summing to the engine's tree count.
-    /// The one scoring method every engine writes.
+    /// Scores every row of `matrix` under explicit batch options into
+    /// the caller-owned `sink`: one class per row, or one vote
+    /// histogram per row. The one scoring method every engine writes;
+    /// every other scoring method is a call to it.
     ///
-    /// This is the sharding seam of distributed inference: an engine
-    /// built on a tree span reports its histogram, disjoint spans merge
-    /// by element-wise addition, and the canonical
+    /// The vote form is the sharding seam of distributed inference: an
+    /// engine built on a tree span reports its histograms, disjoint
+    /// spans merge by element-wise addition, and the canonical
     /// `flint_forest::metrics::majority_vote` tie-break over the merged
     /// histogram is bit-identical to the single-node answer.
     ///
     /// # Panics
     ///
+    /// Panics if `matrix.n_features()` differs from the model's, or if
+    /// `sink` does not hold one class or one histogram per row.
+    fn score(&self, matrix: &FeatureMatrix, opts: &BatchOptions, sink: Sink<'_>);
+
+    /// The per-class vote histogram of one feature vector: `votes[c]`
+    /// trees voted for class `c`, summing to the engine's tree count.
+    ///
+    /// # Panics
+    ///
     /// Panics if `features.len() != n_features()`.
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32>;
+    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
+        assert_eq!(features.len(), self.n_features(), "feature vector length");
+        let mut votes = vec![0; self.n_classes()];
+        let row = FeatureMatrix::from_row_major(1, features.len(), features);
+        self.score(&row, &self.options(), Sink::Votes(&mut votes));
+        votes
+    }
 
     /// Scores one feature vector: the majority vote of
     /// [`predict_votes`](Self::predict_votes), so the two agree by
@@ -128,28 +150,14 @@ pub trait Predictor: core::fmt::Debug + Send + Sync {
     }
 
     /// Scores every sample of `matrix` under explicit batch options,
-    /// returning one class per sample: by default row by row through
-    /// [`predict_one`](Self::predict_one), over the worker spans that
-    /// `threads` and `block_samples` define. Only the engines with a
-    /// batch kernel (blocked, lane, QuickScorer) override it.
+    /// returning one class per sample.
     ///
     /// # Panics
     ///
     /// Panics if `matrix.n_features()` differs from the model's.
     fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        assert_eq!(
-            matrix.n_features(),
-            self.n_features(),
-            "feature matrix width"
-        );
-        let mut out = vec![0u32; matrix.n_samples()];
-        score_spans(opts, &mut out, |start, span| {
-            let mut row = vec![0.0f32; matrix.n_features()];
-            for (k, slot) in span.iter_mut().enumerate() {
-                matrix.gather_row(start + k, &mut row);
-                *slot = self.predict_one(&row);
-            }
-        });
+        let mut out = vec![0; matrix.n_samples()];
+        self.score(matrix, opts, Sink::Classes(&mut out));
         out
     }
 
@@ -178,6 +186,38 @@ pub trait Predictor: core::fmt::Debug + Send + Sync {
     fn predict_dataset(&self, data: &Dataset) -> Vec<u32> {
         self.predict_matrix(&FeatureMatrix::from_dataset(data))
     }
+}
+
+/// The per-row adapter behind every engine without a batch kernel
+/// (scalar, VM, JIT, QuickScorer): each worker span walks its rows one
+/// at a time, `votes(state, row, histogram)` filling each row's
+/// histogram from per-worker `state` (made by `worker`), and the sink
+/// takes it as a class or as the histogram.
+fn score_rows<W>(
+    engine: &dyn Predictor,
+    matrix: &FeatureMatrix,
+    opts: &BatchOptions,
+    sink: Sink<'_>,
+    worker: impl Fn() -> W + Sync,
+    votes: impl Fn(&mut W, &[f32], &mut [u32]) + Sync,
+) {
+    let (n_features, n_classes) = (engine.n_features(), engine.n_classes());
+    score_spans(
+        matrix,
+        (n_features, n_classes),
+        opts,
+        sink,
+        |start, mut span| {
+            let mut state = worker();
+            let mut row = vec![0.0f32; n_features];
+            let mut histogram = vec![0u32; n_classes];
+            for k in 0..span.rows(n_classes) {
+                matrix.gather_row(start + k, &mut row);
+                votes(&mut state, &row, &mut histogram);
+                span.put(k, &histogram, n_classes);
+            }
+        },
+    );
 }
 
 /// One entry of the engine registry.
@@ -500,14 +540,13 @@ impl<'f> EngineBuilder<'f> {
     /// [`BuildEngineError`] if FLInt threshold preparation fails.
     pub fn build(&self, kind: EngineKind) -> Result<Box<dyn Predictor>, BuildEngineError> {
         Ok(match kind {
-            EngineKind::Scalar(backend) => Box::new(ScalarEngine {
-                forest: CompiledForest::compile(self.forest, backend, self.profile)?,
-                opts: self.opts,
-            }),
-            EngineKind::Blocked(backend) => Box::new(BlockedEngine {
-                forest: CompiledForest::compile(self.forest, backend, self.profile)?,
-                opts: self.opts,
-            }),
+            EngineKind::Scalar(backend) | EngineKind::Blocked(backend) => {
+                Box::new(CompiledEngine {
+                    forest: CompiledForest::compile(self.forest, backend, self.profile)?,
+                    blocked: matches!(kind, EngineKind::Blocked(_)),
+                    opts: self.opts,
+                })
+            }
             EngineKind::QuickScorer(compare) => Box::new(QuickScorerEngine {
                 qs: QsForest::build(self.forest),
                 compare,
@@ -545,17 +584,25 @@ impl<'f> EngineBuilder<'f> {
     }
 }
 
-/// [`EngineKind::Scalar`]: the paper's measured shape — one sample at a
-/// time through the flat if-else node arrays.
+/// [`EngineKind::Scalar`] and [`EngineKind::Blocked`]: one compiled
+/// forest, scored one sample at a time through the flat if-else node
+/// arrays (the paper's measured shape) or through the cache-blocked,
+/// fill-aware [`BatchEngine`] walk, whose classes and vote histograms
+/// come from the same kernel at every fill.
 #[derive(Debug)]
-struct ScalarEngine {
+struct CompiledEngine {
     forest: CompiledForest,
+    blocked: bool,
     opts: BatchOptions,
 }
 
-impl Predictor for ScalarEngine {
+impl Predictor for CompiledEngine {
     fn kind(&self) -> EngineKind {
-        EngineKind::Scalar(self.forest.kind())
+        if self.blocked {
+            EngineKind::Blocked(self.forest.kind())
+        } else {
+            EngineKind::Scalar(self.forest.kind())
+        }
     }
 
     fn n_features(&self) -> usize {
@@ -570,44 +617,21 @@ impl Predictor for ScalarEngine {
         self.opts
     }
 
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        self.forest.predict_votes(features)
-    }
-}
-
-/// [`EngineKind::Blocked`]: the cache-blocked, fill-aware
-/// [`BatchEngine`] walk. Classes and vote histograms come from the same
-/// kernel: `predict_votes` is the walk over a one-row block, whose
-/// trees it walks in groups.
-#[derive(Debug)]
-struct BlockedEngine {
-    forest: CompiledForest,
-    opts: BatchOptions,
-}
-
-impl Predictor for BlockedEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Blocked(self.forest.kind())
-    }
-
-    fn n_features(&self) -> usize {
-        self.forest.n_features()
-    }
-
-    fn n_classes(&self) -> usize {
-        self.forest.n_classes()
-    }
-
-    fn options(&self) -> BatchOptions {
-        self.opts
-    }
-
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        BatchEngine::new(&self.forest, self.opts).predict_votes(features)
-    }
-
-    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        BatchEngine::new(&self.forest, *opts).predict(matrix)
+    fn score(&self, matrix: &FeatureMatrix, opts: &BatchOptions, sink: Sink<'_>) {
+        if self.blocked {
+            BatchEngine::new(&self.forest, *opts).score(matrix, sink);
+        } else {
+            score_rows(
+                self,
+                matrix,
+                opts,
+                sink,
+                || (),
+                |(), row, votes| {
+                    votes.copy_from_slice(&self.forest.predict_votes(row));
+                },
+            );
+        }
     }
 }
 
@@ -637,32 +661,13 @@ impl Predictor for QuickScorerEngine {
         self.opts
     }
 
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        self.qs
-            .votes_with_scratch(features, self.compare, &mut self.qs.scratch())
-            .to_vec()
-    }
-
-    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        assert_eq!(
-            matrix.n_features(),
-            self.qs.n_features(),
-            "feature matrix width"
-        );
-        let mut out = vec![0u32; matrix.n_samples()];
-        score_spans(opts, &mut out, |start, span| {
-            // Per-worker scratch: bitsets, votes and the row buffer are
-            // allocated once per span, not per sample.
-            let mut scratch = self.qs.scratch();
-            let mut row = vec![0.0f32; self.qs.n_features()];
-            for (k, slot) in span.iter_mut().enumerate() {
-                matrix.gather_row(start + k, &mut row);
-                *slot = self
-                    .qs
-                    .predict_with_scratch(&row, self.compare, &mut scratch);
-            }
+    fn score(&self, matrix: &FeatureMatrix, opts: &BatchOptions, sink: Sink<'_>) {
+        // Per-worker scratch: bitsets and votes are allocated once per
+        // span, not per sample.
+        let worker = || self.qs.scratch();
+        score_rows(self, matrix, opts, sink, worker, |scratch, row, votes| {
+            votes.copy_from_slice(self.qs.votes_with_scratch(row, self.compare, scratch));
         });
-        out
     }
 }
 
@@ -695,85 +700,23 @@ impl Predictor for VmEngine {
         self.opts
     }
 
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        assert_eq!(features.len(), self.n_features, "feature vector length");
-        // Programs compiled from validated trees never fault on a
-        // correctly sized feature vector.
-        self.vm
-            .run_votes(features)
-            .expect("compiled VM programs run to a return")
-            .0
-    }
-}
-
-/// [`EngineKind::Simd`] and [`EngineKind::SimdF16`]: the lane engine of
-/// [`crate::simd`] — lane groups of samples walk each tree through
-/// branchless compare/blend steps over 16-byte f32, 8-byte binary16 or
-/// 4-byte heap nodes. `predict_votes` runs the family's scalar
-/// reference; [`describe`](Predictor::describe) reports the kernel path
-/// dispatched at build time. The other methods answer through
-/// `LaneEngine`'s inherent methods of the same name.
-impl Predictor for LaneEngine {
-    fn kind(&self) -> EngineKind {
-        LaneEngine::kind(self)
-    }
-
-    fn n_features(&self) -> usize {
-        LaneEngine::n_features(self)
-    }
-
-    fn n_classes(&self) -> usize {
-        LaneEngine::n_classes(self)
-    }
-
-    fn options(&self) -> BatchOptions {
-        LaneEngine::options(self)
-    }
-
-    fn describe(&self) -> &'static str {
-        lane_describe(LaneEngine::kind(self), self.kernel_path())
-    }
-
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        LaneEngine::predict_votes(self, features)
-    }
-
-    fn predict_batch(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        self.predict(matrix, opts)
-    }
-}
-
-/// The dispatch-aware description of a lane engine: its kind's
-/// strategy line with the resolved kernel path appended in the stable
-/// `[kernel <path>]` suffix log scrapers key on.
-fn lane_describe(kind: EngineKind, path: KernelPath) -> &'static str {
-    let [portable, avx2, neon] = match kind {
-        EngineKind::Simd(SimdCompare::Flint) => [
-            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel portable]",
-            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel avx2]",
-            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel neon]",
-        ],
-        EngineKind::Simd(SimdCompare::Float) => [
-            "8-wide SIMD lane traversal, float compares, branchless blend [kernel portable]",
-            "8-wide SIMD lane traversal, float compares, branchless blend [kernel avx2]",
-            "8-wide SIMD lane traversal, float compares, branchless blend [kernel neon]",
-        ],
-        EngineKind::SimdF16(HalfCompare::Flint) => [
-            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel portable]",
-            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel avx2]",
-            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel neon]",
-        ],
-        EngineKind::SimdF16(HalfCompare::Float) => [
-            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel portable]",
-            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel avx2]",
-            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel neon]",
-        ],
-        _ => unreachable!("{kind} is not a lane engine"),
-    };
-    match path {
-        KernelPath::Portable => portable,
-        KernelPath::Avx2 => avx2,
-        KernelPath::Neon => neon,
+    fn score(&self, matrix: &FeatureMatrix, opts: &BatchOptions, sink: Sink<'_>) {
+        score_rows(
+            self,
+            matrix,
+            opts,
+            sink,
+            || (),
+            |(), row, votes| {
+                // Programs compiled from validated trees never fault on a
+                // correctly sized feature vector.
+                let (histogram, _) = self
+                    .vm
+                    .run_votes(row)
+                    .expect("compiled VM programs run to a return");
+                votes.copy_from_slice(&histogram);
+            },
+        );
     }
 }
 
@@ -810,8 +753,17 @@ impl Predictor for JitEngine {
         self.tiered.describe()
     }
 
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        self.tiered.predict_votes(features)
+    fn score(&self, matrix: &FeatureMatrix, opts: &BatchOptions, sink: Sink<'_>) {
+        score_rows(
+            self,
+            matrix,
+            opts,
+            sink,
+            || (),
+            |(), row, votes| {
+                votes.copy_from_slice(&self.tiered.predict_votes(row));
+            },
+        );
     }
 }
 

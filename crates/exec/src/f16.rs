@@ -1180,6 +1180,7 @@ mod tests {
     use super::*;
     use crate::batch::BatchOptions;
     use crate::dispatch::KernelCaps;
+    use crate::engine::Predictor;
     use crate::simd::{LaneEngine, SimdCompare};
     use crate::CompiledForest;
     use flint_data::synth::SynthSpec;
@@ -1218,7 +1219,7 @@ mod tests {
                         .threads(threads);
                     let engine = LaneEngine::simd_f16(half.clone(), opts);
                     assert_eq!(
-                        engine.predict(&matrix, &opts),
+                        engine.predict_batch(&matrix, &opts),
                         want,
                         "{compare:?} block {block} threads {threads}"
                     );
@@ -1256,11 +1257,13 @@ mod tests {
             let matrix = FeatureMatrix::from_dataset(&data);
             let opts = BatchOptions::default().block_samples(13);
             let engine = LaneEngine::simd_f16(half.clone(), opts);
-            let accelerated = engine.with_kernel(KernelPath::Avx2).predict(&matrix, &opts);
+            let accelerated = engine
+                .with_kernel(KernelPath::Avx2)
+                .predict_batch(&matrix, &opts);
             let engine = LaneEngine::simd_f16(half, opts);
             let portable = engine
                 .with_kernel(KernelPath::Portable)
-                .predict(&matrix, &opts);
+                .predict_batch(&matrix, &opts);
             assert_eq!(accelerated, portable, "{compare:?}");
         }
     }
@@ -1271,7 +1274,7 @@ mod tests {
         let empty = FeatureMatrix::from_row_major(0, half.n_features(), &[]);
         let opts = BatchOptions::default().threads(3);
         let engine = LaneEngine::simd_f16(half, opts);
-        assert_eq!(engine.predict(&empty, &opts), Vec::<u32>::new());
+        assert_eq!(engine.predict_batch(&empty, &opts), Vec::<u32>::new());
     }
 
     #[test]
@@ -1280,7 +1283,7 @@ mod tests {
         let (_, half) = setup(HalfCompare::Flint);
         let bad = FeatureMatrix::from_row_major(1, 2, &[0.0, 0.0]);
         let opts = BatchOptions::default();
-        let _ = LaneEngine::simd_f16(half, opts).predict(&bad, &opts);
+        let _ = LaneEngine::simd_f16(half, opts).predict_batch(&bad, &opts);
     }
 
     #[test]
@@ -1470,7 +1473,7 @@ mod tests {
                     );
                     let engine = LaneEngine::simd_f16(half.clone(), opts).with_kernel(path);
                     assert_eq!(
-                        engine.predict(&matrix, &opts),
+                        engine.predict_batch(&matrix, &opts),
                         want,
                         "{compare:?} {path} block {block}"
                     );
@@ -1504,7 +1507,7 @@ mod tests {
                         .expect("compiles")
                         .with_kernel(path);
                     assert_eq!(
-                        engine.predict(&matrix, &opts),
+                        engine.predict_batch(&matrix, &opts),
                         want,
                         "{compare:?} {path} block {block}"
                     );

@@ -22,8 +22,9 @@
 //!   flight at every block fill (one tree at a time over a full block,
 //!   a group of trees over a one-row request), reusable per-worker
 //!   scratch buffers, and scoped-thread data parallelism over sample
-//!   blocks. Predictions are bit-identical to the scalar path for
-//!   every [`BackendKind`];
+//!   blocks. Its one entry point writes classes or vote histograms
+//!   into a caller-owned [`Sink`]. Predictions are bit-identical to the
+//!   scalar path for every [`BackendKind`];
 //! * [`mod@simd`] — the 8-wide lane-parallel traversal behind the
 //!   `simd`/`simd-float` and `simd-f16`/`simd-f16-float` engines:
 //!   samples descend each tree in lane groups through branchless
@@ -31,7 +32,10 @@
 //!   kernels on x86-64 and NEON kernels on aarch64, picked at run
 //!   time). One wave loop and one span scorer serve every node
 //!   format; ragged tails read zero-padded lanes from
-//!   [`flint_data::FeatureMatrix::gather_lanes`] instead of branching;
+//!   [`flint_data::FeatureMatrix::gather_lanes`] instead of branching.
+//!   A block below [`LANE_CROSSOVER`] rows (a lone request included)
+//!   takes the family's per-row scalar walk instead, which is faster
+//!   there;
 //! * [`dispatch`] — the unified kernel-dispatch layer: host
 //!   capabilities ([`dispatch::KernelCaps`]) probed once per process,
 //!   a per-engine-family [`dispatch::KernelPolicy`], the
@@ -56,9 +60,12 @@
 //!   over **every** prediction path in the workspace (scalar and
 //!   blocked if-else backends, the SIMD lane engine, QuickScorer, the
 //!   codegen VM, the template JIT) plus the [`EngineKind`] registry and
-//!   [`EngineBuilder`]. Consumers — CLI, benches, examples,
-//!   differential tests — select engines by name from one registry
-//!   instead of hand-wiring five APIs:
+//!   [`EngineBuilder`]. An engine writes one method,
+//!   [`Predictor::score`], which scores a matrix into a [`Sink`] of
+//!   classes or vote histograms; every other scoring method is a call
+//!   to it. Consumers — CLI, benches, examples, differential tests —
+//!   select engines by name from one registry instead of hand-wiring
+//!   five APIs:
 //!
 //!   ```
 //!   use flint_data::{synth::SynthSpec, FeatureMatrix};
@@ -109,7 +116,7 @@ pub mod jit;
 pub mod simd;
 
 pub use backend::{BackendKind, CompareMode, CompiledForest};
-pub use batch::{BatchEngine, BatchOptions};
+pub use batch::{BatchEngine, BatchOptions, Sink};
 pub use compile::{CompileTreeError, FloatNode, FloatTree, IntNode, IntTree};
 pub use dispatch::{KernelCaps, KernelPath, KernelPolicy, KERNEL_ENV};
 pub use engine::{BuildEngineError, EngineBuilder, EngineKind, ParseEngineKindError, Predictor};
@@ -118,4 +125,4 @@ pub use jit::{
     jit_supported, EmittedCode, JitCompare, JitError, JitForest, JitTier, TieredJit,
     FORCE_FALLBACK_ENV,
 };
-pub use simd::{lane_policy, SimdCompare, LANES};
+pub use simd::{lane_policy, SimdCompare, LANES, LANE_CROSSOVER};

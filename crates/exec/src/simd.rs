@@ -32,12 +32,16 @@
 //!   several independent chains in flight per tree, the lane-engine
 //!   analogue of the blocked walk's interleaved per-sample loads;
 //! * **one walker for every node format** — the wave loop and the span
-//!   scorer (fill lane slabs → walk each tree in waves → vote →
-//!   majority vote) are shared by the 16-byte f32 nodes of this module
-//!   and the 8-byte binary16 and 4-byte heap nodes of [`crate::f16`].
-//!   A format supplies only its slab element and, per kernel path, the
-//!   step that advances one lane group a level; FLInt vs float is the
-//!   compare inside that step;
+//!   scorer (fill lane slabs → walk each tree in waves → vote → the
+//!   caller's [`Sink`] of classes or histograms) are shared by the
+//!   16-byte f32 nodes of this module and the 8-byte binary16 and
+//!   4-byte heap nodes of [`crate::f16`]. A format supplies only its
+//!   slab element and, per kernel path, the step that advances one lane
+//!   group a level; FLInt vs float is the compare inside that step;
+//! * **a fill crossover** — a block below [`LANE_CROSSOVER`] rows
+//!   would leave most lanes as padding, so it walks its rows one by one
+//!   through the family's scalar reference instead. Both paths make the
+//!   same decisions, so the answer never depends on the fill;
 //! * **span parallelism** — batches are split over the same
 //!   `score_spans` partitioning (in [`crate::batch`]) every other
 //!   engine uses, so thread boundaries (and therefore results) are
@@ -73,15 +77,14 @@
 //! ```
 
 use crate::backend::{BackendKind, CompiledForest, Nodes};
-use crate::batch::{score_spans, BatchOptions};
+use crate::batch::{score_spans, BatchOptions, Sink};
 use crate::compile::{CompileTreeError, FloatNode, IntNode, LEAF_MARKER};
 use crate::dispatch::{KernelPath, KernelPolicy};
-use crate::engine::EngineKind;
-use crate::f16::{f16_policy, HalfForest, HalfLayout, HalfTrees};
+use crate::engine::{EngineKind, Predictor};
+use crate::f16::{f16_policy, HalfCompare, HalfForest, HalfLayout, HalfTrees};
 use flint_core::order_key;
 use flint_data::FeatureMatrix;
 pub use flint_data::LANES;
-use flint_forest::metrics::majority_vote;
 use flint_forest::RandomForest;
 
 // The AVX2 kernels gather node fields by 32-bit word offset, which is
@@ -227,6 +230,14 @@ impl SimdCompare {
     }
 }
 
+/// The fewest rows a block needs to take the lane kernel. A smaller
+/// block walks its rows one by one through the family's scalar
+/// reference instead: at a fill of one the kernel fills one lane of
+/// eight and walks every tree as one dependent gather chain, several
+/// times slower than the per-row walk. Chosen from the fill sweep in
+/// EXPERIMENTS.md ("One scoring kernel per engine").
+pub const LANE_CROSSOVER: usize = 14;
+
 /// Lane groups walked concurrently per tree. One lock-step group's
 /// per-level node loads form a single dependent chain (gather →
 /// compare → blend → next gather), so the walk is bound by memory
@@ -368,7 +379,9 @@ enum LaneForest {
 /// holds. The kernel path is selected once at build time through the
 /// family's policy ([`lane_policy`] or [`f16_policy`], honoring the
 /// `FLINT_KERNEL` override) and stays fixed for the engine's lifetime.
-/// Single rows (`predict_votes`) run the family's scalar reference.
+/// [`Predictor::score`] is its one entry point: a block of at least
+/// [`LANE_CROSSOVER`] rows takes the lane kernel, a smaller one (a lone
+/// request included) the family's per-row scalar reference.
 #[derive(Debug)]
 pub(crate) struct LaneEngine {
     kind: EngineKind,
@@ -429,94 +442,20 @@ impl LaneEngine {
         self
     }
 
-    /// Which registry entry this engine is.
-    pub(crate) fn kind(&self) -> EngineKind {
-        self.kind
-    }
-
-    /// The kernel path this engine dispatches to.
-    pub(crate) fn kernel_path(&self) -> KernelPath {
-        self.path
-    }
-
-    /// The bound batch options.
-    pub(crate) fn options(&self) -> BatchOptions {
-        self.opts
-    }
-
-    /// Expected feature vector length.
-    pub(crate) fn n_features(&self) -> usize {
-        match &self.forest {
-            LaneForest::F32(forest) => forest.n_features(),
-            LaneForest::F16(half, _) => half.n_features(),
-        }
-    }
-
-    /// Number of classes.
-    pub(crate) fn n_classes(&self) -> usize {
-        match &self.forest {
-            LaneForest::F32(forest) => forest.n_classes(),
-            LaneForest::F16(half, _) => half.n_classes(),
-        }
-    }
-
-    /// The family's scalar reference histogram for one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len() != n_features()`.
-    pub(crate) fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
+    /// The family's scalar reference histogram for one row: the walk
+    /// a block below [`LANE_CROSSOVER`] rows takes.
+    fn row_votes(&self, features: &[f32]) -> Vec<u32> {
         match &self.forest {
             LaneForest::F32(forest) => forest.predict_votes(features),
             LaneForest::F16(half, _) => half.predict_votes(features),
         }
     }
 
-    /// Scores every sample of `matrix` under `opts`, one class per
-    /// sample — bit-identical to the family's scalar reference per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix.n_features()` differs from the model's.
-    pub(crate) fn predict(&self, matrix: &FeatureMatrix, opts: &BatchOptions) -> Vec<u32> {
-        assert_eq!(
-            matrix.n_features(),
-            self.n_features(),
-            "feature matrix width"
-        );
-        let block = opts.block_samples;
-        let mut out = vec![0u32; matrix.n_samples()];
-        score_spans(opts, &mut out, |start, span| match &self.forest {
-            LaneForest::F32(forest) => match forest.nodes() {
-                Nodes::Float(nodes) => {
-                    let trees = forest_trees(nodes, forest.roots());
-                    self.score_span(&trees, matrix, start, span, block)
-                }
-                Nodes::Int(nodes) => {
-                    let trees = forest_trees(nodes, forest.roots());
-                    self.score_span(&trees, matrix, start, span, block)
-                }
-                Nodes::Soft(_) => unreachable!("lane engines compile Naive or Flint trees"),
-            },
-            LaneForest::F16(half, HalfLayout::Nodes) => match half.trees() {
-                HalfTrees::Float(trees) => self.score_span(trees, matrix, start, span, block),
-                HalfTrees::Int(trees) => self.score_span(trees, matrix, start, span, block),
-            },
-            #[cfg(target_arch = "x86_64")]
-            LaneForest::F16(_, HalfLayout::FloatHeap(trees)) => {
-                self.score_span(trees, matrix, start, span, block)
-            }
-            #[cfg(target_arch = "x86_64")]
-            LaneForest::F16(_, HalfLayout::IntHeap(trees)) => {
-                self.score_span(trees, matrix, start, span, block)
-            }
-        });
-        out
-    }
-
-    /// The one span scorer: scores samples `start..start + out.len()`
-    /// into `out`, block by block — fill the block's lane slabs, walk
-    /// each tree over them in waves, vote, majority vote.
+    /// The one span scorer: scores the sink's samples from `start` on,
+    /// block by block. A block of at least [`LANE_CROSSOVER`] rows fills
+    /// its lane slabs and walks each tree over them in waves; a smaller
+    /// block walks its rows one by one through the family's scalar
+    /// reference. Either way the block's histograms go to `sink`.
     ///
     /// Tree-major within the block, as in the blocked engine: each
     /// tree's nodes stay hot while every resident lane group descends
@@ -526,61 +465,177 @@ impl LaneEngine {
         trees: &[T],
         matrix: &FeatureMatrix,
         start: usize,
-        out: &mut [u32],
+        mut sink: Sink<'_>,
         block: usize,
     ) {
         let block = block.max(1);
         let n_classes = self.n_classes();
+        let n_rows = sink.rows(n_classes);
         let group_stride = matrix.n_features() * LANES;
         let overhang = T::Lane::OVERHANG;
-        let cap = block.min(out.len());
+        let cap = block.min(n_rows);
         // Per-worker scratch, reused across blocks: the lane slabs, an
-        // f32 staging slab for converting fills, and the flat vote
-        // accumulator.
-        let mut lanes = vec![T::Lane::default(); cap.div_ceil(LANES) * group_stride + overhang];
+        // f32 staging slab for converting fills (and the row buffer of
+        // the per-row walk), and the flat vote accumulator.
+        let lane_groups = if cap < LANE_CROSSOVER {
+            0
+        } else {
+            cap.div_ceil(LANES)
+        };
+        let mut lanes = vec![T::Lane::default(); lane_groups * group_stride + overhang];
         let mut scratch = vec![0f32; group_stride];
         let mut votes = vec![0u32; cap * n_classes];
         let mut offset = 0;
-        while offset < out.len() {
-            let len = block.min(out.len() - offset);
-            let n_groups = len.div_ceil(LANES);
-            for g in 0..n_groups {
-                T::Lane::fill(
-                    matrix,
-                    start + offset + g * LANES,
-                    &mut lanes[g * group_stride..(g + 1) * group_stride],
-                    &mut scratch,
-                    self.path,
-                );
-            }
+        while offset < n_rows {
+            let len = block.min(n_rows - offset);
             let votes = &mut votes[..len * n_classes];
-            votes.fill(0);
-            for tree in trees {
-                for wave_start in (0..n_groups).step_by(WAVE) {
-                    let k = WAVE.min(n_groups - wave_start);
-                    // Each group's slab runs `overhang` elements past its
-                    // stride, into the next group's (or the spare tail).
-                    let mut slabs: [&[T::Lane]; WAVE] = [&[]; WAVE];
-                    for (j, slab) in slabs[..k].iter_mut().enumerate() {
-                        let g = wave_start + j;
-                        *slab = &lanes[g * group_stride..(g + 1) * group_stride + overhang];
-                    }
-                    let mut cursors = [U32x8::splat(tree.root()); WAVE];
-                    tree.walk(&slabs[..k], &mut cursors[..k], self.path);
-                    for (j, cursor) in cursors[..k].iter().enumerate() {
-                        let g = wave_start + j;
-                        // Pad lanes past `len` are never read back.
-                        for (i, &at) in cursor.0[..LANES.min(len - g * LANES)].iter().enumerate() {
-                            votes[(g * LANES + i) * n_classes + tree.leaf_class(at) as usize] += 1;
+            if len < LANE_CROSSOVER {
+                let row = &mut scratch[..matrix.n_features()];
+                for (k, histogram) in votes.chunks_exact_mut(n_classes).enumerate() {
+                    matrix.gather_row(start + offset + k, row);
+                    histogram.copy_from_slice(&self.row_votes(row));
+                }
+            } else {
+                let n_groups = len.div_ceil(LANES);
+                for g in 0..n_groups {
+                    T::Lane::fill(
+                        matrix,
+                        start + offset + g * LANES,
+                        &mut lanes[g * group_stride..(g + 1) * group_stride],
+                        &mut scratch,
+                        self.path,
+                    );
+                }
+                votes.fill(0);
+                for tree in trees {
+                    for wave_start in (0..n_groups).step_by(WAVE) {
+                        let k = WAVE.min(n_groups - wave_start);
+                        // Each group's slab runs `overhang` elements past
+                        // its stride, into the next group's (or the spare
+                        // tail).
+                        let mut slabs: [&[T::Lane]; WAVE] = [&[]; WAVE];
+                        for (j, slab) in slabs[..k].iter_mut().enumerate() {
+                            let g = wave_start + j;
+                            *slab = &lanes[g * group_stride..(g + 1) * group_stride + overhang];
+                        }
+                        let mut cursors = [U32x8::splat(tree.root()); WAVE];
+                        tree.walk(&slabs[..k], &mut cursors[..k], self.path);
+                        for (j, cursor) in cursors[..k].iter().enumerate() {
+                            let g = wave_start + j;
+                            // Pad lanes past `len` are never read back.
+                            for (i, &at) in
+                                cursor.0[..LANES.min(len - g * LANES)].iter().enumerate()
+                            {
+                                let class = tree.leaf_class(at) as usize;
+                                votes[(g * LANES + i) * n_classes + class] += 1;
+                            }
                         }
                     }
                 }
             }
-            for (k, slot) in out[offset..offset + len].iter_mut().enumerate() {
-                *slot = majority_vote(&votes[k * n_classes..(k + 1) * n_classes]);
-            }
+            sink.put(offset, votes, n_classes);
             offset += len;
         }
+    }
+}
+
+/// [`EngineKind::Simd`] and [`EngineKind::SimdF16`] through the
+/// registry. [`describe`](Predictor::describe) reports the kernel path
+/// dispatched at build time.
+impl Predictor for LaneEngine {
+    fn kind(&self) -> EngineKind {
+        self.kind
+    }
+
+    fn n_features(&self) -> usize {
+        match &self.forest {
+            LaneForest::F32(forest) => forest.n_features(),
+            LaneForest::F16(half, _) => half.n_features(),
+        }
+    }
+
+    fn n_classes(&self) -> usize {
+        match &self.forest {
+            LaneForest::F32(forest) => forest.n_classes(),
+            LaneForest::F16(half, _) => half.n_classes(),
+        }
+    }
+
+    fn options(&self) -> BatchOptions {
+        self.opts
+    }
+
+    fn describe(&self) -> &'static str {
+        lane_describe(self.kind, self.path)
+    }
+
+    /// Bit-identical to the family's scalar reference per row, at every
+    /// fill: a block of at least [`LANE_CROSSOVER`] rows takes the lane
+    /// kernel, a smaller one the per-row walk.
+    fn score(&self, matrix: &FeatureMatrix, opts: &BatchOptions, sink: Sink<'_>) {
+        let block = opts.block_samples;
+        let shape = (self.n_features(), self.n_classes());
+        score_spans(matrix, shape, opts, sink, |start, span| {
+            match &self.forest {
+                LaneForest::F32(forest) => match forest.nodes() {
+                    Nodes::Float(nodes) => {
+                        let trees = forest_trees(nodes, forest.roots());
+                        self.score_span(&trees, matrix, start, span, block)
+                    }
+                    Nodes::Int(nodes) => {
+                        let trees = forest_trees(nodes, forest.roots());
+                        self.score_span(&trees, matrix, start, span, block)
+                    }
+                    Nodes::Soft(_) => unreachable!("lane engines compile Naive or Flint trees"),
+                },
+                LaneForest::F16(half, HalfLayout::Nodes) => match half.trees() {
+                    HalfTrees::Float(trees) => self.score_span(trees, matrix, start, span, block),
+                    HalfTrees::Int(trees) => self.score_span(trees, matrix, start, span, block),
+                },
+                #[cfg(target_arch = "x86_64")]
+                LaneForest::F16(_, HalfLayout::FloatHeap(trees)) => {
+                    self.score_span(trees, matrix, start, span, block)
+                }
+                #[cfg(target_arch = "x86_64")]
+                LaneForest::F16(_, HalfLayout::IntHeap(trees)) => {
+                    self.score_span(trees, matrix, start, span, block)
+                }
+            }
+        });
+    }
+}
+
+/// The dispatch-aware description of a lane engine: its kind's
+/// strategy line with the resolved kernel path appended in the stable
+/// `[kernel <path>]` suffix log scrapers key on.
+fn lane_describe(kind: EngineKind, path: KernelPath) -> &'static str {
+    let [portable, avx2, neon] = match kind {
+        EngineKind::Simd(SimdCompare::Flint) => [
+            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel portable]",
+            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel avx2]",
+            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel neon]",
+        ],
+        EngineKind::Simd(SimdCompare::Float) => [
+            "8-wide SIMD lane traversal, float compares, branchless blend [kernel portable]",
+            "8-wide SIMD lane traversal, float compares, branchless blend [kernel avx2]",
+            "8-wide SIMD lane traversal, float compares, branchless blend [kernel neon]",
+        ],
+        EngineKind::SimdF16(HalfCompare::Flint) => [
+            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel portable]",
+            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel avx2]",
+            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel neon]",
+        ],
+        EngineKind::SimdF16(HalfCompare::Float) => [
+            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel portable]",
+            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel avx2]",
+            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel neon]",
+        ],
+        _ => unreachable!("{kind} is not a lane engine"),
+    };
+    match path {
+        KernelPath::Portable => portable,
+        KernelPath::Avx2 => avx2,
+        KernelPath::Neon => neon,
     }
 }
 
@@ -1015,7 +1070,6 @@ mod neon {
 mod tests {
     use super::*;
     use crate::dispatch::KernelCaps;
-    use crate::engine::Predictor;
     use flint_data::synth::SynthSpec;
     use flint_data::Dataset;
     use flint_forest::ForestConfig;
@@ -1083,7 +1137,7 @@ mod tests {
                         .block_samples(block)
                         .threads(threads);
                     assert_eq!(
-                        engine(&forest, compare, opts).predict(&matrix, &opts),
+                        engine(&forest, compare, opts).predict_batch(&matrix, &opts),
                         want,
                         "{compare:?} block {block} threads {threads}"
                     );
@@ -1126,7 +1180,7 @@ mod tests {
         let empty = FeatureMatrix::from_row_major(0, forest.n_features(), &[]);
         let opts = BatchOptions::default().threads(3);
         let engine = engine(&forest, SimdCompare::Flint, opts);
-        assert_eq!(engine.predict(&empty, &opts), Vec::<u32>::new());
+        assert_eq!(engine.predict_batch(&empty, &opts), Vec::<u32>::new());
     }
 
     #[test]
@@ -1135,7 +1189,7 @@ mod tests {
         let (_, forest) = setup();
         let bad = FeatureMatrix::from_row_major(1, 2, &[0.0, 0.0]);
         let opts = BatchOptions::default();
-        let _ = engine(&forest, SimdCompare::Flint, opts).predict(&bad, &opts);
+        let _ = engine(&forest, SimdCompare::Flint, opts).predict_batch(&bad, &opts);
     }
 
     /// On an x86-64 CPU with AVX2, the portable and intrinsic paths
@@ -1153,8 +1207,8 @@ mod tests {
             let accelerated = engine(&forest, compare, opts).with_kernel(KernelPath::Avx2);
             let portable = engine(&forest, compare, opts).with_kernel(KernelPath::Portable);
             assert_eq!(
-                accelerated.predict(&matrix, &opts),
-                portable.predict(&matrix, &opts),
+                accelerated.predict_batch(&matrix, &opts),
+                portable.predict_batch(&matrix, &opts),
                 "{compare:?}"
             );
         }
@@ -1168,9 +1222,9 @@ mod tests {
         let engine = engine(&forest, SimdCompare::Flint, BatchOptions::default());
         // The unit-test process may or may not have FLINT_KERNEL set;
         // re-running the policy must reproduce the engine's choice.
-        assert_eq!(engine.kernel_path(), lane_policy().select());
+        assert_eq!(engine.path, lane_policy().select());
         assert_eq!(
-            engine.with_kernel(KernelPath::Portable).kernel_path(),
+            engine.with_kernel(KernelPath::Portable).path,
             KernelPath::Portable
         );
     }

@@ -2,14 +2,14 @@
 //! configuration, every block size (including degenerate and
 //! larger-than-dataset) and every thread count, batched predictions
 //! must be **bit-identical** to the scalar one-sample-at-a-time loop.
-//! The QuickScorer batch path gets the same treatment for both of its
-//! comparison modes.
+//! The QuickScorer engine's batch path gets the same treatment for both
+//! of its comparison modes.
 
 use flint_data::synth::SynthSpec;
 use flint_data::{Dataset, FeatureMatrix};
 use flint_exec::batch::IN_FLIGHT;
 use flint_exec::{
-    BackendKind, BatchEngine, BatchOptions, CompiledForest, EngineBuilder, EngineKind,
+    BackendKind, BatchEngine, BatchOptions, CompiledForest, EngineBuilder, EngineKind, Sink,
 };
 use flint_forest::{DecisionTree, ForestConfig, Node, RandomForest};
 use flint_qscorer::{QsCompare, QsForest};
@@ -24,6 +24,13 @@ const BACKENDS: [BackendKind; 5] = [
     BackendKind::CagsFlint,
     BackendKind::SoftFloat,
 ];
+
+/// The classes the blocked walk scores for every sample of `matrix`.
+fn classes(backend: &CompiledForest, opts: BatchOptions, matrix: &FeatureMatrix) -> Vec<u32> {
+    let mut out = vec![0; matrix.n_samples()];
+    BatchEngine::new(backend, opts).score(matrix, Sink::Classes(&mut out));
+    out
+}
 
 fn trained(seed: u64, n: usize, depth: usize) -> (Dataset, RandomForest) {
     let data = SynthSpec::new(n, 5, 3)
@@ -48,15 +55,9 @@ fn batched_equals_scalar_for_every_backend() {
                     .block_samples(block)
                     .threads(threads);
                 assert_eq!(
-                    BatchEngine::new(&backend, opts).predict(&matrix),
+                    classes(&backend, opts, &matrix),
                     want,
                     "{} block {block} threads {threads}",
-                    kind.name()
-                );
-                assert_eq!(
-                    backend.predict_dataset_batched(&data, opts),
-                    want,
-                    "{} wrapper block {block} threads {threads}",
                     kind.name()
                 );
             }
@@ -108,7 +109,7 @@ fn tree_group_boundaries_keep_one_vote_per_tree() {
             for block in [1, 2, 3, 63, 64, 65] {
                 let opts = BatchOptions::default().block_samples(block);
                 assert_eq!(
-                    BatchEngine::new(&backend, opts).predict(&matrix),
+                    classes(&backend, opts, &matrix),
                     want,
                     "{} trees, {} block {block}",
                     n_trees,
@@ -135,16 +136,20 @@ fn quickscorer_batch_equals_single_for_both_modes() {
     let qs = QsForest::build(&forest);
     let matrix = FeatureMatrix::from_dataset(&data);
     for compare in [QsCompare::Float, QsCompare::Flint] {
-        let batch = qs.predict_batch(&matrix, compare);
-        let rows = qs.predict_rows((0..data.n_samples()).map(|i| data.sample(i)), compare);
-        for (i, &label) in batch.iter().enumerate() {
-            assert_eq!(
-                label,
-                qs.predict(data.sample(i), compare),
-                "sample {i} ({compare:?})"
-            );
+        let engine = EngineBuilder::new(&forest)
+            .build(EngineKind::QuickScorer(compare))
+            .expect("builds");
+        for threads in THREADS {
+            let opts = BatchOptions::default().block_samples(7).threads(threads);
+            let batch = engine.predict_batch(&matrix, &opts);
+            for (i, &label) in batch.iter().enumerate() {
+                assert_eq!(
+                    label,
+                    qs.predict(data.sample(i), compare),
+                    "sample {i} ({compare:?}, threads {threads})"
+                );
+            }
         }
-        assert_eq!(batch, rows, "({compare:?})");
     }
 }
 
@@ -168,7 +173,7 @@ proptest! {
             threads,
         };
         prop_assert_eq!(
-            backend.predict_dataset_batched(&data, opts),
+            classes(&backend, opts, &FeatureMatrix::from_dataset(&data)),
             backend.predict_dataset(&data)
         );
     }

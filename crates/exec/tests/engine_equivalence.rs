@@ -22,14 +22,16 @@
 //! independently compiled [`HalfForest`] walked scalar node by node —
 //! the same per-family pattern the NaN suites below established.
 
-use flint_codegen::VmVariant;
+use flint_codegen::{VmForest, VmVariant};
 use flint_data::synth::SynthSpec;
 use flint_data::uci::{Scale, UciDataset};
 use flint_data::{Dataset, FeatureMatrix};
 use flint_exec::{
-    BackendKind, BatchOptions, BuildEngineError, CompileTreeError, EngineBuilder, EngineKind,
-    HalfCompare, HalfForest, JitCompare, SimdCompare, FORCE_FALLBACK_ENV,
+    BackendKind, BatchOptions, BuildEngineError, CompileTreeError, CompiledForest, EngineBuilder,
+    EngineKind, HalfCompare, HalfForest, JitCompare, SimdCompare, Sink, FORCE_FALLBACK_ENV,
+    LANE_CROSSOVER,
 };
+use flint_forest::metrics::majority_vote;
 use flint_forest::{DecisionTree, ForestConfig, Node, NodeId, RandomForest};
 use flint_qscorer::QsCompare;
 use proptest::prelude::*;
@@ -392,6 +394,146 @@ fn tail_blocks_agree_at_every_lane_boundary() {
                         engine.name()
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The adversarial rows of the suites above in one pool: infinities,
+/// both zeros, subnormals, extreme and binary16-edge magnitudes,
+/// harvested split values with their ±1-ulp neighbours, and four NaN
+/// payloads, each planted in one column of a clean row and in every
+/// column.
+fn adversarial_pool(data: &Dataset, forest: &RandomForest) -> Vec<Vec<f32>> {
+    let n_features = forest.n_features();
+    let mut specials: Vec<f32> = vec![
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::from_bits(0x007f_ffff),
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+        65504.0,
+        65520.0,
+        -65520.0,
+        f32::NAN,
+        f32::from_bits(0x7f80_0001),
+        f32::from_bits(0xffc0_0000),
+        f32::from_bits(0xffff_ffff),
+    ];
+    for t in forest.trees().iter().flat_map(|t| t.thresholds()).take(24) {
+        specials.push(t);
+        specials.push(f32::from_bits(t.to_bits().wrapping_add(1)));
+        specials.push(f32::from_bits(t.to_bits().wrapping_sub(1)));
+    }
+    let mut rows = Vec::new();
+    for (i, &s) in specials.iter().enumerate() {
+        let mut row = data.sample(i % data.n_samples()).to_vec();
+        row[i % n_features] = s;
+        rows.push(row);
+        rows.push(vec![s; n_features]);
+    }
+    rows
+}
+
+/// A scalar walk's vote histogram of one row.
+type RowVotes = Box<dyn Fn(&[f32]) -> Vec<u32>>;
+
+/// `kind`'s family reference on each row of `rows`: its class and its
+/// vote histogram. The f16 engines answer for [`HalfForest`]; every
+/// other engine for [`RandomForest::predict_majority`] and
+/// [`RandomForest::predict_votes`], except on NaN rows, which answer
+/// for the scalar walk of the engine's NaN family ([`nan_reference`];
+/// `vm-float` is its own).
+fn sink_reference(
+    forest: &RandomForest,
+    data: &Dataset,
+    kind: EngineKind,
+    rows: &[Vec<f32>],
+) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let half = match kind {
+        EngineKind::SimdF16(compare) => {
+            Some(HalfForest::compile(forest, compare).expect("compiles"))
+        }
+        _ => None,
+    };
+    let nan_walk: RowVotes = match nan_reference(kind) {
+        Some(EngineKind::Scalar(backend)) => {
+            let scalar = CompiledForest::compile(forest, backend, Some(data)).expect("compiles");
+            Box::new(move |row| scalar.predict_votes(row))
+        }
+        Some(EngineKind::Vm(VmVariant::NativeFloat)) | None => {
+            let vm = VmForest::compile(forest, VmVariant::NativeFloat);
+            Box::new(move |row| vm.run_votes(row).expect("runs").0)
+        }
+        Some(other) => unreachable!("{other} is no scalar reference"),
+    };
+    rows.iter()
+        .map(|row| match &half {
+            Some(half) => (half.predict(row), half.predict_votes(row)),
+            None if row.iter().any(|x| x.is_nan()) => {
+                let votes = nan_walk(row);
+                (majority_vote(&votes), votes)
+            }
+            None => (forest.predict_majority(row), forest.predict_votes(row)),
+        })
+        .unzip()
+}
+
+/// Both sink forms of every registry engine equal the family reference
+/// at every block fill that matters: one and two rows, either side of
+/// [`LANE_CROSSOVER`] (where the lane engines switch from the per-row
+/// walk to the lane kernel) and around a full 64-row block, at one and
+/// three threads. Each matrix is three blocks of `fill` rows plus a
+/// one-row tail, so a worker span mixes a full block with a lone row.
+#[test]
+fn both_sinks_equal_the_family_reference_at_every_fill() {
+    let (data, forest) = adversarial_model(67);
+    let pool = adversarial_pool(&data, &forest);
+    let n_classes = forest.n_classes();
+    let builder = EngineBuilder::new(&forest).profile_data(&data);
+    let fills = [
+        1,
+        2,
+        LANE_CROSSOVER - 1,
+        LANE_CROSSOVER,
+        LANE_CROSSOVER + 1,
+        63,
+        64,
+        65,
+    ];
+    for engine in builder.build_all().expect("all engines build") {
+        let (classes, votes) = sink_reference(&forest, &data, engine.kind(), &pool);
+        for fill in fills {
+            let pick: Vec<usize> = (0..3 * fill + 1)
+                .map(|i| (fill * 7 + i) % pool.len())
+                .collect();
+            let rows: Vec<Vec<f32>> = pick.iter().map(|&i| pool[i].clone()).collect();
+            let matrix = matrix_of(&rows, forest.n_features());
+            let want_classes: Vec<u32> = pick.iter().map(|&i| classes[i]).collect();
+            let want_votes: Vec<u32> = pick.iter().flat_map(|&i| votes[i].clone()).collect();
+            for threads in [1usize, 3] {
+                let opts = BatchOptions::default().block_samples(fill).threads(threads);
+                let mut got = vec![u32::MAX; rows.len()];
+                engine.score(&matrix, &opts, Sink::Classes(&mut got));
+                assert_eq!(
+                    got,
+                    want_classes,
+                    "{} classes at fill {fill}, threads {threads}",
+                    engine.name()
+                );
+                let mut got = vec![u32::MAX; rows.len() * n_classes];
+                engine.score(&matrix, &opts, Sink::Votes(&mut got));
+                assert_eq!(
+                    got,
+                    want_votes,
+                    "{} votes at fill {fill}, threads {threads}",
+                    engine.name()
+                );
             }
         }
     }

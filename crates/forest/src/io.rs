@@ -537,8 +537,13 @@ mod tests {
     }
 
     /// One edit to a valid v1 file: `kind` picks the edit, `at` the
-    /// line or byte it lands on, `value` what it writes.
+    /// line or byte it lands on, `value` what it writes. An empty text
+    /// (say, a truncation to 0 bytes) has nothing to edit and comes back
+    /// unchanged.
     fn mutate(text: &str, kind: u32, at: u32, value: u64) -> String {
+        if text.is_empty() {
+            return String::new();
+        }
         let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
         let line = at as usize % lines.len();
         let numbers = [
@@ -582,6 +587,15 @@ mod tests {
             }
         }
         lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn mutate_leaves_an_empty_text_empty() {
+        for kind in 0..6 {
+            for at in [0, 1, 7] {
+                assert_eq!(mutate("", kind, at, 5), "", "kind {kind} at {at}");
+            }
+        }
     }
 
     /// The reader this module had before the one-pass reader: a

@@ -3,7 +3,6 @@
 use crate::bitset::LeafBitset;
 use crate::build::QsTree;
 use flint_core::order_key;
-use flint_data::FeatureMatrix;
 use flint_forest::RandomForest;
 
 /// Which comparison the per-feature threshold scan uses.
@@ -73,7 +72,7 @@ impl QsTree {
 /// predictions so the hot loop performs no allocation at all.
 ///
 /// Build with [`QsForest::scratch`]; feed to
-/// [`QsForest::predict_with_scratch`].
+/// [`QsForest::votes_with_scratch`].
 #[derive(Debug, Clone)]
 pub struct QsScratch {
     bitsets: Vec<LeafBitset>,
@@ -147,30 +146,17 @@ impl QsForest {
     /// Majority-vote prediction (ties to the lower class index).
     ///
     /// Allocates a fresh [`QsScratch`] per call; hot paths should hold
-    /// one and use [`QsForest::predict_with_scratch`].
+    /// one and use [`QsForest::votes_with_scratch`].
     ///
     /// # Panics
     ///
     /// Panics if `features.len() != n_features`.
     pub fn predict(&self, features: &[f32], compare: QsCompare) -> u32 {
-        self.predict_with_scratch(features, compare, &mut self.scratch())
-    }
-
-    /// Majority-vote prediction through caller-owned scratch: the hot
-    /// loop performs no allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len() != n_features`, or if `scratch` was
-    /// built for a different forest (debug builds).
-    pub fn predict_with_scratch(
-        &self,
-        features: &[f32],
-        compare: QsCompare,
-        scratch: &mut QsScratch,
-    ) -> u32 {
-        self.votes_with_scratch(features, compare, scratch);
-        flint_forest::metrics::majority_vote(&scratch.votes)
+        flint_forest::metrics::majority_vote(self.votes_with_scratch(
+            features,
+            compare,
+            &mut self.scratch(),
+        ))
     }
 
     /// Fills `scratch.votes` with the per-class vote histogram (one
@@ -198,45 +184,6 @@ impl QsForest {
             scratch.votes[tree.score(features, compare, bitset) as usize] += 1;
         }
         &scratch.votes
-    }
-
-    /// Batch prediction over a structure-of-arrays [`FeatureMatrix`]
-    /// through one reused [`QsScratch`] and one reused row buffer (the
-    /// performance shape QuickScorer is built for): bitsets, the vote
-    /// accumulator and the gather buffer are allocated once for the
-    /// whole batch instead of per sample, and callers no longer build
-    /// `Vec<&[f32]>` row-pointer tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix.n_features() != n_features()`.
-    pub fn predict_batch(&self, matrix: &FeatureMatrix, compare: QsCompare) -> Vec<u32> {
-        assert_eq!(matrix.n_features(), self.n_features, "feature matrix width");
-        let mut scratch = self.scratch();
-        let mut row = vec![0.0f32; self.n_features];
-        (0..matrix.n_samples())
-            .map(|i| {
-                matrix.gather_row(i, &mut row);
-                self.predict_with_scratch(&row, compare, &mut scratch)
-            })
-            .collect()
-    }
-
-    /// Batch prediction over row slices, for callers whose data is
-    /// already row-major. Same scratch reuse as
-    /// [`predict_batch`](Self::predict_batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's length differs from `n_features()`.
-    pub fn predict_rows<'a, I>(&self, rows: I, compare: QsCompare) -> Vec<u32>
-    where
-        I: IntoIterator<Item = &'a [f32]>,
-    {
-        let mut scratch = self.scratch();
-        rows.into_iter()
-            .map(|features| self.predict_with_scratch(features, compare, &mut scratch))
-            .collect()
     }
 }
 
@@ -302,37 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single() {
-        use flint_data::synth::SynthSpec;
-        use flint_forest::ForestConfig;
-        let data = SynthSpec::new(100, 3, 2).seed(1).generate();
-        let forest = RandomForest::fit(&data, &ForestConfig::grid(3, 5)).expect("trains");
-        let qs = QsForest::build(&forest);
-        let matrix = FeatureMatrix::from_dataset(&data);
-        let batch = qs.predict_batch(&matrix, QsCompare::Flint);
-        let rows = qs.predict_rows(
-            (0..data.n_samples()).map(|i| data.sample(i)),
-            QsCompare::Flint,
-        );
-        for (i, &label) in batch.iter().enumerate() {
-            assert_eq!(label, qs.predict(data.sample(i), QsCompare::Flint));
-        }
-        assert_eq!(batch, rows, "matrix and row-iterator paths agree");
-    }
-
-    #[test]
-    #[should_panic(expected = "feature matrix width")]
-    fn batch_wrong_width_panics() {
-        use flint_data::synth::SynthSpec;
-        use flint_forest::ForestConfig;
-        let data = SynthSpec::new(60, 3, 2).seed(2).generate();
-        let forest = RandomForest::fit(&data, &ForestConfig::grid(2, 4)).expect("trains");
-        let qs = QsForest::build(&forest);
-        let bad = FeatureMatrix::from_row_major(1, 2, &[0.0, 0.0]);
-        let _ = qs.predict_batch(&bad, QsCompare::Flint);
-    }
-
-    #[test]
     fn reused_scratch_never_leaks_state_between_samples() {
         use flint_data::synth::SynthSpec;
         use flint_forest::ForestConfig;
@@ -343,9 +259,12 @@ mod tests {
         for compare in [QsCompare::Float, QsCompare::Flint] {
             for i in 0..data.n_samples() {
                 let x = data.sample(i);
+                let fresh = qs
+                    .votes_with_scratch(x, compare, &mut qs.scratch())
+                    .to_vec();
                 assert_eq!(
-                    qs.predict_with_scratch(x, compare, &mut scratch),
-                    qs.predict(x, compare),
+                    qs.votes_with_scratch(x, compare, &mut scratch),
+                    fresh,
                     "sample {i} ({compare:?})"
                 );
             }

@@ -10,7 +10,7 @@
 #![cfg(target_os = "linux")]
 
 use flint_data::synth::SynthSpec;
-use flint_exec::{EngineBuilder, EngineKind, HalfForest, Predictor};
+use flint_exec::{EngineBuilder, EngineKind, HalfForest, Predictor, LANE_CROSSOVER};
 use flint_forest::metrics::majority_vote;
 use flint_forest::{plan_spans, ForestConfig, RandomForest};
 use flint_router::RouterServer;
@@ -76,12 +76,24 @@ fn spawn_shard(
     span: (usize, usize),
     config: EventLoopConfig,
 ) -> (SocketAddr, JoinHandle<MetricsSnapshot>) {
+    spawn_shard_batching(forest, data, kind, span, config, 1)
+}
+
+/// [`spawn_shard`] scoring chunks of up to `max_batch` rows.
+fn spawn_shard_batching(
+    forest: &RandomForest,
+    data: &flint_data::Dataset,
+    kind: EngineKind,
+    span: (usize, usize),
+    config: EventLoopConfig,
+    max_batch: usize,
+) -> (SocketAddr, JoinHandle<MetricsSnapshot>) {
     let part = forest.tree_span(span.0, span.1);
     let engine = build_engine(&part, data, kind);
     let server = EpollServer::bind_with_config(
         "127.0.0.1:0",
         engine,
-        BatchPolicy::default().max_batch(1).workers(1),
+        BatchPolicy::default().max_batch(max_batch).workers(1),
         config,
     )
     .expect("shard binds loopback");
@@ -225,6 +237,103 @@ fn every_engine_shards_identically_at_1_2_and_5_shards() {
                 shutdown_peer(addr);
                 runner.join().expect("shard thread");
             }
+        }
+    }
+}
+
+/// One client write of 64 rows — class and `votes:` rows mixed, the
+/// [`NAN_ROWS`] among them — through a router over two shards at
+/// `max_batch` 64. The router forwards a tick's rows in one write, so
+/// each shard scores the burst in chunks at or above
+/// [`LANE_CROSSOVER`] rows, and the lane engines answer through their
+/// lane kernels (AVX2 where the host has it), not the per-row walk a
+/// lone row takes. Every answer must equal the family reference (the
+/// single-node engine's, on NaN rows).
+#[test]
+fn a_burst_reaches_the_lane_kernels_and_answers_exactly() {
+    let (data, forest) = fixture();
+    for kind in EngineKind::ALL {
+        let single = build_engine(&forest, &data, kind);
+        let half = match kind {
+            EngineKind::SimdF16(compare) => {
+                Some(HalfForest::compile(&forest, compare).expect("compiles"))
+            }
+            _ => None,
+        };
+        let spans = plan_spans(forest.n_trees(), 2);
+        let config = EventLoopConfig::default();
+        let shards: Vec<_> = spans
+            .iter()
+            .map(|&s| spawn_shard_batching(&forest, &data, kind, s, config, 64))
+            .collect();
+        let shard_addrs: Vec<SocketAddr> = shards.iter().map(|(a, _)| *a).collect();
+        let router = RouterServer::bind("127.0.0.1:0", shard_addrs).expect("router binds");
+        let addr = router.local_addr();
+        let runner = std::thread::spawn(move || router.run().expect("routes"));
+        let mut client = Client::connect(addr);
+        // Both shards must be up before the burst, or rows shed.
+        while !client.roundtrip("health").contains("\"shards_up\":2") {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+
+        let mut burst = String::new();
+        let mut expected = Vec::new();
+        for i in 0..64 {
+            let (text, votes) = if i % 8 == 5 {
+                let text = NAN_ROWS[i / 8 % NAN_ROWS.len()];
+                let row: Vec<f32> = text
+                    .split(',')
+                    .map(|f| f.parse().expect("a float"))
+                    .collect();
+                (text.to_owned(), single.predict_votes(&row))
+            } else {
+                let row = data.sample(i * 5 % data.n_samples());
+                let text: Vec<String> = row.iter().map(f32::to_string).collect();
+                let votes = match &half {
+                    Some(half) => half.predict_votes(row),
+                    None => forest.predict_votes(row),
+                };
+                (text.join(","), votes)
+            };
+            // Row 0, first of the shards' lane-kernel block, asks for votes.
+            let wants_votes = i % 3 != 2;
+            let prefix = if wants_votes { "votes:" } else { "" };
+            burst.push_str(&format!("{prefix}{text}\n"));
+            expected.push(if wants_votes {
+                format!(
+                    "{{\"votes\":{},\"engine\":\"router\"",
+                    flint_forest::votes::render_votes(&votes)
+                )
+            } else {
+                format!(
+                    "{{\"class\":{},\"engine\":\"router\"",
+                    majority_vote(&votes)
+                )
+            });
+        }
+        client.writer.write_all(burst.as_bytes()).expect("writes");
+        for (i, want) in expected.iter().enumerate() {
+            client.line.clear();
+            client.reader.read_line(&mut client.line).expect("reads");
+            assert!(
+                client.line.starts_with(want),
+                "{} burst row {i}: want {want}, got {}",
+                kind.name(),
+                client.line
+            );
+        }
+
+        assert!(client.roundtrip("shutdown").contains("shutting down"));
+        runner.join().expect("router thread");
+        for (addr, runner) in shards {
+            shutdown_peer(addr);
+            let stats = runner.join().expect("shard thread");
+            assert!(
+                stats.mean_fill >= LANE_CROSSOVER as f64,
+                "{} shard scored the burst in chunks of {:.1} rows",
+                kind.name(),
+                stats.mean_fill
+            );
         }
     }
 }

@@ -25,12 +25,12 @@
 //!    ordered response slot** on its connection;
 //! 3. after the readiness pass [`Role::tick`] runs: the server scores
 //!    the tick's rows in chunks of at most `max_batch` — one
-//!    [`predict_matrix`](Predictor::predict_matrix) over a chunk's class
-//!    rows, one [`predict_votes`](Predictor::predict_votes) per `votes:`
-//!    row — and fills every reserved slot. A chunk whose engine panics
-//!    answers each of its rows with `error`; the loop keeps serving. The
-//!    stdin front end ([`serve_lines`](crate::serve_lines)) scores
-//!    through the same chunk scorer;
+//!    [`score`](Predictor::score) call per chunk into a vote block,
+//!    class and `votes:` rows alike — and fills every reserved slot. A
+//!    chunk whose engine panics answers each of its rows with `error`;
+//!    the loop keeps serving. The stdin front end
+//!    ([`serve_lines`](crate::serve_lines)) scores through the same
+//!    chunk scorer;
 //! 4. the core writes out the *ready prefix* of each connection that
 //!    changed this tick (of all of them while stopping) — responses
 //!    leave in request order per connection.
@@ -55,7 +55,8 @@ use crate::protocol::{
 use crate::server::{handle_request, Handled};
 use epoll::{Event, Events, Interest, Poller};
 use flint_data::FeatureMatrix;
-use flint_exec::Predictor;
+use flint_exec::{Predictor, Sink};
+use flint_forest::metrics::majority_vote;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -868,46 +869,26 @@ impl Role for TickBatch<'_> {
     }
 }
 
-/// Scores the class rows of a chunk, and only those, through one
-/// [`Predictor::predict_matrix`]: `rows` is row-major, `wants_votes[i]`
-/// marks row `i` as a `votes:` request, and the result holds one class
-/// per class row in row order. A chunk of only `votes:` rows (a router
-/// shard's steady state) skips the matrix pass.
-fn score_class_rows(engine: &dyn Predictor, rows: &[f32], wants_votes: &[bool]) -> Vec<u32> {
-    let n_features = engine.n_features();
-    let n_class = wants_votes.iter().filter(|&&votes| !votes).count();
-    if n_class == 0 {
-        return Vec::new();
-    }
-    let matrix = if n_class == wants_votes.len() {
-        FeatureMatrix::from_row_major(n_class, n_features, rows)
-    } else {
-        let class_rows: Vec<f32> = (0..wants_votes.len())
-            .filter(|&i| !wants_votes[i])
-            .flat_map(|i| &rows[i * n_features..(i + 1) * n_features])
-            .copied()
-            .collect();
-        FeatureMatrix::from_row_major(n_class, n_features, &class_rows)
-    };
-    engine.predict_matrix(&matrix)
-}
-
-/// Scores one chunk and renders every row's response line; the
-/// reported batch fill is the chunk's row count.
+/// Scores one chunk through one [`Predictor::score`] call into a vote
+/// block and renders every row's response line: a `votes:` row its
+/// histogram, a class row the histogram's majority vote. `rows` is
+/// row-major, `wants_votes[i]` marks row `i` as a `votes:` request, and
+/// the reported batch fill is the chunk's row count.
 fn render_chunk(engine: &dyn Predictor, rows: &[f32], wants_votes: &[bool]) -> Vec<String> {
-    let n_features = engine.n_features();
+    let (n_features, n_classes) = (engine.n_features(), engine.n_classes());
     let fill = wants_votes.len();
-    let mut classes = score_class_rows(engine, rows, wants_votes).into_iter();
+    let matrix = FeatureMatrix::from_row_major(fill, n_features, rows);
+    let mut votes = vec![0u32; fill * n_classes];
+    engine.score(&matrix, &engine.options(), Sink::Votes(&mut votes));
     wants_votes
         .iter()
-        .enumerate()
-        .map(|(i, &votes)| {
-            if votes {
-                let row = &rows[i * n_features..(i + 1) * n_features];
-                render_votes(&engine.predict_votes(row), engine.name(), fill)
+        .zip(votes.chunks_exact(n_classes))
+        .map(|(&is_votes, votes)| {
+            if is_votes {
+                render_votes(votes, engine.name(), fill)
             } else {
                 let prediction = Prediction {
-                    class: classes.next().expect("one class per class row"),
+                    class: majority_vote(votes),
                     batch_fill: fill,
                 };
                 render_prediction(&prediction, engine.name())
@@ -1192,9 +1173,18 @@ mod tests {
         fn options(&self) -> flint_exec::BatchOptions {
             flint_exec::BatchOptions::default()
         }
-        fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-            assert!(!features[0].is_nan(), "marked row");
-            vec![1]
+        fn score(
+            &self,
+            matrix: &flint_data::FeatureMatrix,
+            _: &flint_exec::BatchOptions,
+            sink: Sink<'_>,
+        ) {
+            let marked = (0..matrix.n_samples()).any(|i| matrix.get(i, 0).is_nan());
+            assert!(!marked, "marked row");
+            match sink {
+                Sink::Classes(out) => out.fill(0),
+                Sink::Votes(out) => out.fill(1),
+            }
         }
     }
 

@@ -1,13 +1,14 @@
 //! Inline scoring, over TCP and over stdin: rows are scored on the
 //! serving thread as soon as a readiness pass (or a stdin read) has
 //! admitted them, in chunks of at most `max_batch`, never waiting out a
-//! linger; a mixed batch passes only its class rows to the batched
-//! kernel; and a panicking engine costs only its chunk's rows, which
-//! answer `error`, while the loop keeps serving and still shuts down.
+//! linger; a mixed chunk of class and `votes:` rows is one kernel call
+//! that scores each row once; and a panicking engine costs only its
+//! chunk's rows, which answer `error`, while the loop keeps serving and
+//! still shuts down.
 
 use flint_data::synth::SynthSpec;
 use flint_data::{Dataset, FeatureMatrix};
-use flint_exec::{BatchOptions, EngineBuilder, EngineKind, Predictor};
+use flint_exec::{BatchOptions, EngineBuilder, EngineKind, Predictor, Sink};
 use flint_forest::{ForestConfig, RandomForest};
 use flint_serve::{serve_lines, BatchPolicy, EpollServer, MetricsSnapshot};
 use std::io::{BufRead, BufReader, Write};
@@ -153,12 +154,12 @@ fn a_pipelined_burst_answers_in_order_in_chunks_of_max_batch() {
 }
 
 /// A two-feature stand-in engine: class 1 when feature 0 is positive,
-/// votes `[3, 0]` / `[0, 3]`. It counts every row handed to its
-/// batched kernel, and panics on any row whose feature 0 is
-/// [`MARKED`].
+/// votes `[3, 0]` / `[0, 3]`. It counts its kernel calls and every row
+/// handed to them, and panics on any row whose feature 0 is [`MARKED`].
 #[derive(Debug)]
 struct Stub {
-    batched_rows: Arc<AtomicUsize>,
+    calls: Arc<AtomicUsize>,
+    rows: Arc<AtomicUsize>,
 }
 
 const MARKED: f32 = 666.0;
@@ -187,27 +188,31 @@ impl Predictor for Stub {
         BatchOptions::default()
     }
 
-    fn predict_votes(&self, features: &[f32]) -> Vec<u32> {
-        let mut votes = vec![0; 2];
-        votes[Self::class(features) as usize] = 3;
-        votes
-    }
-
-    fn predict_batch(&self, matrix: &FeatureMatrix, _opts: &BatchOptions) -> Vec<u32> {
-        self.batched_rows
-            .fetch_add(matrix.n_samples(), Ordering::SeqCst);
-        (0..matrix.n_samples())
-            .map(|i| Self::class(&[matrix.get(i, 0), matrix.get(i, 1)]))
-            .collect()
+    fn score(&self, matrix: &FeatureMatrix, _opts: &BatchOptions, sink: Sink<'_>) {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.rows.fetch_add(matrix.n_samples(), Ordering::SeqCst);
+        let classes =
+            (0..matrix.n_samples()).map(|i| Self::class(&[matrix.get(i, 0), matrix.get(i, 1)]));
+        match sink {
+            Sink::Classes(out) => out.iter_mut().zip(classes).for_each(|(slot, c)| *slot = c),
+            Sink::Votes(out) => {
+                for (votes, class) in out.chunks_exact_mut(2).zip(classes) {
+                    votes.fill(0);
+                    votes[class as usize] = 3;
+                }
+            }
+        }
     }
 }
 
-fn stub() -> (Box<dyn Predictor>, Arc<AtomicUsize>) {
-    let batched_rows = Arc::new(AtomicUsize::new(0));
+/// The stub and its call and row counters.
+fn stub() -> (Box<dyn Predictor>, Arc<AtomicUsize>, Arc<AtomicUsize>) {
+    let (calls, rows) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
     let engine = Box::new(Stub {
-        batched_rows: Arc::clone(&batched_rows),
+        calls: Arc::clone(&calls),
+        rows: Arc::clone(&rows),
     });
-    (engine, batched_rows)
+    (engine, calls, rows)
 }
 
 /// Runs `input` through the stdin loop on its own thread and returns
@@ -231,8 +236,8 @@ fn serve_stdin(
 }
 
 #[test]
-fn a_mixed_stdin_chunk_passes_only_its_class_rows_to_the_kernel() {
-    let (engine, batched_rows) = stub();
+fn a_mixed_stdin_chunk_scores_every_row_in_one_kernel_call() {
+    let (engine, calls, rows) = stub();
     let (lines, stats) = serve_stdin(engine, 4, "1,0\nvotes:-1,0\n2,0\nvotes:-2,0\n".into());
     assert_eq!(
         lines,
@@ -244,11 +249,8 @@ fn a_mixed_stdin_chunk_passes_only_its_class_rows_to_the_kernel() {
         ]
     );
     assert_eq!(stats.batches, 1);
-    assert_eq!(
-        batched_rows.load(Ordering::SeqCst),
-        2,
-        "votes rows must not go through the batched kernel"
-    );
+    assert_eq!(calls.load(Ordering::SeqCst), 1, "one kernel call per chunk");
+    assert_eq!(rows.load(Ordering::SeqCst), 4, "each row scored once");
 }
 
 #[test]
@@ -276,7 +278,7 @@ fn rows_from_one_piped_read_score_in_batches_larger_than_one() {
 
 #[test]
 fn an_engine_panic_on_stdin_answers_error_for_its_chunk_and_later_lines_still_answer() {
-    let (engine, _) = stub();
+    let (engine, _, _) = stub();
     // Chunks of two: a marked row takes its chunk-mate down with it and
     // nothing else. `health` closes the pending chunk early, so `-1,0`
     // scores alone instead of beside the marked `votes:` row after it.
@@ -297,8 +299,8 @@ fn an_engine_panic_on_stdin_answers_error_for_its_chunk_and_later_lines_still_an
 }
 
 #[test]
-fn a_mixed_tick_passes_only_its_class_rows_to_the_kernel() {
-    let (engine, batched_rows) = stub();
+fn a_mixed_tick_scores_every_row_in_one_kernel_call() {
+    let (engine, calls, rows) = stub();
     let (addr, runner) = spawn(engine, BatchPolicy::default().max_batch(64));
     let mut client = Client::connect(addr);
     client.send("1,0\nvotes:-1,0\n-2,0\nvotes:2,0\n");
@@ -306,17 +308,18 @@ fn a_mixed_tick_passes_only_its_class_rows_to_the_kernel() {
     assert!(client.line().starts_with("{\"votes\":[3,0],"));
     assert!(client.line().starts_with("{\"class\":0,"));
     assert!(client.line().starts_with("{\"votes\":[0,3],"));
-    client.shutdown(runner);
+    let stats = client.shutdown(runner);
     assert_eq!(
-        batched_rows.load(Ordering::SeqCst),
-        2,
-        "votes rows must not go through the batched kernel"
+        calls.load(Ordering::SeqCst) as u64,
+        stats.batches,
+        "one kernel call per chunk"
     );
+    assert_eq!(rows.load(Ordering::SeqCst), 4, "each row scored once");
 }
 
 #[test]
 fn an_engine_panic_answers_error_for_its_chunk_and_the_loop_keeps_serving() {
-    let (engine, _) = stub();
+    let (engine, _, _) = stub();
     // One row per chunk: the panicking rows take only themselves down.
     let (addr, runner) = spawn(engine, BatchPolicy::default().max_batch(1));
     let mut client = Client::connect(addr);
