@@ -635,7 +635,7 @@ impl Lane for i16 {
     }
 }
 
-impl LaneTree for HalfFloatTree {
+impl LaneTree for &HalfFloatTree {
     type Lane = u16;
 
     #[inline]
@@ -669,7 +669,7 @@ impl LaneTree for HalfFloatTree {
     }
 }
 
-impl LaneTree for HalfIntTree {
+impl LaneTree for &HalfIntTree {
     type Lane = i16;
 
     #[inline]
@@ -709,7 +709,7 @@ impl LaneTree for HalfIntTree {
 /// they have no other kernel; a leaf word carries its class in the high
 /// half.
 #[cfg(target_arch = "x86_64")]
-impl LaneTree for FloatHeap {
+impl LaneTree for &FloatHeap {
     type Lane = u16;
 
     #[inline]
@@ -724,7 +724,7 @@ impl LaneTree for FloatHeap {
 }
 
 #[cfg(target_arch = "x86_64")]
-impl LaneTree for IntHeap {
+impl LaneTree for &IntHeap {
     type Lane = i16;
 
     #[inline]
@@ -1181,7 +1181,7 @@ mod tests {
     use crate::batch::BatchOptions;
     use crate::dispatch::KernelCaps;
     use crate::engine::Predictor;
-    use crate::simd::{LaneEngine, SimdCompare};
+    use crate::simd::{LaneEngine, SimdCompare, LANE_CROSSOVER};
     use crate::CompiledForest;
     use flint_data::synth::SynthSpec;
     use flint_data::Dataset;
@@ -1242,6 +1242,9 @@ mod tests {
 
     /// The AVX2 heap kernels against the portable 8-byte walk (the
     /// 8-byte AVX2 kernels are pinned by the deep-forest test below).
+    /// Blocks of `LANE_CROSSOVER + 7` rows (two full lane groups and a
+    /// ragged third) are past [`LANE_CROSSOVER`], so every block takes
+    /// the lane kernel, the ragged tail block included.
     #[test]
     fn avx2_and_portable_f16_paths_agree() {
         for compare in [HalfCompare::Flint, HalfCompare::Float] {
@@ -1255,7 +1258,7 @@ mod tests {
                 HalfLayout::Nodes
             ));
             let matrix = FeatureMatrix::from_dataset(&data);
-            let opts = BatchOptions::default().block_samples(13);
+            let opts = BatchOptions::default().block_samples(LANE_CROSSOVER + 7);
             let engine = LaneEngine::simd_f16(half.clone(), opts);
             let accelerated = engine
                 .with_kernel(KernelPath::Avx2)

@@ -298,6 +298,10 @@ impl Lane for i32 {
 }
 
 /// One compiled tree in a node format the lane walker can traverse.
+/// The span scorer takes a forest's trees as an iterator of values, so
+/// a format whose trees are stored implements this on a reference, and
+/// one whose trees are views made on the fly ([`ForestTree`]) on the
+/// view.
 pub(crate) trait LaneTree: Sync {
     /// The slab element the format's kernels compare against.
     type Lane: Lane;
@@ -357,11 +361,11 @@ struct ForestTree<'a, N> {
 }
 
 /// Every tree of a forest-wide node array, in forest order.
-fn forest_trees<'a, N>(nodes: &'a [N], roots: &[u32]) -> Vec<ForestTree<'a, N>> {
-    roots
-        .iter()
-        .map(|&root| ForestTree { nodes, root })
-        .collect()
+fn forest_trees<'a, N>(
+    nodes: &'a [N],
+    roots: &'a [u32],
+) -> impl Iterator<Item = ForestTree<'a, N>> + Clone {
+    roots.iter().map(move |&root| ForestTree { nodes, root })
 }
 
 /// The node format a lane engine walks, chosen once per forest.
@@ -459,10 +463,11 @@ impl LaneEngine {
     ///
     /// Tree-major within the block, as in the blocked engine: each
     /// tree's nodes stay hot while every resident lane group descends
-    /// it, in waves of [`WAVE`] groups.
+    /// it, in waves of [`WAVE`] groups. `trees` is walked once per
+    /// lane-kernel block and never by the per-row walk.
     fn score_span<T: LaneTree>(
         &self,
-        trees: &[T],
+        trees: impl Iterator<Item = T> + Clone,
         matrix: &FeatureMatrix,
         start: usize,
         mut sink: Sink<'_>,
@@ -471,26 +476,27 @@ impl LaneEngine {
         let block = block.max(1);
         let n_classes = self.n_classes();
         let n_rows = sink.rows(n_classes);
-        let group_stride = matrix.n_features() * LANES;
+        let n_features = matrix.n_features();
+        let group_stride = n_features * LANES;
         let overhang = T::Lane::OVERHANG;
         let cap = block.min(n_rows);
         // Per-worker scratch, reused across blocks: the lane slabs, an
-        // f32 staging slab for converting fills (and the row buffer of
-        // the per-row walk), and the flat vote accumulator.
-        let lane_groups = if cap < LANE_CROSSOVER {
-            0
+        // f32 staging slab for converting fills (the per-row walk's row
+        // buffer) and the flat vote accumulator. A span whose blocks all
+        // take the per-row walk, a lone request's, needs no lane slabs.
+        let (mut lanes, mut scratch) = if cap < LANE_CROSSOVER {
+            (Vec::new(), vec![0f32; n_features])
         } else {
-            cap.div_ceil(LANES)
+            let lanes = vec![T::Lane::default(); cap.div_ceil(LANES) * group_stride + overhang];
+            (lanes, vec![0f32; group_stride])
         };
-        let mut lanes = vec![T::Lane::default(); lane_groups * group_stride + overhang];
-        let mut scratch = vec![0f32; group_stride];
         let mut votes = vec![0u32; cap * n_classes];
         let mut offset = 0;
         while offset < n_rows {
             let len = block.min(n_rows - offset);
             let votes = &mut votes[..len * n_classes];
             if len < LANE_CROSSOVER {
-                let row = &mut scratch[..matrix.n_features()];
+                let row = &mut scratch[..n_features];
                 for (k, histogram) in votes.chunks_exact_mut(n_classes).enumerate() {
                     matrix.gather_row(start + offset + k, row);
                     histogram.copy_from_slice(&self.row_votes(row));
@@ -507,7 +513,7 @@ impl LaneEngine {
                     );
                 }
                 votes.fill(0);
-                for tree in trees {
+                for tree in trees.clone() {
                     for wave_start in (0..n_groups).step_by(WAVE) {
                         let k = WAVE.min(n_groups - wave_start);
                         // Each group's slab runs `overhang` elements past
@@ -580,25 +586,29 @@ impl Predictor for LaneEngine {
                 LaneForest::F32(forest) => match forest.nodes() {
                     Nodes::Float(nodes) => {
                         let trees = forest_trees(nodes, forest.roots());
-                        self.score_span(&trees, matrix, start, span, block)
+                        self.score_span(trees, matrix, start, span, block)
                     }
                     Nodes::Int(nodes) => {
                         let trees = forest_trees(nodes, forest.roots());
-                        self.score_span(&trees, matrix, start, span, block)
+                        self.score_span(trees, matrix, start, span, block)
                     }
                     Nodes::Soft(_) => unreachable!("lane engines compile Naive or Flint trees"),
                 },
                 LaneForest::F16(half, HalfLayout::Nodes) => match half.trees() {
-                    HalfTrees::Float(trees) => self.score_span(trees, matrix, start, span, block),
-                    HalfTrees::Int(trees) => self.score_span(trees, matrix, start, span, block),
+                    HalfTrees::Float(trees) => {
+                        self.score_span(trees.iter(), matrix, start, span, block)
+                    }
+                    HalfTrees::Int(trees) => {
+                        self.score_span(trees.iter(), matrix, start, span, block)
+                    }
                 },
                 #[cfg(target_arch = "x86_64")]
                 LaneForest::F16(_, HalfLayout::FloatHeap(trees)) => {
-                    self.score_span(trees, matrix, start, span, block)
+                    self.score_span(trees.iter(), matrix, start, span, block)
                 }
                 #[cfg(target_arch = "x86_64")]
                 LaneForest::F16(_, HalfLayout::IntHeap(trees)) => {
-                    self.score_span(trees, matrix, start, span, block)
+                    self.score_span(trees.iter(), matrix, start, span, block)
                 }
             }
         });

@@ -367,22 +367,26 @@ fn f16_engines_match_their_scalar_walk_on_adversarial_and_nan_columns() {
 }
 
 /// Ragged-tail coverage at every lane boundary: sample counts straddling
-/// multiples of the 8-wide lane group × block sizes {1, 8, 64} drive the
-/// zero-padded `FeatureMatrix::gather_lanes` path through every live-lane
-/// count. All registered engines run (the SIMD kinds are the target; the
-/// rest prove the reference labels are shape-independent).
+/// multiples of the 8-wide lane group × block sizes {1, 8,
+/// [`LANE_CROSSOVER`], 64} drive the zero-padded
+/// `FeatureMatrix::gather_lanes` path through every live-lane count. A
+/// lane engine takes its lane kernel only on a block of at least
+/// `LANE_CROSSOVER` rows, so the counts from 15 up (21 and 23: two full
+/// groups and a ragged third) are the ones that reach it. All registered
+/// engines run (the SIMD kinds are the target; the rest prove the
+/// reference labels are shape-independent).
 #[test]
 fn tail_blocks_agree_at_every_lane_boundary() {
     let (data, forest) = adversarial_model(47);
     let n_features = forest.n_features();
     let builder = EngineBuilder::new(&forest).profile_data(&data);
     let engines = builder.build_all().expect("all engines build");
-    for n_samples in [1usize, 7, 8, 9, 15, 16, 17] {
+    for n_samples in [1usize, 7, 8, 9, 15, 16, 17, 21, 23] {
         let rows: Vec<Vec<f32>> = (0..n_samples).map(|i| data.sample(i).to_vec()).collect();
         let matrix = matrix_of(&rows, n_features);
         for engine in &engines {
             let reference = family_reference(&forest, engine.kind(), &rows);
-            for block in [1usize, 8, 64] {
+            for block in [1usize, 8, LANE_CROSSOVER, 64] {
                 for threads in [1usize, 2] {
                     let opts = BatchOptions::default()
                         .block_samples(block)
@@ -865,15 +869,16 @@ proptest! {
     /// neighbours): every sample lands on or next to a comparison
     /// boundary, so an engine whose compare is `<` instead of `<=` —
     /// or whose lane blend picks the wrong child on equality — cannot
-    /// hide. The whole batch goes through `predict_batch` (the SIMD
-    /// engines' `predict_one` is the scalar fallback; only the batch
-    /// path runs the lane kernels).
+    /// hide. The whole batch goes through `predict_batch`; a lane
+    /// engine runs its lane kernel only on a block of at least
+    /// [`LANE_CROSSOVER`] rows, which block 64 gives a batch of 14 to
+    /// 47 rows.
     #[test]
     fn engines_agree_on_threshold_equal_batches(
         seed in 0u64..12,
         picks in proptest::collection::vec(
             proptest::collection::vec((0usize..1_000_000, -1i32..=1), 4),
-            1..24,
+            1..48,
         ),
     ) {
         let (data, forest) = adversarial_model(seed);
@@ -902,7 +907,7 @@ proptest! {
         let builder = EngineBuilder::new(&forest).profile_data(&data);
         for engine in builder.build_all().expect("all engines build") {
             let reference = family_reference(&forest, engine.kind(), &rows);
-            for block in [1usize, 8] {
+            for block in [1usize, 8, 64] {
                 let opts = BatchOptions::default().block_samples(block);
                 prop_assert_eq!(
                     engine.predict_batch(&matrix, &opts),
