@@ -239,6 +239,10 @@ pub fn aggregate(
 pub struct ThroughputRow {
     /// Which engine.
     pub kind: EngineKind,
+    /// The engine's [`Predictor::describe`](flint_exec::Predictor::describe)
+    /// line: the kernel path a lane engine runs, the tier a JIT engine
+    /// serves.
+    pub describe: &'static str,
     /// Median wall-clock seconds per full scoring pass.
     pub median_secs: f64,
     /// Samples scored per second (workload size / median).
@@ -349,6 +353,7 @@ pub fn batch_throughput_table(
         let first = *first_secs.get_or_insert(median);
         rows.push(ThroughputRow {
             kind,
+            describe: engine.describe(),
             median_secs: median,
             samples_per_sec: n / median,
             speedup_vs_first: first / median,

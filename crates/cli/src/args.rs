@@ -381,12 +381,13 @@ case-insensitive): the five if-else configurations
 counterparts (*-blocked), quickscorer[-float], the instruction-level
 VM variants (vm-flint|vm-float|vm-softfloat), the 8-wide SIMD lane
 engines (simd|simd-float; AVX2 kernels on x86-64 CPUs that report
-AVX2, NEON on aarch64, portable lane loops elsewhere), their
-half-precision node-slab counterparts (simd-f16|simd-f16-float), and
-the template JIT (jit|jit-float; native x86-64 code compiled when the
-engine is built on x86-64 Linux, the VM interpreter elsewhere or with
+AVX2, portable lane loops elsewhere), their half-precision node-slab
+counterparts (simd-f16|simd-f16-float), and the template JIT
+(jit|jit-float; native x86-64 code compiled when the engine is built
+on x86-64 Linux, the VM interpreter elsewhere or with
 FLINT_JIT_FORCE_FALLBACK=1). The kernel path is picked at run time;
-set FLINT_KERNEL=portable|avx2|neon to override it.
+set FLINT_KERNEL=portable|avx2 to override it (any other value runs
+portable). `flint bench` prints each engine's path.
 
 `flint bench --shape` generates a named synthetic workload instead of
 reading a CSV: magic (24 trees x depth 10), ranking (600 x 6,

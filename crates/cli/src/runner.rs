@@ -103,6 +103,19 @@ fn load_csv(path: &str, classes: usize) -> Result<Dataset, RunError> {
     Ok(csv::read_csv(BufReader::new(File::open(path)?), classes)?)
 }
 
+/// Refuses a workload whose rows are not as wide as the model's: every
+/// engine and the simulator read exactly the model's feature count.
+fn check_features(forest: &RandomForest, dataset: &Dataset) -> Result<(), RunError> {
+    if forest.n_features() != dataset.n_features() {
+        return Err(RunError::Invalid(format!(
+            "model expects {} features but the workload has {}",
+            forest.n_features(),
+            dataset.n_features()
+        )));
+    }
+    Ok(())
+}
+
 fn load_model(path: &str) -> Result<RandomForest, RunError> {
     Ok(model_io::read_forest(BufReader::new(File::open(path)?))?)
 }
@@ -210,6 +223,7 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
         } => {
             let forest = load_model(&model)?;
             let dataset = load_csv(&data, classes)?;
+            check_features(&forest, &dataset)?;
             // Every backend name is an engine-registry entry; the batch
             // flags shape the options any engine honors.
             let kind = engine_kind(&backend)?;
@@ -342,13 +356,7 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
                     ));
                 }
             };
-            if forest.n_features() != dataset.n_features() {
-                return Err(RunError::Invalid(format!(
-                    "model expects {} features but the workload has {}",
-                    forest.n_features(),
-                    dataset.n_features()
-                )));
-            }
+            check_features(&forest, &dataset)?;
             let kinds: Vec<EngineKind> = match engines {
                 Some(names) => names
                     .split(',')
@@ -391,11 +399,12 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
                         .map(|row| {
                             format!(
                                 "{{\"engine\":\"{}\",\"samples_per_sec\":{:.0},\
-                                 \"median_ms\":{:.3},\"speedup\":{:.2}}}",
+                                 \"median_ms\":{:.3},\"speedup\":{:.2},\"describe\":\"{}\"}}",
                                 row.kind.name(),
                                 row.samples_per_sec,
                                 row.median_secs * 1e3,
-                                row.speedup_vs_first
+                                row.speedup_vs_first,
+                                row.describe
                             )
                         })
                         .collect();
@@ -439,17 +448,18 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
                     writeln!(out, "host kernel caps: {}", KernelCaps::get().summary())?;
                     writeln!(
                         out,
-                        "{:<20} {:>12} {:>12} {:>9}",
+                        "{:<20} {:>12} {:>12} {:>9}  describe",
                         "engine", "samples/s", "median ms", "speedup"
                     )?;
                     for row in rows {
                         writeln!(
                             out,
-                            "{:<20} {:>12.0} {:>12.3} {:>8.2}x",
+                            "{:<20} {:>12.0} {:>12.3} {:>8.2}x  {}",
                             row.kind.name(),
                             row.samples_per_sec,
                             row.median_secs * 1e3,
-                            row.speedup_vs_first
+                            row.speedup_vs_first,
+                            row.describe
                         )?;
                     }
                     writeln!(out, "(speedup is relative to the first listed engine)")?;
@@ -599,6 +609,7 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), RunError> {
         } => {
             let forest = load_model(&model)?;
             let dataset = load_csv(&data, classes)?;
+            check_features(&forest, &dataset)?;
             let m = machine(&machine_name)?;
             let config = sim_config(&config_name)?;
             let report = simulate_forest(m, &forest, &dataset, &dataset, &config)
@@ -872,6 +883,7 @@ mod tests {
         assert!(json.contains("\"engines\":[{"), "{json}");
         assert!(json.contains("\"engine\":\"flint\""), "{json}");
         assert!(json.contains("\"median_ms\":"), "{json}");
+        assert!(json.contains("\"describe\":\""), "{json}");
         assert!(json.trim_end().ends_with("}]}"), "{json}");
         let err = run_argv(&format!("{base} --output yaml")).unwrap_err();
         assert!(err.to_string().contains("table|csv|json"), "{err}");
@@ -1092,6 +1104,19 @@ mod tests {
         assert!(err.to_string().contains("invalid shard address"), "{err}");
         let err = run_argv("route --shards ,").unwrap_err();
         assert!(err.to_string().contains("lists no shard"), "{err}");
+    }
+
+    /// A shard listed twice would vote its trees twice. The listen
+    /// address here cannot be bound, so only a check made before
+    /// binding answers with the duplicate.
+    #[test]
+    fn route_refuses_a_shard_listed_twice_before_binding() {
+        let err =
+            run_argv("route --shards 127.0.0.1:7,127.0.0.1:7 --addr 127.0.0.1:99999").unwrap_err();
+        assert!(
+            err.to_string().contains("127.0.0.1:7 is listed twice"),
+            "{err}"
+        );
     }
 
     #[cfg(target_os = "linux")]
@@ -1351,6 +1376,50 @@ mod tests {
         assert!(sim.contains("cycles/inference"), "{sim}");
         let _ = std::fs::remove_file(data_path);
         let _ = std::fs::remove_file(model_path);
+    }
+
+    /// Trains a 4-feature model and asserts that `command` refuses a
+    /// CSV one feature narrower and one wider, as `bench` does, instead
+    /// of failing inside an engine or the simulator.
+    fn assert_refuses_other_widths(command: &str, name: &str) {
+        let (data_path, _) = write_dataset_csv(&format!("{name}_width.csv"), 6);
+        let model_path = temp_path(&format!("{name}_width_model.txt"));
+        run_argv(&format!(
+            "train --data {} --classes 2 --trees 3 --depth 6 --out {}",
+            data_path.display(),
+            model_path.display()
+        ))
+        .expect("trains");
+        for n_features in [3, 5] {
+            let ds = SynthSpec::new(40, n_features, 2).seed(7).generate();
+            let path = temp_path(&format!("{name}_width{n_features}.csv"));
+            let mut buf = Vec::new();
+            csv::write_csv(&ds, &mut buf).expect("write");
+            std::fs::write(&path, buf).expect("write file");
+            let err = run_argv(&format!(
+                "{command} --model {} --data {} --classes 2",
+                model_path.display(),
+                path.display()
+            ))
+            .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("model expects 4 features but the workload has {n_features}")
+            );
+            let _ = std::fs::remove_file(path);
+        }
+        let _ = std::fs::remove_file(data_path);
+        let _ = std::fs::remove_file(model_path);
+    }
+
+    #[test]
+    fn predict_refuses_a_workload_of_another_width() {
+        assert_refuses_other_widths("predict --backend flint-blocked", "predict");
+    }
+
+    #[test]
+    fn simulate_refuses_a_workload_of_another_width() {
+        assert_refuses_other_widths("simulate --machine embedded --config flint", "simulate");
     }
 
     #[test]

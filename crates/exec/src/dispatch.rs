@@ -1,16 +1,11 @@
-//! Unified kernel-dispatch layer.
-//!
-//! Before this module, every fast path hand-rolled its own CPU
-//! detection: the SIMD lane engine called `is_x86_feature_detected!`
-//! per batch, the JIT checked arch/mmap availability on its own, and a
-//! NEON port would have added a third copy. This module generalizes
-//! the pattern into one seam:
+//! Unified kernel-dispatch layer: one seam between the engines that
+//! carry accelerated kernels and the host they run on.
 //!
 //! * [`KernelCaps`] — the host's accelerator capabilities, probed
 //!   **once per process** (cached in a `OnceLock`): AVX2/FMA/F16C on
-//!   x86-64, NEON on aarch64, nothing elsewhere;
+//!   x86-64, nothing elsewhere;
 //! * [`KernelPath`] — the concrete kernel family a dispatch-aware
-//!   engine runs (`portable`, `avx2`, `neon`). Engines record the path
+//!   engine runs (`portable` or `avx2`). Engines record the path
 //!   chosen at build time and report it through
 //!   [`Predictor::describe`](crate::engine::Predictor::describe), so
 //!   logs always show what actually executed;
@@ -20,26 +15,30 @@
 //!   requests* via the [`KERNEL_ENV`] (`FLINT_KERNEL`) environment
 //!   variable.
 //!
-//! The override contract is deliberately conservative: setting
-//! `FLINT_KERNEL` yields either the requested path or the portable
-//! one, never a *different* accelerated path. An unknown value, or a
-//! request for a path that is not compiled in / not supported by the
+//! Every target other than x86-64 runs the portable path. The override
+//! contract is deliberately conservative: setting `FLINT_KERNEL` yields
+//! either the requested path or the portable one. An unknown value, or
+//! a request for a path that is not compiled in / not supported by the
 //! CPU, degrades to portable — the one path that always exists and
 //! that every differential suite pins to the scalar references.
 //!
 //! ```
-//! use flint_exec::dispatch::{KernelCaps, KernelPath, KernelPolicy};
+//! use flint_exec::dispatch::{KernelCaps, KernelPath};
 //!
-//! let policy = KernelPolicy::PORTABLE_ONLY;
-//! assert_eq!(policy.select_with(KernelCaps::get(), None), KernelPath::Portable);
+//! let policy = flint_exec::lane_policy();
+//! assert_eq!(policy.select_with(KernelCaps::NONE, None), KernelPath::Portable);
+//! assert_eq!(
+//!     policy.select_with(KernelCaps::get(), Some("portable")),
+//!     KernelPath::Portable
+//! );
 //! ```
 
 use std::fmt;
 use std::sync::OnceLock;
 
 /// Environment variable overriding kernel selection for every
-/// dispatch-aware engine built afterwards: `FLINT_KERNEL=portable`,
-/// `avx2` or `neon` (case-insensitive). Read at engine **build** time,
+/// dispatch-aware engine built afterwards: `FLINT_KERNEL=portable` or
+/// `avx2` (case-insensitive). Read at engine **build** time,
 /// so a long-lived server keeps the path it was constructed with.
 pub const KERNEL_ENV: &str = "FLINT_KERNEL";
 
@@ -57,18 +56,15 @@ pub struct KernelCaps {
     pub fma: bool,
     /// F16C half↔single conversion (`vcvtph2ps`/`vcvtps2ph`, x86-64).
     pub f16c: bool,
-    /// NEON/AdvSIMD 128-bit vectors (aarch64; baseline there).
-    pub neon: bool,
 }
 
 impl KernelCaps {
-    /// No accelerator features at all — what non-x86-64, non-aarch64
-    /// hosts report, and a useful fixture for policy tests.
+    /// No accelerator features at all — what non-x86-64 hosts report,
+    /// and a useful fixture for policy tests.
     pub const NONE: KernelCaps = KernelCaps {
         avx2: false,
         fma: false,
         f16c: false,
-        neon: false,
     };
 
     /// Probes the running CPU. Prefer [`KernelCaps::get`], which
@@ -80,19 +76,9 @@ impl KernelCaps {
                 avx2: std::arch::is_x86_feature_detected!("avx2"),
                 fma: std::arch::is_x86_feature_detected!("fma"),
                 f16c: std::arch::is_x86_feature_detected!("f16c"),
-                neon: false,
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            KernelCaps {
-                avx2: false,
-                fma: false,
-                f16c: false,
-                neon: std::arch::is_aarch64_feature_detected!("neon"),
-            }
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             KernelCaps::NONE
         }
@@ -104,8 +90,8 @@ impl KernelCaps {
         *CAPS.get_or_init(KernelCaps::probe)
     }
 
-    /// Compact `+`-joined summary (`"avx2+fma+f16c"`, `"neon"`, or
-    /// `"none"`) — the form bench reports record.
+    /// Compact `+`-joined summary (`"avx2+fma+f16c"` or `"none"`) — the
+    /// form bench reports record.
     pub fn summary(&self) -> String {
         let mut parts = Vec::new();
         if self.avx2 {
@@ -116,9 +102,6 @@ impl KernelCaps {
         }
         if self.f16c {
             parts.push("f16c");
-        }
-        if self.neon {
-            parts.push("neon");
         }
         if parts.is_empty() {
             "none".to_string()
@@ -137,8 +120,6 @@ pub enum KernelPath {
     Portable,
     /// `std::arch` AVX2 intrinsics (x86-64).
     Avx2,
-    /// `std::arch` NEON intrinsics (aarch64).
-    Neon,
 }
 
 impl KernelPath {
@@ -147,7 +128,6 @@ impl KernelPath {
         match self {
             KernelPath::Portable => "portable",
             KernelPath::Avx2 => "avx2",
-            KernelPath::Neon => "neon",
         }
     }
 
@@ -155,7 +135,7 @@ impl KernelPath {
     /// `None` for anything unrecognized.
     pub fn parse(s: &str) -> Option<KernelPath> {
         let s = s.trim();
-        [KernelPath::Portable, KernelPath::Avx2, KernelPath::Neon]
+        [KernelPath::Portable, KernelPath::Avx2]
             .into_iter()
             .find(|path| s.eq_ignore_ascii_case(path.name()))
     }
@@ -178,19 +158,9 @@ pub struct KernelPolicy {
     /// The family's AVX2 kernel additionally requires F16C (the
     /// half→single widening conversion).
     pub f16c_required: bool,
-    /// The family has a NEON kernel built in.
-    pub neon: bool,
 }
 
 impl KernelPolicy {
-    /// A family with no accelerated kernels at all (e.g. the soft-float
-    /// comparison walk): always selects [`KernelPath::Portable`].
-    pub const PORTABLE_ONLY: KernelPolicy = KernelPolicy {
-        avx2: false,
-        f16c_required: false,
-        neon: false,
-    };
-
     /// Selects the kernel path for an engine being built now: the
     /// compiled-in kernels of this policy, gated by the process-wide
     /// [`KernelCaps`], overridden by [`KERNEL_ENV`] if set.
@@ -203,31 +173,17 @@ impl KernelPolicy {
     /// environment or CPUID): `caps` is the capability snapshot,
     /// `requested` the raw [`KERNEL_ENV`] value if any.
     ///
-    /// An explicit request yields the requested path when it is
-    /// compiled in and supported, otherwise [`KernelPath::Portable`] —
-    /// never a different accelerated path. Unknown request strings
-    /// also degrade to portable. With no request, the fastest
-    /// available path wins.
+    /// With no request, or with `avx2` requested, the family's AVX2
+    /// kernel runs when it is compiled in and the CPU supports it;
+    /// otherwise [`KernelPath::Portable`]. Unknown request strings also
+    /// degrade to portable.
     pub fn select_with(&self, caps: KernelCaps, requested: Option<&str>) -> KernelPath {
         let avx2_ok = self.avx2 && caps.avx2 && (!self.f16c_required || caps.f16c);
-        let neon_ok = self.neon && caps.neon;
-        match requested {
-            Some(raw) => match KernelPath::parse(raw) {
-                Some(KernelPath::Avx2) if avx2_ok => KernelPath::Avx2,
-                Some(KernelPath::Neon) if neon_ok => KernelPath::Neon,
-                // `portable` requested, unsatisfiable request, or an
-                // unknown value: the predictable fallback.
-                _ => KernelPath::Portable,
-            },
-            None => {
-                if avx2_ok {
-                    KernelPath::Avx2
-                } else if neon_ok {
-                    KernelPath::Neon
-                } else {
-                    KernelPath::Portable
-                }
-            }
+        match requested.map(KernelPath::parse) {
+            None | Some(Some(KernelPath::Avx2)) if avx2_ok => KernelPath::Avx2,
+            // `portable` requested, an unsatisfiable request, or an
+            // unknown value: the predictable fallback.
+            _ => KernelPath::Portable,
         }
     }
 }
@@ -240,51 +196,42 @@ mod tests {
         avx2: true,
         fma: true,
         f16c: true,
-        neon: false,
     };
     const AVX2_NO_F16C: KernelCaps = KernelCaps {
         avx2: true,
         fma: true,
         f16c: false,
-        neon: false,
-    };
-    const ARM: KernelCaps = KernelCaps {
-        avx2: false,
-        fma: false,
-        f16c: false,
-        neon: true,
     };
     const FULL_POLICY: KernelPolicy = KernelPolicy {
         avx2: true,
         f16c_required: false,
-        neon: true,
     };
     const F16C_POLICY: KernelPolicy = KernelPolicy {
         avx2: true,
         f16c_required: true,
-        neon: false,
+    };
+    /// A family with no AVX2 kernel compiled in.
+    const NO_AVX2_POLICY: KernelPolicy = KernelPolicy {
+        avx2: false,
+        f16c_required: false,
     };
 
     #[test]
     fn caps_probe_is_cached_and_consistent() {
         assert_eq!(KernelCaps::get(), KernelCaps::get());
         assert_eq!(KernelCaps::get(), KernelCaps::probe());
-        // NEON and AVX2 are different ISAs; no host reports both.
-        let caps = KernelCaps::get();
-        assert!(!(caps.avx2 && caps.neon));
     }
 
     #[test]
     fn caps_summary_formats() {
         assert_eq!(KernelCaps::NONE.summary(), "none");
         assert_eq!(ALL_X86.summary(), "avx2+fma+f16c");
-        assert_eq!(ARM.summary(), "neon");
         assert_eq!(AVX2_NO_F16C.summary(), "avx2+fma");
     }
 
     #[test]
     fn path_names_parse_round_trip() {
-        for path in [KernelPath::Portable, KernelPath::Avx2, KernelPath::Neon] {
+        for path in [KernelPath::Portable, KernelPath::Avx2] {
             assert_eq!(KernelPath::parse(path.name()), Some(path));
             assert_eq!(
                 KernelPath::parse(&path.name().to_uppercase()),
@@ -305,13 +252,12 @@ mod tests {
     #[test]
     fn auto_selection_prefers_fastest_available() {
         assert_eq!(FULL_POLICY.select_with(ALL_X86, None), KernelPath::Avx2);
-        assert_eq!(FULL_POLICY.select_with(ARM, None), KernelPath::Neon);
         assert_eq!(
             FULL_POLICY.select_with(KernelCaps::NONE, None),
             KernelPath::Portable
         );
         assert_eq!(
-            KernelPolicy::PORTABLE_ONLY.select_with(ALL_X86, None),
+            NO_AVX2_POLICY.select_with(ALL_X86, None),
             KernelPath::Portable
         );
     }
@@ -326,7 +272,6 @@ mod tests {
             FULL_POLICY.select_with(ALL_X86, Some("AVX2")),
             KernelPath::Avx2
         );
-        assert_eq!(FULL_POLICY.select_with(ARM, Some("neon")), KernelPath::Neon);
         assert_eq!(
             FULL_POLICY.select_with(ALL_X86, Some("portable")),
             KernelPath::Portable
@@ -342,10 +287,10 @@ mod tests {
         );
         // Requested but not compiled in for this family.
         assert_eq!(
-            KernelPolicy::PORTABLE_ONLY.select_with(ALL_X86, Some("avx2")),
+            NO_AVX2_POLICY.select_with(ALL_X86, Some("avx2")),
             KernelPath::Portable
         );
-        // Cross-ISA request never silently switches accelerators.
+        // `neon` names no path: an unknown value, never the AVX2 kernel.
         assert_eq!(
             FULL_POLICY.select_with(ALL_X86, Some("neon")),
             KernelPath::Portable

@@ -143,14 +143,12 @@ pub enum HalfCompare {
 }
 
 /// The f16 families' dispatch policy: AVX2 kernels on every x86-64
-/// build (the float family additionally needs F16C for `vcvtph2ps`);
-/// portable elsewhere — including aarch64, where the autovectorized
-/// walk is the NEON story for now.
+/// build (the float family additionally needs F16C for `vcvtph2ps`),
+/// the portable autovectorized walk everywhere.
 pub fn f16_policy(compare: HalfCompare) -> KernelPolicy {
     KernelPolicy {
         avx2: cfg!(target_arch = "x86_64"),
         f16c_required: matches!(compare, HalfCompare::Float),
-        neon: false,
     }
 }
 

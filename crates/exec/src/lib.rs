@@ -28,9 +28,9 @@
 //! * [`mod@simd`] — the 8-wide lane-parallel traversal behind the
 //!   `simd`/`simd-float` and `simd-f16`/`simd-f16-float` engines:
 //!   samples descend each tree in lane groups through branchless
-//!   compare/blend steps (portable lane loops, plus `std::arch` AVX2
-//!   kernels on x86-64 and NEON kernels on aarch64, picked at run
-//!   time). One wave loop and one span scorer serve every node
+//!   compare/blend steps (portable lane loops on every target, plus
+//!   `std::arch` AVX2 kernels on x86-64, picked at run time). One
+//!   wave loop and one span scorer serve every node
 //!   format; ragged tails read zero-padded lanes from
 //!   [`flint_data::FeatureMatrix::gather_lanes`] instead of branching.
 //!   A block below [`LANE_CROSSOVER`] rows (a lone request included)

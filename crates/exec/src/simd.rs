@@ -11,8 +11,9 @@
 //! * [`F32x8`] / [`U32x8`] — fixed 8-lane vectors over `[f32; 8]` /
 //!   `[u32; 8]`, written as plain lane loops that stable Rust
 //!   autovectorizes reliably (no nightly `std::simd`), plus `std::arch`
-//!   AVX2 kernels on x86-64 and NEON kernels on aarch64, selected once
-//!   per engine at run time through [`lane_policy`];
+//!   AVX2 kernels on x86-64, selected once per engine at run time
+//!   through [`lane_policy`]; every other target runs the portable
+//!   lanes;
 //! * **branchless select** — a lane group of 8 samples descends one
 //!   tree together; each level gathers the 8 current nodes, compares
 //!   all lanes at once and blends left/right child indices by mask.
@@ -110,9 +111,9 @@ fn check_lane_nodes(n_nodes: usize) -> Result<(), CompileTreeError> {
 }
 
 /// Eight `f32` lanes. The portable operations are plain lane loops —
-/// the shape LLVM's autovectorizer turns into single 256-bit
-/// instructions on any x86-64/AArch64 target — and the layout
-/// (`repr(C)`, 32-byte aligned) is loadable as one AVX2 register.
+/// the shape LLVM's autovectorizer turns into vector instructions on
+/// any target that has them — and the layout (`repr(C)`, 32-byte
+/// aligned) is loadable as one AVX2 register.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C, align(32))]
 pub struct F32x8(pub [f32; LANES]);
@@ -197,13 +198,11 @@ impl U32x8 {
 }
 
 /// The f32 lane family's dispatch policy: AVX2 kernels exist on every
-/// x86-64 build, NEON kernels on aarch64, and the portable
-/// autovectorized walk everywhere.
+/// x86-64 build, and the portable autovectorized walk everywhere.
 pub fn lane_policy() -> KernelPolicy {
     KernelPolicy {
         avx2: cfg!(target_arch = "x86_64"),
         f16c_required: false,
-        neon: cfg!(target_arch = "aarch64"),
     }
 }
 
@@ -619,33 +618,28 @@ impl Predictor for LaneEngine {
 /// strategy line with the resolved kernel path appended in the stable
 /// `[kernel <path>]` suffix log scrapers key on.
 fn lane_describe(kind: EngineKind, path: KernelPath) -> &'static str {
-    let [portable, avx2, neon] = match kind {
+    let [portable, avx2] = match kind {
         EngineKind::Simd(SimdCompare::Flint) => [
             "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel portable]",
             "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel avx2]",
-            "8-wide SIMD lane traversal, FLInt integer compares, branchless blend [kernel neon]",
         ],
         EngineKind::Simd(SimdCompare::Float) => [
             "8-wide SIMD lane traversal, float compares, branchless blend [kernel portable]",
             "8-wide SIMD lane traversal, float compares, branchless blend [kernel avx2]",
-            "8-wide SIMD lane traversal, float compares, branchless blend [kernel neon]",
         ],
         EngineKind::SimdF16(HalfCompare::Flint) => [
             "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel portable]",
             "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel avx2]",
-            "8-wide lane traversal over 8-byte binary16 nodes, FLInt 16-bit compares [kernel neon]",
         ],
         EngineKind::SimdF16(HalfCompare::Float) => [
             "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel portable]",
             "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel avx2]",
-            "8-wide lane traversal over 8-byte binary16 nodes, widen-to-f32 compares [kernel neon]",
         ],
         _ => unreachable!("{kind} is not a lane engine"),
     };
     match path {
         KernelPath::Portable => portable,
         KernelPath::Avx2 => avx2,
-        KernelPath::Neon => neon,
     }
 }
 
@@ -662,8 +656,6 @@ impl LaneTree for ForestTree<'_, FloatNode> {
         match path {
             #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => avx2::walk_float(nodes, slabs, cursors),
-            #[cfg(target_arch = "aarch64")]
-            KernelPath::Neon => neon::walk_float(nodes, slabs, cursors),
             _ => walk_wave(slabs, cursors, |slab, cursor| {
                 let fields = |n: &FloatNode| [n.feature, n.threshold.to_bits(), n.left, n.right];
                 step_portable(nodes, slab, cursor, fields, LEAF_MARKER, |t, x| {
@@ -693,8 +685,6 @@ impl LaneTree for ForestTree<'_, IntNode> {
         match path {
             #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => avx2::walk_int(nodes, slabs, cursors),
-            #[cfg(target_arch = "aarch64")]
-            KernelPath::Neon => neon::walk_int(nodes, slabs, cursors),
             _ => walk_wave(slabs, cursors, |slab, cursor| {
                 let fields = |n: &IntNode| [n.feature, n.key as u32, n.left, n.right];
                 step_portable(nodes, slab, cursor, fields, LEAF_MARKER, |key, x| {
@@ -891,188 +881,6 @@ mod avx2 {
             unsafe { _mm256_store_si256(slot.0.as_mut_ptr().cast(), next) };
             true
         });
-    }
-}
-
-/// The `std::arch` NEON kernels for aarch64: the node-field and lane
-/// gathers stay scalar (AdvSIMD has no hardware gather), but the
-/// per-level compare + child-select — the work the walk repeats at
-/// every node — runs on explicit 128-bit vectors (`vcleq_f32` on
-/// features / `vcgtq_s32` on order keys, `vbslq_u32` selects) over the
-/// group's two 4-lane halves.
-///
-/// This island is only reachable through [`KernelPath::Neon`], which
-/// [`lane_policy`] hands out solely on aarch64 hosts; the entry
-/// wrappers still re-assert NEON support before entering the
-/// `#[target_feature]` functions. All memory access happens through
-/// plain slice indexing and unaligned `vld1q`/`vst1q` on local
-/// arrays, so the soundness argument is confined to the feature gate.
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
-mod neon {
-    use super::{U32x8, LANES, WAVE};
-    use crate::compile::{FloatNode, IntNode, LEAF_MARKER};
-    use core::arch::aarch64::{
-        vbslq_u32, vcgtq_s32, vcleq_f32, vdupq_n_u32, vld1q_f32, vld1q_u32, vreinterpretq_s32_u32,
-        vst1q_u32,
-    };
-
-    /// Dispatch-checked entry for the float wave walk.
-    #[inline]
-    pub fn walk_float(nodes: &[FloatNode], slabs: &[&[f32]], cursors: &mut [U32x8]) {
-        assert!(
-            std::arch::is_aarch64_feature_detected!("neon"),
-            "NEON kernel entered without AdvSIMD support"
-        );
-        debug_assert!(!nodes.is_empty());
-        debug_assert_eq!(slabs.len(), cursors.len());
-        // SAFETY: NEON verified above; all loads/stores are on local
-        // arrays per the module docs.
-        unsafe { walk_float_neon(nodes, slabs, cursors) }
-    }
-
-    /// Dispatch-checked entry for the FLInt wave walk over order keys.
-    #[inline]
-    pub fn walk_int(nodes: &[IntNode], slabs: &[&[i32]], cursors: &mut [U32x8]) {
-        assert!(
-            std::arch::is_aarch64_feature_detected!("neon"),
-            "NEON kernel entered without AdvSIMD support"
-        );
-        debug_assert!(!nodes.is_empty());
-        debug_assert_eq!(slabs.len(), cursors.len());
-        // SAFETY: NEON verified above; all loads/stores are on local
-        // arrays per the module docs.
-        unsafe { walk_int_neon(nodes, slabs, cursors) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn walk_float_neon(nodes: &[FloatNode], slabs: &[&[f32]], cursors: &mut [U32x8]) {
-        let mut done = [false; WAVE];
-        loop {
-            let mut remaining = false;
-            for (gi, &slab) in slabs.iter().enumerate() {
-                if done[gi] {
-                    continue;
-                }
-                let cursor = cursors[gi];
-                let mut feature = [0u32; LANES];
-                let mut threshold = [0.0f32; LANES];
-                let mut left = [0u32; LANES];
-                let mut right = [0u32; LANES];
-                let mut x = [0.0f32; LANES];
-                let mut all_leaves = true;
-                for i in 0..LANES {
-                    let node = &nodes[cursor.0[i] as usize];
-                    feature[i] = node.feature;
-                    threshold[i] = node.threshold;
-                    left[i] = node.left;
-                    right[i] = node.right;
-                    let is_leaf = node.feature == LEAF_MARKER;
-                    all_leaves &= is_leaf;
-                    // Leaf lanes read slot 0; the result is blended away.
-                    let f = if is_leaf { 0 } else { node.feature as usize };
-                    x[i] = slab[f * LANES + i];
-                }
-                if all_leaves {
-                    done[gi] = true;
-                    continue;
-                }
-                remaining = true;
-                let leaf = vdupq_n_u32(LEAF_MARKER);
-                let mut next = [0u32; LANES];
-                for h in [0usize, 4] {
-                    // SAFETY: every load reads 4 lanes of an 8-lane
-                    // local array at offset 0 or 4; the store writes
-                    // the same shape. vld1q/vst1q are unaligned.
-                    unsafe {
-                        let f_v = vld1q_u32(feature.as_ptr().add(h));
-                        let is_leaf = core::arch::aarch64::vceqq_u32(f_v, leaf);
-                        // IEEE <=: NaN lanes compare false, exactly
-                        // like the scalar operator and _CMP_LE_OQ.
-                        let go_left = vcleq_f32(
-                            vld1q_f32(x.as_ptr().add(h)),
-                            vld1q_f32(threshold.as_ptr().add(h)),
-                        );
-                        let stepped = vbslq_u32(
-                            go_left,
-                            vld1q_u32(left.as_ptr().add(h)),
-                            vld1q_u32(right.as_ptr().add(h)),
-                        );
-                        let out = vbslq_u32(is_leaf, vld1q_u32(cursor.0.as_ptr().add(h)), stepped);
-                        vst1q_u32(next.as_mut_ptr().add(h), out);
-                    }
-                }
-                cursors[gi] = U32x8(next);
-            }
-            if !remaining {
-                break;
-            }
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn walk_int_neon(nodes: &[IntNode], slabs: &[&[i32]], cursors: &mut [U32x8]) {
-        let mut done = [false; WAVE];
-        loop {
-            let mut remaining = false;
-            for (gi, &slab) in slabs.iter().enumerate() {
-                if done[gi] {
-                    continue;
-                }
-                let cursor = cursors[gi];
-                let mut feature = [0u32; LANES];
-                let mut key = [0u32; LANES];
-                let mut left = [0u32; LANES];
-                let mut right = [0u32; LANES];
-                let mut x = [0u32; LANES];
-                let mut all_leaves = true;
-                for i in 0..LANES {
-                    let node = &nodes[cursor.0[i] as usize];
-                    feature[i] = node.feature;
-                    key[i] = node.key as u32;
-                    left[i] = node.left;
-                    right[i] = node.right;
-                    let is_leaf = node.feature == LEAF_MARKER;
-                    all_leaves &= is_leaf;
-                    // Leaf lanes read slot 0; the result is blended away.
-                    let f = if is_leaf { 0 } else { node.feature as usize };
-                    x[i] = slab[f * LANES + i] as u32;
-                }
-                if all_leaves {
-                    done[gi] = true;
-                    continue;
-                }
-                remaining = true;
-                let leaf = vdupq_n_u32(LEAF_MARKER);
-                let mut next = [0u32; LANES];
-                for h in [0usize, 4] {
-                    // SAFETY: every load reads 4 lanes of an 8-lane
-                    // local array at offset 0 or 4; the store writes
-                    // the same shape. vld1q/vst1q are unaligned.
-                    unsafe {
-                        let f_v = vld1q_u32(feature.as_ptr().add(h));
-                        let is_leaf = core::arch::aarch64::vceqq_u32(f_v, leaf);
-                        // Right where key(x) > node key: one signed
-                        // compare on the order keys.
-                        let go_right = vcgtq_s32(
-                            vreinterpretq_s32_u32(vld1q_u32(x.as_ptr().add(h))),
-                            vreinterpretq_s32_u32(vld1q_u32(key.as_ptr().add(h))),
-                        );
-                        let stepped = vbslq_u32(
-                            go_right,
-                            vld1q_u32(right.as_ptr().add(h)),
-                            vld1q_u32(left.as_ptr().add(h)),
-                        );
-                        let out = vbslq_u32(is_leaf, vld1q_u32(cursor.0.as_ptr().add(h)), stepped);
-                        vst1q_u32(next.as_mut_ptr().add(h), out);
-                    }
-                }
-                cursors[gi] = U32x8(next);
-            }
-            if !remaining {
-                break;
-            }
-        }
     }
 }
 

@@ -32,7 +32,11 @@
 //! `shardmap set a:1,b:2` (replace; in-flight requests fail visibly),
 //! `drain`/`undrain` (stop/resume admitting data requests while
 //! control keeps answering), `stats` (the standard snapshot with a
-//! `"shards"` block spliced in), `shutdown`.
+//! `"shards"` block spliced in), `shutdown`. A shard map that names one
+//! address twice would count that shard's votes twice, so `flint route
+//! --shards` and `shardmap set` both refuse it; two addresses that
+//! reach one server (`127.0.0.1` and `::1`, say) cannot be told apart
+//! and are not refused.
 //!
 //! The data plane is one epoll thread running `flint-serve`'s event
 //! loop core ([`flint_serve::run_loop`]) with the fan-out as its

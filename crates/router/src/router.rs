@@ -68,8 +68,8 @@ impl RouterServer {
     ///
     /// # Errors
     ///
-    /// `InvalidInput` on an empty shard list; any [`std::io::Error`]
-    /// from binding the listener.
+    /// `InvalidInput` on an empty shard list or one that names an
+    /// address twice; any [`std::io::Error`] from binding the listener.
     pub fn bind(addr: &str, shards: Vec<SocketAddr>) -> std::io::Result<Self> {
         Self::bind_with_config(addr, shards, EventLoopConfig::default())
     }
@@ -81,19 +81,14 @@ impl RouterServer {
     ///
     /// # Errors
     ///
-    /// `InvalidInput` on an empty shard list; any [`std::io::Error`]
-    /// from binding the listener.
+    /// `InvalidInput` on an empty shard list or one that names an
+    /// address twice; any [`std::io::Error`] from binding the listener.
     pub fn bind_with_config(
         addr: &str,
         shards: Vec<SocketAddr>,
         config: EventLoopConfig,
     ) -> std::io::Result<Self> {
-        if shards.is_empty() {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidInput,
-                "router needs at least one shard address",
-            ));
-        }
+        check_shard_map(&shards).map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         Ok(Self {
@@ -130,6 +125,22 @@ impl RouterServer {
         };
         run_loop(self.listener, self.config, &mut router)
     }
+}
+
+/// Checks a shard map before the router takes it: at least one address,
+/// and none twice, since a shard named twice would add its trees' votes
+/// twice. Two addresses that reach one server (`127.0.0.1` and `::1`,
+/// say) cannot be told apart here and pass.
+fn check_shard_map(shards: &[SocketAddr]) -> Result<(), String> {
+    if shards.is_empty() {
+        return Err("router needs at least one shard address".to_owned());
+    }
+    for (i, addr) in shards.iter().enumerate() {
+        if shards[..i].contains(addr) {
+            return Err(format!("shard address {addr} is listed twice"));
+        }
+    }
+    Ok(())
 }
 
 /// One configured upstream shard: its address and, when dialed, the
@@ -542,10 +553,10 @@ impl Router {
         out
     }
 
-    /// `shardmap set a,b`: validates the new addresses, fails every
-    /// in-flight request visibly (the span layout is changing under
-    /// it), drops all links and dials the new map at this tick's end.
-    /// Returns the answer line.
+    /// `shardmap set a,b`: validates the new map (a refused one leaves
+    /// the current map in place), fails every in-flight request visibly
+    /// (the span layout is changing under it), drops all links and
+    /// dials the new map at this tick's end. Returns the answer line.
     fn replace_shard_map(&mut self, core: &mut Core<'_>, addrs: &[String]) -> String {
         let parsed: Result<Vec<SocketAddr>, _> =
             addrs.iter().map(|a| a.parse().map_err(|_| a)).collect();
@@ -553,6 +564,9 @@ impl Router {
             Ok(parsed) => parsed,
             Err(a) => return render_error(&format!("shardmap set: invalid shard address `{a}`")),
         };
+        if let Err(e) = check_shard_map(&parsed) {
+            return render_error(&format!("shardmap set: {e}"));
+        }
         for (_, p) in self.pending.drain() {
             core.metrics().record_shed();
             finalize(core, p, render_busy("shard map replaced mid-request"));
@@ -845,6 +859,45 @@ mod tests {
             shutdown_peer(addr);
             runner.join().expect("shard thread");
         }
+    }
+
+    /// A shard named twice would vote its trees twice: both ways of
+    /// setting a map refuse it, and a refused `shardmap set` keeps the
+    /// map in force.
+    #[test]
+    fn a_shard_map_naming_one_address_twice_is_refused() {
+        let (forest, data) = forest_and_data();
+        let (a0, r0) = spawn_shard(&forest, (0, forest.n_trees()));
+        let err = RouterServer::bind("127.0.0.1:0", vec![a0, a0]).expect_err("refused");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("listed twice"), "{err}");
+
+        let router = RouterServer::bind("127.0.0.1:0", vec![a0]).expect("router binds");
+        let addr = router.local_addr();
+        let runner = std::thread::spawn(move || router.run().expect("routes"));
+        let mut client = Client::connect(addr);
+        let refused = client
+            .roundtrip(&format!("shardmap set {a0},{a0}"))
+            .to_owned();
+        assert!(
+            refused.contains("\"error\"") && refused.contains("listed twice"),
+            "{refused}"
+        );
+        let map = client.roundtrip("shardmap").to_owned();
+        assert_eq!(map.matches("\"addr\"").count(), 1, "{map}");
+        let row: Vec<String> = data.sample(0).iter().map(f32::to_string).collect();
+        let expected_votes =
+            flint_forest::votes::render_votes(&forest.predict_votes(data.sample(0)));
+        let got = client.roundtrip(&format!("votes:{}", row.join(",")));
+        assert!(
+            got.starts_with(&format!("{{\"votes\":{expected_votes},")),
+            "{got}"
+        );
+
+        assert!(client.roundtrip("shutdown").contains("shutting down"));
+        runner.join().expect("router thread");
+        shutdown_peer(a0);
+        r0.join().expect("shard thread");
     }
 
     #[test]

@@ -120,7 +120,10 @@ pub fn parse_request(line: &str) -> Result<Request, ParseRequestError> {
     if text.eq_ignore_ascii_case("shardmap") || text.eq_ignore_ascii_case("/shardmap") {
         return Ok(Request::ShardMap);
     }
-    if let Some(rest) = strip_verb_prefix(text, "shardmap set ") {
+    // `shardmap set` is a whole word: `shardmap setx` is no verb.
+    if let Some(rest) = strip_verb_prefix(text, "shardmap set")
+        .filter(|rest| rest.is_empty() || rest.starts_with(char::is_whitespace))
+    {
         let addrs: Vec<String> = rest
             .split(',')
             .map(|a| a.trim().to_owned())
@@ -134,18 +137,18 @@ pub fn parse_request(line: &str) -> Result<Request, ParseRequestError> {
         return Ok(Request::ShardMapSet(addrs));
     }
     if let Some(rest) = strip_verb_prefix(text, "votes:") {
-        return Ok(Request::Votes(parse_row(rest)?));
+        return Ok(Request::Votes(parse_row(rest.trim())?));
     }
     Ok(Request::Predict(parse_row(text)?))
 }
 
 /// Strips an optional leading `/` then a case-insensitive ASCII verb
-/// prefix, returning the trimmed remainder. `get` refuses a split
+/// prefix, returning the remainder as it stands. `get` refuses a split
 /// inside a multibyte character instead of panicking on hostile input.
 fn strip_verb_prefix<'a>(text: &'a str, verb: &str) -> Option<&'a str> {
     let bare = text.strip_prefix('/').unwrap_or(text);
     match bare.get(..verb.len()) {
-        Some(prefix) if prefix.eq_ignore_ascii_case(verb) => Some(bare[verb.len()..].trim()),
+        Some(prefix) if prefix.eq_ignore_ascii_case(verb) => Some(&bare[verb.len()..]),
         _ => None,
     }
 }
@@ -515,6 +518,30 @@ mod tests {
                 .0
                 .contains("address list"),
             "empty shard list must not parse"
+        );
+    }
+
+    /// A trimmed `shardmap set` line has no space after the verb; it
+    /// still names the missing list, and the verb stays a whole word.
+    #[test]
+    fn shardmap_set_without_addresses_names_the_missing_list() {
+        for line in ["shardmap set", "/SHARDMAP SET", "shardmap set \t "] {
+            assert_eq!(
+                parse_request(line).unwrap_err().0,
+                "shardmap set needs a comma-separated address list",
+                "{line:?}"
+            );
+        }
+        assert_eq!(
+            parse_request("shardmap set\t127.0.0.1:1").expect("parses"),
+            Request::ShardMapSet(vec!["127.0.0.1:1".to_owned()])
+        );
+        assert!(
+            parse_request("shardmap setx 127.0.0.1:1")
+                .unwrap_err()
+                .0
+                .contains("cannot parse feature"),
+            "`shardmap setx` is not the verb"
         );
     }
 
