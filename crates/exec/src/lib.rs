@@ -30,8 +30,8 @@
 //!   samples descend each tree in lane groups through branchless
 //!   compare/blend steps (portable lane loops on every target, plus
 //!   `std::arch` AVX2 kernels on x86-64, picked at run time). One
-//!   wave loop and one span scorer serve every node
-//!   format; ragged tails read zero-padded lanes from
+//!   wave loop and one span scorer serve every node format; ragged
+//!   tails read zero-padded lanes from
 //!   [`flint_data::FeatureMatrix::gather_lanes`] instead of branching.
 //!   A block below [`LANE_CROSSOVER`] rows (a lone request included)
 //!   takes the family's per-row scalar walk instead, which is faster
